@@ -13,7 +13,10 @@ transaction is followed by invariant checks over the state it touched:
   every replacement, so it is supposed to be exact, not conservative);
 * **buffer bounds** — write-buffer and prefetch-buffer occupancy never
   exceed their configured depths, buffered retire times stay monotone,
-  and MSHR entries never complete before they issue.
+  and MSHR entries never complete before they issue;
+* **watermarks** — the memory interface's ``_busy`` flag,
+  ``_next_expiry`` and ``_next_fill`` cover every pending entry, so
+  the sweeps they let the hot path skip would have found nothing.
 
 Violations raise :class:`~repro.sim.engine.SimulationError` carrying a
 trace of the most recent transactions so the offending sequence can be
@@ -289,6 +292,35 @@ class CoherenceSanitizer:
                     f"completes at {miss.complete_time}, before its issue "
                     f"time {miss.issue_time}"
                 )
+        # Watermarks: the interface skips its expiry sweep and the
+        # processor skips fill consumption on these alone, so each must
+        # cover everything still pending.
+        maturities = [
+            *iface._wb_retires,
+            *iface._pf_queue,
+            *iface._wb_completions,
+            *iface._wb_lines.values(),
+            *(miss.complete_time for miss in iface._misses.values()),
+        ]
+        if maturities and not iface._busy:
+            self._fail(
+                f"node {iface.node}: {len(maturities)} buffered or "
+                f"outstanding entries pending while _busy is False"
+            )
+        earliest = min(maturities, default=iface._next_expiry)
+        if iface._next_expiry > earliest:
+            self._fail(
+                f"node {iface.node}: expiry watermark _next_expiry="
+                f"{iface._next_expiry} is later than the earliest pending "
+                f"maturity {earliest}"
+            )
+        earliest = min(iface._fill_arrivals, default=iface._next_fill)
+        if iface._next_fill > earliest:
+            self._fail(
+                f"node {iface.node}: fill watermark _next_fill="
+                f"{iface._next_fill} is later than the earliest pending "
+                f"fill arrival {earliest}"
+            )
 
     def check_machine(self) -> None:
         """Full-state sweep over every cache, directory, and buffer."""

@@ -21,7 +21,8 @@ cases are written flat: the clock and current run length live in locals
 (written back to ``self`` at every call boundary), cycle charges go into
 a packed per-slot list (:data:`~repro.processor.accounting.BUCKET_SLOT`),
 the thread generator is resumed with a bare ``next()``, and the
-read/write/busy opcodes and their short-stall handling are inline.
+read/write/busy/prefetch opcodes and their short-stall handling are
+inline.
 :attr:`Processor.breakdown` materializes the packed counters back into a
 :class:`~repro.processor.accounting.TimeBreakdown`, so every external
 observer sees the same accounting as before.
@@ -59,6 +60,7 @@ if TYPE_CHECKING:  # avoid a circular import with repro.system
 _OP_BUSY = O.BUSY
 _OP_READ = O.READ
 _OP_WRITE = O.WRITE
+_OP_PREFETCH = O.PREFETCH
 _RUNNING = ContextState.RUNNING
 _DONE = ContextState.DONE
 _SLOT_BUSY = BUCKET_SLOT[Bucket.BUSY]
@@ -242,7 +244,7 @@ class Processor:
             ):
                 # SC write probe: a DIRTY secondary line is an owned
                 # write hit that never leaves the node, so it can be
-                # served inline exactly like ``_fused_write_hit``.
+                # served inline exactly like memiface.write's probe.
                 # Only built under SC (RC writes go through the write
                 # buffer's occupancy bookkeeping unconditionally) and
                 # only when the active spec's M write hit fills from
@@ -269,6 +271,7 @@ class Processor:
             self.run_lengths,
             probe,
             wprobe,
+            self.config.prefetch_issue_cycles,
         )
         return self._hot
 
@@ -301,6 +304,7 @@ class Processor:
             run_lengths,
             probe,
             wprobe,
+            pf_issue,
         ) = hot
         trace = self.trace
         # Inline primary-hit probe: the packed-cache read hit runs right
@@ -363,15 +367,15 @@ class Processor:
                 self._current_run = run
                 engine.schedule(time, self._loop_cb)
                 return
-            # Fresh attribute read each iteration: consume_fill_stalls
-            # rebinds the list, so a cached alias would go stale.
-            if memiface._fill_arrivals:
+            # Fill lockout: the watermark is the earliest pending fill
+            # arrival, re-read each iteration because every noted fill
+            # lowers it.
+            if memiface._next_fill <= time:
                 fills = memiface.consume_fill_stalls(time)
-                if fills:
-                    slot = _SLOT_NO_SWITCH if multi else _SLOT_PREFETCH
-                    charge = fills * self._fill_stall
-                    cycles[slot] += charge
-                    time += charge
+                slot = _SLOT_NO_SWITCH if multi else _SLOT_PREFETCH
+                charge = fills * self._fill_stall
+                cycles[slot] += charge
+                time += charge
             try:
                 op = next(ctx.thread)
             except StopIteration:
@@ -471,7 +475,7 @@ class Processor:
                     # Inline SC owned-write hit: a DIRTY secondary line
                     # never leaves the node, so the write retires with
                     # the identical counter bumps and latency as
-                    # ``_fused_write_hit`` — the expiry sweep is
+                    # memiface.write's probe — the expiry sweep is
                     # observation-independent (see the read probe) and
                     # ``memiface.write`` consults no pending state on
                     # this path.
@@ -527,12 +531,20 @@ class Processor:
                         self.time = time
                         self._current_run = run
                         ctx.block_until(ready, _WRITE_STALL, time)
+            elif code == _OP_PREFETCH:
+                self.prefetches += 1
+                charge = pf_issue + memiface.prefetch(op[1], op[2], time)[0]
+                if charge < 0:
+                    raise ValueError(
+                        f"negative time {charge} for "
+                        f"{BUCKET_LIST[_SLOT_PREFETCH]}"
+                    )
+                cycles[_SLOT_PREFETCH] += charge
+                time += charge
             else:
                 self.time = time
                 self._current_run = run
-                if code == O.PREFETCH:
-                    self._op_prefetch(op[1], op[2])
-                elif code == O.LOCK:
+                if code == O.LOCK:
                     self._op_lock(ctx, op[1])
                 elif code == O.UNLOCK:
                     self._op_unlock(ctx, op[1])
@@ -631,14 +643,6 @@ class Processor:
             self.memiface.note_fill_arrival(ready)
 
     # -- operations --------------------------------------------------------------
-
-    def _op_prefetch(self, addr: int, exclusive: bool) -> None:
-        self.prefetches += 1
-        result = self.memiface.prefetch(addr, exclusive, self.time)
-        self._advance(
-            self.config.prefetch_issue_cycles + result.buffer_full_stall,
-            _SLOT_PREFETCH,
-        )
 
     def _acquire_fence(self, ctx: Context) -> None:
         """WC: synchronization is a two-way fence — the acquire may not

@@ -106,6 +106,10 @@ class NodeMemoryInterface:
         # Pending primary-cache fill arrivals that will lock the
         # processor out for `prefetch_fill_stall` cycles each.
         self._fill_arrivals: list = []
+        #: Earliest pending fill arrival.  The processor loop consumes
+        #: fills only once its clock reaches this watermark; every
+        #: append lowers it, ``consume_fill_stalls`` recomputes it.
+        self._next_fill = _NEVER
 
         # Hot-path scalars and aliases.  The MSHR's dict is mutated in
         # place and never rebound, so aliasing it here is safe; the read
@@ -115,28 +119,30 @@ class NodeMemoryInterface:
         self._bypass = bool(config.write_buffer_bypass and policy.reads_bypass_writes)
         self._cached = bool(config.caching_shared_data)
         #: True whenever any of the expiry-swept collections (write
-        #: buffer, prefetch queue, MSHR) might be non-empty — one flag
-        #: probe on the hot path instead of five container checks.  Set
-        #: at every enqueue site, recomputed by ``_expire``.
+        #: buffer, prefetch queue, MSHR) is non-empty.  Set at every
+        #: enqueue site, recomputed by ``_expire``; the hot paths test
+        #: ``_next_expiry`` instead, and the sanitizer checks both.
         self._busy = False
         #: Earliest time any tracked entry matures.  While ``now`` is
-        #: before this watermark no entry can have expired, so the
-        #: sweep is skipped outright; every enqueue site lowers it,
+        #: before this watermark no entry can have expired, so callers
+        #: skip the sweep outright; every enqueue site lowers it,
         #: ``_expire`` recomputes it from the survivors.
         self._next_expiry = _NEVER
         self._wb_depth = config.write_buffer_depth
         self._max_wb = config.max_outstanding_writes
+        self._pf_depth = config.prefetch_buffer_depth
+        self._pf_gap = config.contention.bus_occupancy_header
 
-        # Fused hit probe (see read/write): when the protocol's packed
-        # fast path is live, the hit checks run inline here — identical
-        # counters and latencies, minus two call frames per access.  The
-        # per-call gates disable it the moment anything wraps
-        # ``protocol.read``/``protocol.write`` (the sanitizer, the
-        # litmus recorder, and the fault injector all install instance
-        # attributes) or installs a memory-event trace, so every
-        # observer sees the classic path.  The aliased containers
-        # (``_fast_info``, the stats dicts) are mutated in place and
-        # never rebound.
+        # Fused probes (see read/write/prefetch): when the protocol's
+        # packed fast path is live, the hit and discard checks run
+        # inline here — identical counters and latencies, minus the
+        # protocol's call frames.  The per-call gates disable a probe
+        # the moment anything wraps ``protocol.read``/``write``/
+        # ``prefetch`` (the sanitizer, the litmus recorder, and the
+        # fault injector all install instance attributes) or installs
+        # a memory-event trace, so every observer sees the classic
+        # path.  The aliased containers (``_fast_info``, the stats
+        # dicts) are mutated in place and never rebound.
         self._pdict = protocol.__dict__
         self._fuse = bool(getattr(protocol, "_fast", False))
         if self._fuse:
@@ -177,61 +183,68 @@ class NodeMemoryInterface:
     # -- lazy expiry helpers ------------------------------------------------
 
     def _expire(self, now: int) -> None:
-        if now < self._next_expiry:
-            return  # nothing has matured since the last sweep
+        """Drop every entry matured by ``now``.
+
+        Each container is swept once, and the same pass folds the
+        survivors into ``_next_expiry`` and ``_busy``.  Callers test
+        the watermark first (``now >= self._next_expiry``), so the
+        sweep runs only once something has actually matured.
+        """
+        horizon = _NEVER
+        # The write buffer and prefetch queue are time-ordered: their
+        # heads are their earliest survivors.
         wb = self._wb_retires
         while wb and wb[0] <= now:
             wb.popleft()
+        if wb:
+            horizon = wb[0]
         pf = self._pf_queue
         while pf and pf[0] <= now:
             pf.popleft()
+        if pf and pf[0] < horizon:
+            horizon = pf[0]
         comps = self._wb_completions
-        if comps and min(comps) <= now:
-            comps = self._wb_completions = [t for t in comps if t > now]
+        if comps:
+            live = []
+            for t in comps:
+                if t > now:
+                    live.append(t)
+                    if t < horizon:
+                        horizon = t
+            comps = self._wb_completions = live
         lines = self._wb_lines
         if lines:
-            dead = [line for line, t in lines.items() if t <= now]
+            dead = []
+            for line, t in lines.items():
+                if t <= now:
+                    dead.append(line)
+                elif t < horizon:
+                    horizon = t
             for line in dead:
                 del lines[line]
         misses = self._misses
         if misses:
-            done = [line for line, m in misses.items() if m.complete_time <= now]
-            if done:
-                retire = self.mshr.retire
-                for line in done:
-                    retire(line)
-        self._busy = bool(
-            wb or pf or comps or lines or misses
-        )
-        # Watermark for the next sweep: the earliest maturity among the
-        # survivors (every container is small; the write buffer and
-        # prefetch queue are time-ordered, so their heads suffice).
-        horizon = _NEVER
-        if wb and wb[0] < horizon:
-            horizon = wb[0]
-        if pf and pf[0] < horizon:
-            horizon = pf[0]
-        if comps:
-            earliest = min(comps)
-            if earliest < horizon:
-                horizon = earliest
-        if lines:
-            earliest = min(lines.values())
-            if earliest < horizon:
-                horizon = earliest
-        if misses:
-            for miss in misses.values():
-                if miss.complete_time < horizon:
-                    horizon = miss.complete_time
+            done = []
+            for line, miss in misses.items():
+                t = miss.complete_time
+                if t <= now:
+                    done.append(line)
+                elif t < horizon:
+                    horizon = t
+            # Retired in insertion order, which is the order their
+            # waiters fire in.
+            retire = self.mshr.retire
+            for line in done:
+                retire(line)
+        self._busy = bool(wb or pf or comps or lines or misses)
         self._next_expiry = horizon
 
     # -- reads ---------------------------------------------------------------
 
     def read(self, addr: int, now: int) -> ReadResult:
-        # Expiry only has work to do when something is actually pending;
-        # the flag keeps the dominant case (quiet interface, primary
-        # hit) free of the sweep entirely.
-        if self._busy:
+        # Expiry only has work to do once something has matured; the
+        # watermark keeps the dominant case free of the sweep entirely.
+        if now >= self._next_expiry:
             self._expire(now)
         misses = self._misses
         line = addr - addr % self._line_bytes
@@ -340,113 +353,108 @@ class NodeMemoryInterface:
     # -- writes --------------------------------------------------------------
 
     def write(self, addr: int, now: int) -> WriteResult:
-        if self._busy:
+        if now >= self._next_expiry:
             self._expire(now)
-        if not self._cached:
-            return self._write_uncached(addr, now)
+        proto = self.protocol
+        # Owned-write probe (M, or E under MESI), serving SC and RC
+        # alike: bit-identical to protocol.write's owned-hit fast path
+        # — same counter bumps, same primary refresh, same table-sanity
+        # raise; see the gate comment in __init__.  Counters are only
+        # touched once the hit is established, so a miss leaves the
+        # classic path's accounting untouched.  An owned hit never
+        # leaves the node, so its effect does not depend on when it
+        # issues: SC retires it now, RC at the buffered issue time.
+        hit = False
+        if (
+            self._fuse
+            and self._cached
+            and self.trace is None
+            and proto.trace is None
+            and "write" not in self._pdict
+        ):
+            line = addr - addr % self._line_bytes
+            info = self._finfo[self.node]
+            word = line // self._line_bytes
+            sindex = word % self._sec_sets
+            state = info[4][sindex] if info[3][sindex] == line else 0
+            rule = self._whit_rules.get(state)
+            if rule is not None:
+                if not self._whit_fills[state]:
+                    raise ProtocolTableError(
+                        "write-hit rule does not fill from cache: "
+                        f"{rule.describe()}"
+                    )
+                # MESI's silent upgrade: an E copy becomes M with no
+                # message (a no-op store for M itself).
+                info[4][sindex] = self._whit_next[state]
+                info[5].hits += 1
+                stats = self._stats
+                stats.writes_total += 1
+                stats.writes_line_present += 1
+                # Write-through primary: refresh the copy if present.
+                pindex = word % self._pri_sets
+                if info[0][pindex] == line and info[1][pindex]:
+                    info[1][pindex] = 1  # LineState.SHARED
+                writes = self._writes
+                writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
+                hit = True
         if self.policy.write_stalls_processor:
             # SC: the processor stalls until the write completes with
             # respect to all processors — ownership plus invalidation
             # acknowledgements when other copies existed.
-            hit = self._fused_write_hit(addr, now)
-            if hit is not None:
-                return _MK_WRITE((hit, 0, _SECONDARY_HIT))
-            outcome = self.protocol.write(self.node, addr, now)
+            if hit:
+                return _MK_WRITE((now + self._lat_wos, 0, _SECONDARY_HIT))
+            if self._cached:
+                outcome = proto.write(self.node, addr, now)
+            else:
+                outcome = proto.write_uncached(self.node, addr, now)
             return _MK_WRITE((outcome.complete, 0, outcome.access_class))
-        return self._write_buffered(
-            addr, now, self.protocol.write, fuse_hits=True
-        )
+        return self._write_buffered(addr, now, hit)
 
-    def _fused_write_hit(self, addr: int, now: int) -> Optional[int]:
-        """Inline secondary-owned write hit: the retire time, or None
-        when the line is not in a local write-hit state here — M, or E
-        under MESI — (or the fuse gate is closed).
-
-        Bit-identical to protocol.write's owned-hit fast path — same
-        counter bumps, same primary refresh, same table-sanity raise;
-        see the gate comment in __init__.  Counters are only touched
-        once the hit is established, so a ``None`` return leaves the
-        classic path's accounting untouched.
-        """
-        proto = self.protocol
-        if (
-            not self._fuse
-            or self.trace is not None
-            or proto.trace is not None
-            or "write" in self._pdict
-        ):
-            return None
-        line = addr - addr % self._line_bytes
-        info = self._finfo[self.node]
-        word = line // self._line_bytes
-        sindex = word % self._sec_sets
-        state = info[4][sindex] if info[3][sindex] == line else 0
-        rule = self._whit_rules.get(state)
-        if rule is None:
-            return None  # not a local write-hit state: classic path
-        if not self._whit_fills[state]:
-            raise ProtocolTableError(
-                "write-hit rule does not fill from cache: "
-                f"{rule.describe()}"
-            )
-        # MESI's silent upgrade: an E copy becomes M with no message
-        # (a no-op store for M itself).
-        info[4][sindex] = self._whit_next[state]
-        info[5].hits += 1
-        stats = self._stats
-        stats.writes_total += 1
-        stats.writes_line_present += 1
-        # Write-through primary: refresh the copy if present.
-        pindex = word % self._pri_sets
-        if info[0][pindex] == line and info[1][pindex]:
-            info[1][pindex] = 1  # LineState.SHARED
-        writes = self._writes
-        writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-        return now + self._lat_wos
-
-    def _write_uncached(self, addr: int, now: int) -> WriteResult:
-        if self.policy.write_stalls_processor:
-            outcome = self.protocol.write_uncached(self.node, addr, now)
-            return _MK_WRITE((outcome.complete, 0, outcome.access_class))
-        return self._write_buffered(addr, now, self.protocol.write_uncached)
-
-    def _write_buffered(
-        self, addr: int, now: int, transact, fuse_hits: bool = False
-    ) -> WriteResult:
-        """RC path: enqueue in the write buffer, drain eagerly."""
+    def _write_buffered(self, addr: int, now: int, hit: bool) -> WriteResult:
+        """RC path: enqueue in the write buffer, drain eagerly.  ``hit``
+        is set when ``write``'s owned-write probe served the access."""
         full_stall = 0
-        if len(self._wb_retires) >= self._wb_depth:
-            free_at = self._wb_retires.popleft()
+        wb = self._wb_retires
+        if len(wb) >= self._wb_depth:
+            free_at = wb.popleft()
             full_stall = free_at - now
             self.write_buffer_full_stall_cycles += full_stall
             now = free_at
-            self._expire(now)
+            if now >= self._next_expiry:
+                self._expire(now)
 
         issue = now
-        if len(self._wb_inflight) >= self._max_wb:
-            issue = max(issue, self._wb_inflight.popleft())
-        while len(self._wb_inflight) >= self._max_wb:
-            self._wb_inflight.popleft()
+        inflight = self._wb_inflight
+        if len(inflight) >= self._max_wb:
+            issue = max(issue, inflight.popleft())
+        while len(inflight) >= self._max_wb:
+            inflight.popleft()
 
-        # Buffered writes drain on the background resource chain: DASH
-        # gives demand reads priority over the write buffer.  Owned
-        # hits never touch the network, so the fused probe applies
-        # unchanged at the buffered issue time.
-        hit = self._fused_write_hit(addr, issue) if fuse_hits else None
-        if hit is not None:
-            outcome_retire = hit
-            outcome_complete = hit
-            outcome_class = _SECONDARY_HIT
+        if hit:
+            retire = complete = issue + self._lat_wos
+            access_class = _SECONDARY_HIT
         else:
-            outcome = transact(self.node, addr, issue, background=True)
-            outcome_retire = outcome.retire
-            outcome_complete = outcome.complete
-            outcome_class = outcome.access_class
-        retire = max(outcome_retire, self._wb_last_retire)
+            # Buffered writes drain on the background resource chain:
+            # DASH gives demand reads priority over the write buffer.
+            if self._cached:
+                outcome = self.protocol.write(
+                    self.node, addr, issue, background=True
+                )
+            else:
+                outcome = self.protocol.write_uncached(
+                    self.node, addr, issue, background=True
+                )
+            retire = outcome.retire
+            complete = outcome.complete
+            access_class = outcome.access_class
+        if retire < self._wb_last_retire:
+            retire = self._wb_last_retire
         self._wb_last_retire = retire
-        self._wb_retires.append(retire)
-        self._wb_inflight.append(retire)
-        complete = max(outcome_complete, retire)
+        wb.append(retire)
+        inflight.append(retire)
+        if complete < retire:
+            complete = retire
         if complete > now:
             self._wb_completions.append(complete)
         line = addr - addr % self._line_bytes
@@ -458,7 +466,7 @@ class NodeMemoryInterface:
             # The write just recorded by the protocol hook is now the
             # buffered entry same-line reads would forward from.
             self.trace.note_buffered_line(self.node, line)
-        return _MK_WRITE((now + 1, full_stall, outcome_class))
+        return _MK_WRITE((now + 1, full_stall, access_class))
 
     # -- releases -------------------------------------------------------------
 
@@ -467,7 +475,8 @@ class NodeMemoryInterface:
         complete, including invalidation acknowledgements (RC)."""
         if not self.policy.release_requires_completion:
             return now
-        self._expire(now)
+        if now >= self._next_expiry:
+            self._expire(now)
         horizon = now
         if self._wb_completions:
             horizon = max(horizon, max(self._wb_completions))
@@ -478,17 +487,20 @@ class NodeMemoryInterface:
     # -- prefetches -------------------------------------------------------------
 
     def prefetch(self, addr: int, exclusive: bool, now: int) -> PrefetchResult:
-        self._expire(now)
+        if now >= self._next_expiry:
+            self._expire(now)
         full_stall = 0
-        if len(self._pf_queue) >= self.config.prefetch_buffer_depth:
-            free_at = self._pf_queue.popleft()
+        pf = self._pf_queue
+        if len(pf) >= self._pf_depth:
+            free_at = pf.popleft()
             full_stall = free_at - now
             self.prefetch_buffer_full_stall_cycles += full_stall
             now = free_at
-            self._expire(now)
+            if now >= self._next_expiry:
+                self._expire(now)
 
-        line = self.protocol.line_of(addr)
-        existing = self.mshr.lookup(line)
+        line = addr - addr % self._line_bytes
+        existing = self._misses.get(line)
         if existing is not None and (existing.exclusive or not exclusive):
             # Already in flight with sufficient permission: drop.
             self.prefetches_discarded += 1
@@ -496,18 +508,34 @@ class NodeMemoryInterface:
 
         # The prefetch occupies a buffer slot until it issues; issues are
         # serialized through the node bus.
-        gap = self.config.contention.bus_occupancy_header
-        if self._pf_last_issue is None:
-            issue = now
-        else:
-            issue = max(now, self._pf_last_issue + gap)
+        issue = now
+        last = self._pf_last_issue
+        if last is not None and last + self._pf_gap > issue:
+            issue = last + self._pf_gap
         self._pf_last_issue = issue
-        self._pf_queue.append(issue)
+        pf.append(issue)
         self._busy = True
         if issue < self._next_expiry:
             self._next_expiry = issue
 
-        outcome = self.protocol.prefetch(self.node, addr, exclusive, issue)
+        proto = self.protocol
+        if (
+            self._fuse
+            and proto.trace is None
+            and "prefetch" not in self._pdict
+        ):
+            # Fused discard — protocol.prefetch's own test on the packed
+            # secondary state: a line present in a write-hit state, or
+            # present at all for a shared prefetch, is already
+            # satisfied.  A discard touches no protocol counter; see
+            # the gate comment in __init__.
+            sindex = (line // self._line_bytes) % self._sec_sets
+            info = self._finfo[self.node]
+            state = info[4][sindex] if info[3][sindex] == line else 0
+            if state and (not exclusive or state in self._whit_rules):
+                self.prefetches_discarded += 1
+                return _MK_PREFETCH((full_stall, True))
+        outcome = proto.prefetch(self.node, addr, exclusive, issue)
         if outcome is None:
             self.prefetches_discarded += 1
             return _MK_PREFETCH((full_stall, True))
@@ -516,36 +544,39 @@ class NodeMemoryInterface:
         if existing is not None:
             # Upgrade over an in-flight shared fetch: chain completion.
             self.mshr.retire(line)
-        self.mshr.add(
-            OutstandingMiss(
-                line=line,
-                exclusive=exclusive,
-                issue_time=issue,
-                complete_time=outcome.retire,
-                is_prefetch=True,
-            )
-        )
-        if outcome.retire < self._next_expiry:
-            self._next_expiry = outcome.retire
+        retire = outcome.retire
+        self.mshr.add(OutstandingMiss(line, exclusive, issue, retire, True))
+        if retire < self._next_expiry:
+            self._next_expiry = retire
         # The returning fill locks the processor out of the primary cache.
-        self._fill_arrivals.append(outcome.retire)
+        self.note_fill_arrival(retire)
         return _MK_PREFETCH((full_stall, False))
 
     # -- fill lockout -------------------------------------------------------------
 
     def note_fill_arrival(self, arrival: int) -> None:
-        """Record a fill that will return while another context runs."""
+        """Record a fill that will lock the processor out of the primary
+        cache when it returns: a prefetch's, or a blocked context's
+        miss returning while another context runs."""
         self._fill_arrivals.append(arrival)
+        if arrival < self._next_fill:
+            self._next_fill = arrival
 
     def consume_fill_stalls(self, now: int) -> int:
         """Number of pending fills that have arrived by ``now``; each
-        locks the processor out of the primary cache for the fill time."""
-        if not self._fill_arrivals:
-            return 0
-        arrived = [t for t in self._fill_arrivals if t <= now]
-        if arrived:
-            self._fill_arrivals = [t for t in self._fill_arrivals if t > now]
-        return len(arrived)
+        locks the processor out of the primary cache for the fill time.
+        The fills still pending set the new ``_next_fill``."""
+        arrivals = self._fill_arrivals
+        pending = []
+        horizon = _NEVER
+        for t in arrivals:
+            if t > now:
+                pending.append(t)
+                if t < horizon:
+                    horizon = t
+        self._fill_arrivals = pending
+        self._next_fill = horizon
+        return len(arrivals) - len(pending)
 
     # -- queries ------------------------------------------------------------------
 

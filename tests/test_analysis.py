@@ -476,6 +476,38 @@ class TestCoherenceSanitizer:
         with pytest.raises(SimulationError, match="write buffer holds"):
             machine.run()
 
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda iface: setattr(iface, "_busy", False), "_busy is False"),
+            (
+                lambda iface: setattr(iface, "_next_expiry", 10**12),
+                "_next_expiry=",
+            ),
+            (lambda iface: setattr(iface, "_next_fill", 10**12), "_next_fill="),
+        ],
+        ids=["busy-flag", "expiry-watermark", "fill-watermark"],
+    )
+    def test_stale_watermark_is_caught(self, corrupt, message):
+        from repro.config import Consistency
+
+        machine = Machine(
+            dash_scaled_config(
+                num_processors=2, consistency=Consistency.RC, sanitize=True
+            )
+        )
+        region = machine.allocator.alloc_local("remote", 4096, 1)
+        iface = machine.memifaces[0]
+        # Real pending state: a buffered remote write, an in-flight
+        # prefetch, and a fill due back while another context runs.
+        iface.write(region.addr(0), 0)
+        iface.prefetch(region.addr(64), False, 1)
+        iface.note_fill_arrival(500)
+        machine.sanitizer.check_buffers(iface)  # consistent so far
+        corrupt(iface)
+        with pytest.raises(SimulationError, match=message):
+            machine.sanitizer.check_buffers(iface)
+
     def test_uninstall_restores_methods(self):
         machine = _sanitized_machine(num_processors=2)
         wrapped = machine.protocol.read
