@@ -14,9 +14,9 @@ transaction is followed by invariant checks over the state it touched:
 * **buffer bounds** — write-buffer and prefetch-buffer occupancy never
   exceed their configured depths, buffered retire times stay monotone,
   and MSHR entries never complete before they issue;
-* **watermarks** — the memory interface's ``_busy`` flag,
-  ``_next_expiry`` and ``_next_fill`` cover every pending entry, so
-  the sweeps they let the hot path skip would have found nothing.
+* **watermarks** — the memory interface's ``_next_expiry`` and
+  ``_next_fill`` cover every pending entry, so the sweeps they let the
+  hot path skip would have found nothing.
 
 Violations raise :class:`~repro.sim.engine.SimulationError` carrying a
 trace of the most recent transactions so the offending sequence can be
@@ -302,11 +302,6 @@ class CoherenceSanitizer:
             *iface._wb_lines.values(),
             *(miss.complete_time for miss in iface._misses.values()),
         ]
-        if maturities and not iface._busy:
-            self._fail(
-                f"node {iface.node}: {len(maturities)} buffered or "
-                f"outstanding entries pending while _busy is False"
-            )
         earliest = min(maturities, default=iface._next_expiry)
         if iface._next_expiry > earliest:
             self._fail(

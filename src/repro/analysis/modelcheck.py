@@ -694,7 +694,7 @@ class ProtocolModel:
                     new,
                 )
             # Write-back: memory refreshed, entry updated per the rule
-            # (Directory.writeback; MESI's E write-back carries clean
+            # (the runtime ``_evict`` release; MESI's E write-back carries clean
             # data, MOESI's owner eviction finally refreshes memory).
             new = self._set_memory(new, line, cl.value)
             new = self._set_dir(
@@ -702,7 +702,7 @@ class ProtocolModel:
                 self._final_dir(rule.next_dir_state, sharers, owner),
             )
             return (f"c{cache}: evict line{line} writeback v{cl.value}", new)
-        # Clean replacement hint (Directory.drop_sharer).
+        # Clean replacement hint (the runtime ``_evict`` drop-sharer).
         new = self._set_dir(
             new, line, self._final_dir(rule.next_dir_state, sharers, owner)
         )

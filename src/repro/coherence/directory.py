@@ -173,37 +173,3 @@ class Directory:
             entry.state = DirState.UNOWNED
             entry.owner = None
             entry.mask = 0
-
-    def apply_eviction(self, rule, line: int, node: int) -> None:
-        """Apply an eviction rule's directory actions for ``node``
-        dropping its copy of ``line``.
-
-        The rule comes from the declarative transition table
-        (:data:`~repro.coherence.table.DIRECTORY_PROTOCOL_TABLE`);
-        protolint's conformance pass checks that the defensive updates
-        below land on exactly the rule's declared next directory state.
-        """
-        # Imported lazily (the table module imports DirState from us)
-        # and cached at module scope so steady-state evictions skip the
-        # import machinery.
-        actions = _EVICTION_ACTIONS
-        if actions is None:
-            from repro.coherence.table import Action
-
-            actions = (Action.WRITEBACK_MEMORY, Action.DROP_SHARER)
-            globals()["_EVICTION_ACTIONS"] = actions
-        writeback_memory, drop_sharer = actions
-
-        if writeback_memory in rule.action_set:
-            self.writeback(line, node)
-        elif drop_sharer in rule.action_set:
-            self.drop_sharer(line, node)
-        else:
-            raise SimulationError(
-                f"eviction rule {rule.name!r} names no directory action"
-            )
-
-
-#: Cached ``(Action.WRITEBACK_MEMORY, Action.DROP_SHARER)`` pair filled
-#: on the first eviction (set via ``globals()`` from ``apply_eviction``).
-_EVICTION_ACTIONS = None

@@ -37,13 +37,13 @@ from functools import partial
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.caches import DirectMappedCache, LineState
-from repro.caches.cache import _MEMBERS
 from repro.coherence.directory import Directory, DirectoryEntry, DirState
 from repro.coherence.specs import get_spec, spec_names
 from repro.coherence.table import (
     Action,
     ProtocolTableError,
     ProtoEvent,
+    Rule,
 )
 from repro.config import MachineConfig
 from repro.interconnect import Interconnect
@@ -70,6 +70,9 @@ class AccessClass(enum.Enum):
 
 _PRIMARY_HIT = AccessClass.PRIMARY_HIT
 _SECONDARY_HIT = AccessClass.SECONDARY_HIT
+_DIR_UNOWNED = DirState.UNOWNED
+_DIR_SHARED = DirState.SHARED
+_DIR_DIRTY = DirState.DIRTY
 
 
 class AccessOutcome(NamedTuple):
@@ -270,6 +273,10 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 ProtoEvent.EVICT_EXCLUSIVE,
             )
         }
+        #: Eviction dispatch, ``(victim_state, dir_state, others_cached)
+        #: -> (rule, writes_back)``, filled lazily by
+        #: :meth:`_eviction_rule` from ``table.lookup`` alone.
+        self._eviction_rules = {}
         #: Precomputed unguarded dispatch over the table: read/write
         #: transitions resolve with one tuple-keyed dict probe; a miss
         #: falls back to ``table.lookup`` for the full error surface.
@@ -407,34 +414,81 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
     ) -> None:
         victim = self.caches[node].secondary.insert(line, state)
         if victim is not None:
-            self._evict(node, victim, time)
+            self._evict(node, victim[0], victim[1], time)
 
-    def _evict(self, node: int, victim: Tuple[int, LineState], time: int) -> None:
-        victim_line, victim_state = victim
-        # Inclusion: dropping a secondary line drops any primary copy.
-        self.caches[node].primary.invalidate(victim_line)
-        home = self._home_of(victim_line)
-        entry = self.directories[home].entry(victim_line)
-        event = self._eviction_events[victim_state]
-        if event is ProtoEvent.EVICT_CLEAN:
-            others: Optional[bool] = bool(entry.mask & ~(1 << node))
+    def _evict(
+        self, node: int, victim_line: int, victim_state: int, time: int
+    ) -> None:
+        """``node`` replaces ``victim_line``, held in ``victim_state``
+        (a raw packed state or a :class:`LineState`), from its
+        secondary cache."""
+        # Inclusion: dropping a secondary line drops any primary copy
+        # (packed form of ``primary.invalidate``, counter kept).
+        fast = self._fast_info
+        if fast is not None:
+            info = fast[node]
+            pindex = (victim_line // self._line_bytes) % self._pri_sets
+            if info[0][pindex] == victim_line and info[1][pindex]:
+                info[1][pindex] = 0
+                info[2].invalidations_received += 1
         else:
-            # Dirty and clean-exclusive victims notify the home
-            # unconditionally; the rule key carries no sharer bit.
-            others = None
-        rule = self.table.lookup(victim_state, entry.state, event, others)
-        if Action.WRITEBACK_MEMORY in rule.action_set:
-            # Write the dirty line back to home memory (fire-and-forget:
-            # the write-back buffer hides its latency from the evicting
-            # access, but the bandwidth is charged).
-            self.net.charge_bus(node, time, data=True, background=True)
+            self.caches[node].primary.invalidate(victim_line)
+        home = self._home_of(victim_line)
+        entries = self._dir_maps[home]
+        entry = entries.get(victim_line)
+        if entry is None:
+            entry = DirectoryEntry()
+            entries[victim_line] = entry
+        others = (entry.mask & ~(1 << node)) != 0
+        resolved = self._eviction_rules.get((victim_state, entry.state, others))
+        if resolved is None:
+            resolved = self._eviction_rule(victim_state, entry.state, others)
+        if resolved[1]:
+            # WRITEBACK_MEMORY: write the dirty line back to home memory
+            # (fire-and-forget: the write-back buffer hides its latency
+            # from the evicting access, but the bandwidth is charged),
+            # then release the home entry.
+            net = self.net
+            net.charge_bus(node, time, data=True, background=True)
             if home != node:
-                self.net.charge_hop(node, home, time, data=True, background=True)
-            self.net.charge_memory(home, time, background=True)
+                net.charge_hop(node, home, time, data=True, background=True)
+            net.charge_memory(home, time, background=True)
             self.stats.eviction_writebacks += 1
-        # The rule's directory actions (writeback release or replacement
-        # hint); the clean hint is modelled free.
-        self.directories[home].apply_eviction(rule, victim_line, node)
+            if entry.state == _DIR_DIRTY and entry.owner == node:
+                entry.state = _DIR_UNOWNED
+                entry.owner = None
+                entry.mask = 0
+        else:
+            # DROP_SHARER: the clean replacement hint, modelled free.
+            entry.mask &= ~(1 << node)
+            if entry.state == _DIR_SHARED and not entry.mask:
+                entry.state = _DIR_UNOWNED
+
+    def _eviction_rule(
+        self, victim_state: int, dir_state: DirState, others: bool
+    ) -> Tuple[Rule, bool]:
+        """Resolve and cache ``(rule, writes_back)`` for an eviction
+        situation.  Only a successful ``table.lookup`` is cached, so an
+        uncovered or declared-impossible situation raises
+        :class:`ProtocolTableError` on every call."""
+        state = LineState(victim_state)
+        event = self._eviction_events[state]
+        # Dirty and clean-exclusive victims notify the home
+        # unconditionally; only a clean eviction's rule key carries the
+        # other-sharers guard.
+        rule = self.table.lookup(
+            state, dir_state, event,
+            others if event is ProtoEvent.EVICT_CLEAN else None,
+        )
+        writes_back = Action.WRITEBACK_MEMORY in rule.action_set
+        if not writes_back and Action.DROP_SHARER not in rule.action_set:
+            raise SimulationError(
+                f"eviction rule {rule.name!r} names no directory action"
+            )
+        resolved = self._eviction_rules[(victim_state, dir_state, others)] = (
+            rule, writes_back,
+        )
+        return resolved
 
     # -- cached reads --------------------------------------------------------
 
@@ -610,7 +664,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
             sstates[sidx] = rule.next_cache_state
             if old_state and old_tag != line:
                 info[5].evictions += 1
-                self._evict(node, (old_tag, _MEMBERS[old_state]), time)
+                self._evict(node, old_tag, old_state, time)
             pindex = word % self._pri_sets
             ptags = info[0]
             pstates = info[1]
@@ -862,7 +916,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 sstates[sidx] = rule.next_cache_state
                 if old_state and old_tag != line:
                     info[5].evictions += 1
-                    self._evict(node, (old_tag, _MEMBERS[old_state]), time)
+                    self._evict(node, old_tag, old_state, time)
         elif had_shared == LineState.INVALID:
             self._install_secondary(node, line, rule.next_cache_state, time)
         else:

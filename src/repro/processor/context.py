@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.processor.accounting import Bucket
 from repro.tango.ops import Op
@@ -45,15 +45,6 @@ class Context:
         #: sync operation of this context, so the processor builds it
         #: once); trace-wrapped grants wrap it per operation.
         self.on_grant = None
-
-    def next_op(self) -> Optional[Op]:
-        """Advance the thread; None when the process has finished."""
-        try:
-            op = next(self.thread)
-        except StopIteration:
-            return None
-        self.ops_executed += 1
-        return op
 
     def block_until(self, ready_time: int, cause: Bucket, now: int) -> None:
         self.state = ContextState.BLOCKED

@@ -61,7 +61,9 @@ _OP_BUSY = O.BUSY
 _OP_READ = O.READ
 _OP_WRITE = O.WRITE
 _OP_PREFETCH = O.PREFETCH
+_READY = ContextState.READY
 _RUNNING = ContextState.RUNNING
+_BLOCKED = ContextState.BLOCKED
 _DONE = ContextState.DONE
 _SLOT_BUSY = BUCKET_SLOT[Bucket.BUSY]
 _SLOT_READ_STALL = BUCKET_SLOT[Bucket.READ_STALL]
@@ -96,7 +98,6 @@ class Processor:
         "finished",
         "finish_time",
         "_active",
-        "_last_dispatched",
         "_live_count",
         "_parked",
         "_loop_cb",
@@ -149,8 +150,9 @@ class Processor:
         self.finished = False
         self.finish_time: Optional[int] = None
 
-        self._active = 0
-        self._last_dispatched: Optional[int] = None
+        #: Index of the last dispatched context; -1 before the first
+        #: dispatch, which pays no switch.
+        self._active = -1
         self._live_count = 0
         self._parked = False
         #: The continuation callback, bound once (see module docstring).
@@ -357,11 +359,10 @@ class Processor:
             if ctx.state is not _RUNNING:
                 self.time = time
                 self._current_run = run
-                ctx = self._ensure_running()
+                ctx = self._dispatch()
                 if ctx is None:
-                    return  # parked, rescheduled, or finished
+                    return  # parked or finished
                 time = self.time
-                run = self._current_run
             if engine.next_time < time:
                 self.time = time
                 self._current_run = run
@@ -559,37 +560,41 @@ class Processor:
                 time = self.time
                 run = self._current_run
 
-    def _ensure_running(self) -> Optional[Context]:
-        """Return a RUNNING context at self.time, idling/switching as
-        needed; None if the processor parked, rescheduled, or finished."""
-        while True:
-            active = self.contexts[self._active]
-            if active.state == ContextState.RUNNING:
-                return active
+    def _dispatch(self) -> Optional[Context]:
+        """Dispatch a context at ``self.time``, idling and switching as
+        needed; None if the processor parked or finished.
 
-            chosen = self._pick_ready()
-            if chosen is not None:
-                if (
-                    self._last_dispatched is not None
-                    and chosen.index != self._last_dispatched
-                ):
-                    self._advance(self._switch_cycles, _SLOT_SWITCH)
-                    self.context_switches += 1
-                self._active = chosen.index
-                self._last_dispatched = chosen.index
-                chosen.state = ContextState.RUNNING
-                return chosen
-
-            # Nothing runnable now.  Find the earliest known wake time.
-            wake = None
-            for ctx in self.contexts:
-                if ctx.state == ContextState.BLOCKED:
-                    if wake is None or ctx.ready_time < wake:
-                        wake = ctx.ready_time
+        One round-robin pass from the context after the last dispatched
+        one takes the first READY context or the first BLOCKED one whose
+        wake has come, and folds the earliest wake of those it skips
+        (first in scan order on a tie) for the idle path.
+        """
+        contexts = self.contexts
+        n = len(contexts)
+        time = self.time
+        last = self._active
+        chosen = None
+        wake = None
+        for offset in range(n):
+            ctx = contexts[(last + 1 + offset) % n]
+            state = ctx.state
+            if state is _READY:
+                chosen = ctx
+                break
+            if state is _BLOCKED:
+                ready = ctx.ready_time
+                if ready <= time:
+                    chosen = ctx
+                    break
+                if wake is None or ready < wake:
+                    wake = ready
+                    waker = ctx
+        cycles = self._bucket_cycles
+        if chosen is None:
             if wake is None:
                 if self._live_count == 0:
                     self.finished = True
-                    self.finish_time = self.time
+                    self.finish_time = time
                     return None
                 # All live contexts await synchronization grants.
                 self._parked = True
@@ -598,27 +603,25 @@ class Processor:
             # arriving inside the window resumes at `wake` (its callback
             # clamps to self.time) — a bounded skew of at most one miss
             # latency, which keeps the scheduler free of same-time
-            # event ping-pong between idle processors.
-            self._advance(wake - self.time, self._idle_slot())
-
-    def _idle_slot(self) -> int:
-        if self._multi:
-            return _SLOT_ALL_IDLE
-        # Single context: attribute the wait to the blocking cause.
-        return BUCKET_SLOT[self.contexts[self._active].block_cause]
-
-    def _pick_ready(self) -> Optional[Context]:
-        """Round-robin scan for a runnable context, starting after the
-        most recently dispatched one."""
-        n = len(self.contexts)
-        start = (self._active + 1) % n if self._last_dispatched is not None else 0
-        for offset in range(n):
-            ctx = self.contexts[(start + offset) % n]
-            if ctx.state == ContextState.READY:
-                return ctx
-            if ctx.state == ContextState.BLOCKED and ctx.ready_time <= self.time:
-                return ctx
-        return None
+            # event ping-pong between idle processors.  A single
+            # context attributes the wait to its blocking cause.
+            if self._multi:
+                slot = _SLOT_ALL_IDLE
+            else:
+                slot = BUCKET_SLOT[contexts[last].block_cause]
+            cycles[slot] += wake - time
+            time = wake
+            chosen = waker
+        index = chosen.index
+        if index != last and last >= 0:
+            # MachineConfig rejects a negative switch cost.
+            cycles[_SLOT_SWITCH] += self._switch_cycles
+            time += self._switch_cycles
+            self.context_switches += 1
+        self.time = time
+        self._active = index
+        chosen.state = _RUNNING
+        return chosen
 
     # -- stall handling ----------------------------------------------------------
 

@@ -118,11 +118,6 @@ class NodeMemoryInterface:
         self._line_bytes = config.line_bytes
         self._bypass = bool(config.write_buffer_bypass and policy.reads_bypass_writes)
         self._cached = bool(config.caching_shared_data)
-        #: True whenever any of the expiry-swept collections (write
-        #: buffer, prefetch queue, MSHR) is non-empty.  Set at every
-        #: enqueue site, recomputed by ``_expire``; the hot paths test
-        #: ``_next_expiry`` instead, and the sanitizer checks both.
-        self._busy = False
         #: Earliest time any tracked entry matures.  While ``now`` is
         #: before this watermark no entry can have expired, so callers
         #: skip the sweep outright; every enqueue site lowers it,
@@ -186,9 +181,9 @@ class NodeMemoryInterface:
         """Drop every entry matured by ``now``.
 
         Each container is swept once, and the same pass folds the
-        survivors into ``_next_expiry`` and ``_busy``.  Callers test
-        the watermark first (``now >= self._next_expiry``), so the
-        sweep runs only once something has actually matured.
+        survivors into ``_next_expiry``.  Callers test the watermark
+        first (``now >= self._next_expiry``), so the sweep runs only
+        once something has actually matured.
         """
         horizon = _NEVER
         # The write buffer and prefetch queue are time-ordered: their
@@ -211,7 +206,7 @@ class NodeMemoryInterface:
                     live.append(t)
                     if t < horizon:
                         horizon = t
-            comps = self._wb_completions = live
+            self._wb_completions = live
         lines = self._wb_lines
         if lines:
             dead = []
@@ -236,7 +231,6 @@ class NodeMemoryInterface:
             retire = self.mshr.retire
             for line in done:
                 retire(line)
-        self._busy = bool(wb or pf or comps or lines or misses)
         self._next_expiry = horizon
 
     # -- reads ---------------------------------------------------------------
@@ -331,7 +325,6 @@ class NodeMemoryInterface:
             self._stats.count_read(outcome.access_class)
             retire = outcome[0]
             self.mshr.add(OutstandingMiss(line, False, now, retire, False))
-            self._busy = True
             if retire < self._next_expiry:
                 self._next_expiry = retire
             return _MK_READ((retire, outcome[2], False))
@@ -340,7 +333,6 @@ class NodeMemoryInterface:
         access_class = outcome[2]
         if access_class is not _PRIMARY_HIT and access_class is not _SECONDARY_HIT:
             self.mshr.add(OutstandingMiss(line, False, now, retire, False))
-            self._busy = True
             if retire < self._next_expiry:
                 self._next_expiry = retire
         if self.trace is not None:
@@ -459,7 +451,6 @@ class NodeMemoryInterface:
             self._wb_completions.append(complete)
         line = addr - addr % self._line_bytes
         self._wb_lines[line] = retire
-        self._busy = True
         if retire < self._next_expiry:
             self._next_expiry = retire
         if self.trace is not None:
@@ -514,7 +505,6 @@ class NodeMemoryInterface:
             issue = last + self._pf_gap
         self._pf_last_issue = issue
         pf.append(issue)
-        self._busy = True
         if issue < self._next_expiry:
             self._next_expiry = issue
 

@@ -479,14 +479,13 @@ class TestCoherenceSanitizer:
     @pytest.mark.parametrize(
         "corrupt,message",
         [
-            (lambda iface: setattr(iface, "_busy", False), "_busy is False"),
             (
                 lambda iface: setattr(iface, "_next_expiry", 10**12),
                 "_next_expiry=",
             ),
             (lambda iface: setattr(iface, "_next_fill", 10**12), "_next_fill="),
         ],
-        ids=["busy-flag", "expiry-watermark", "fill-watermark"],
+        ids=["expiry-watermark", "fill-watermark"],
     )
     def test_stale_watermark_is_caught(self, corrupt, message):
         from repro.config import Consistency

@@ -11,15 +11,25 @@ from repro.coherence import (
     DirState,
     NodeCaches,
 )
-from repro.config import ContentionConfig, dash_scaled_config
+from repro.coherence.specs import get_spec
+from repro.coherence.table import Action, ProtocolTableError, ProtoEvent
+from repro.config import CacheGeometry, ContentionConfig, dash_scaled_config
 from repro.interconnect import Interconnect
 from repro.memlayout import SharedMemoryAllocator
 
 
-def make_protocol(num_nodes=4, contention=False, cache_bytes=(2048, 4096)):
+def make_protocol(
+    num_nodes=4,
+    contention=False,
+    cache_bytes=(2048, 4096),
+    protocol="directory-msi",
+    secondary_ways=1,
+):
     config = dash_scaled_config(
         num_processors=num_nodes,
         contention=ContentionConfig(enabled=contention),
+        protocol=protocol,
+        secondary_cache=CacheGeometry(size_bytes=cache_bytes[1], ways=secondary_ways),
     )
     allocator = SharedMemoryAllocator(num_nodes, page_bytes=config.page_bytes)
     regions = [
@@ -183,6 +193,92 @@ class TestEvictions:
         protocol.read(0, addr_a, 0)
         protocol.read(0, addr_b, 10)
         assert protocol.caches[0].primary.probe(line_a) == LineState.INVALID
+
+
+_EVICTION_EVENTS = (
+    ProtoEvent.EVICT_CLEAN, ProtoEvent.EVICT_DIRTY, ProtoEvent.EVICT_EXCLUSIVE,
+)
+
+
+def _eviction_situation(protocol_name, secondary_ways, rule):
+    """A protocol with node 1 holding a line homed on node 0 in the
+    rule's cache state, its primary copy present, and the home entry in
+    the rule's directory state (node 2 also sharing when the guard asks
+    for other holders)."""
+    protocol, regions = make_protocol(
+        contention=True, protocol=protocol_name, secondary_ways=secondary_ways
+    )
+    line = protocol.line_of(regions[0].addr(0))
+    protocol.caches[1].primary.insert(line, LineState.SHARED)
+    entry = protocol.directories[0].entry(line)
+    entry.state = rule.dir_state
+    if rule.dir_state == DirState.SHARED:
+        entry.sharers = {1, 2} if rule.others_cached else {1}
+    elif rule.dir_state == DirState.DIRTY:
+        entry.owner = 1
+    return protocol, line
+
+
+def _background_occupancy(protocol):
+    return [
+        (resource.name, resource.next_free, resource.busy_total, resource.transactions)
+        for links in protocol.net.background
+        for resource in (
+            links.bus, links.link_in, links.link_out, links.directory_ctl, links.memory
+        )
+    ]
+
+
+class TestEvictionDifferential:
+    """The one eviction routine gives the same result on the packed
+    (direct-mapped) and classic (associative) cache paths."""
+
+    @pytest.mark.parametrize(
+        "protocol_name,rule",
+        [
+            (name, rule)
+            for name in ("directory-msi", "mesi")
+            for rule in get_spec(name).table.rules
+            if rule.event in _EVICTION_EVENTS
+        ],
+        ids=lambda value: value if isinstance(value, str) else value.name,
+    )
+    def test_packed_and_classic_evictions_agree(self, protocol_name, rule):
+        packed, line = _eviction_situation(protocol_name, 1, rule)
+        classic, classic_line = _eviction_situation(protocol_name, 2, rule)
+        assert packed._fast and not classic._fast
+        assert line == classic_line
+        # Packed installs pass the raw state byte, the classic path the
+        # cache's LineState member.
+        packed._evict(1, line, int(rule.cache_state), 5)
+        classic._evict(1, line, rule.cache_state, 5)
+        entry = packed.directories[0].entry(line)
+        assert entry == classic.directories[0].entry(line)
+        assert entry.state == rule.next_dir_state
+        assert 1 not in entry.sharers and entry.owner != 1
+        writes_back = Action.WRITEBACK_MEMORY in rule.action_set
+        assert packed.stats.eviction_writebacks == int(writes_back)
+        assert classic.stats.eviction_writebacks == int(writes_back)
+        occupancy = _background_occupancy(packed)
+        assert occupancy == _background_occupancy(classic)
+        assert any(busy for _, _, busy, _ in occupancy) == writes_back
+        for protocol in (packed, classic):
+            primary = protocol.caches[1].primary
+            assert primary.probe(line) == LineState.INVALID
+            assert primary.invalidations_received == 1
+
+    @pytest.mark.parametrize("secondary_ways", [1, 2], ids=["packed", "classic"])
+    def test_impossible_eviction_raises_on_every_call(self, secondary_ways):
+        protocol, regions = make_protocol(secondary_ways=secondary_ways)
+        line = protocol.line_of(regions[0].addr(0))
+        entry = protocol.directories[0].entry(line)
+        entry.state = DirState.DIRTY
+        entry.owner = 2
+        # A clean copy while the home names another dirty owner.
+        for _ in range(2):
+            with pytest.raises(ProtocolTableError, match="impossible"):
+                protocol._evict(1, line, int(LineState.SHARED), 5)
+        assert not protocol._eviction_rules
 
 
 class TestPrefetch:

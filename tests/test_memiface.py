@@ -284,8 +284,6 @@ class TestWatermarks:
             survivors = pending_maturities(iface)
             assert all(t > now for t in survivors)
             assert iface._next_expiry == min(survivors, default=TIME_INFINITY)
-            assert iface._busy == bool(survivors)
-        assert not iface._busy
 
     def test_mshr_waiters_fire_in_insertion_order(self):
         machine, regions = make_machine(Consistency.RC)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import Consistency, ContentionConfig, dash_scaled_config
 from repro.processor.accounting import Bucket, TimeBreakdown
+from repro.processor.context import Context, ContextState
 from repro.system import Machine
 from repro.tango import Program
 from repro.tango import ops as O
@@ -156,6 +157,93 @@ class TestMultipleContexts:
         machine, result = run_threads([body], contexts_per_processor=4)
         assert all(p.finished for p in machine.processors)
         assert result.execution_time > 0
+
+
+class TestSchedulerOrder:
+    """Pins the round-robin dispatch order of a 4-context processor."""
+
+    @staticmethod
+    def _staggered(world, env):
+        pid = env.process_id
+        r = world["r"]
+        if pid == 0:
+            yield (O.READ, r.addr(0))
+            yield (O.BUSY, 30)
+            yield (O.READ, r.addr(1024))
+            yield (O.BUSY, 3)
+        elif pid == 1:
+            yield (O.READ, r.addr(2048))
+            yield (O.BUSY, 8)
+            yield (O.READ, r.addr(3072))
+        elif pid == 2:
+            yield (O.BUSY, 9)
+            yield (O.READ, r.addr(4096))
+            yield (O.BUSY, 4)
+        else:
+            yield (O.BUSY, 40)
+            yield (O.READ, r.addr(5120))
+        yield (O.BARRIER, world["s"].addr(0), env.num_processes)
+        yield (O.BUSY, 2 + pid)
+        if pid == 1:
+            yield (O.READ, r.addr(6144))  # misses with every other context done
+            yield (O.BUSY, 1)
+
+    def test_dispatch_sequence(self, monkeypatch):
+        import repro.system.machine as machine_module
+
+        dispatches = []
+        holder = {}
+
+        class RecordingContext(Context):
+            """Logs ``(context, processor time)`` at every dispatch."""
+
+            __slots__ = ("_state",)
+
+            @property
+            def state(self):
+                return self._state
+
+            @state.setter
+            def state(self, value):
+                self._state = value
+                if value is ContextState.RUNNING:
+                    dispatches.append((self.index, holder["p"].time))
+
+        monkeypatch.setattr(machine_module, "Context", RecordingContext)
+        config = dash_scaled_config(
+            num_processors=1,
+            consistency=Consistency.RC,
+            contention=ContentionConfig(enabled=False),
+            contexts_per_processor=4,
+            context_switch_cycles=4,
+        )
+
+        def setup(allocator, num_processes):
+            return {
+                "r": allocator.alloc_local("r", 8192, 0),
+                "s": allocator.alloc_local("s", 64, 0),
+            }
+
+        machine = Machine(config)
+        processor = holder["p"] = machine.processors[0]
+        machine.load(Program("sched", setup, self._staggered))
+        machine.run()
+        assert dispatches == [
+            (0, 0), (1, 5), (2, 10), (3, 24),
+            # Contexts 0-2 are all runnable: the scan starts after 3.
+            (0, 81), (1, 120), (2, 133), (3, 142), (0, 151),
+            # Context 1 then reaches the barrier last: every live
+            # context awaits a grant and the processor parks.
+            (1, 163),
+            # Contexts 0, 1 and 3 are runnable: the scan starts after 1.
+            (2, 211), (3, 219), (0, 228), (1, 234),
+            # Context 1 idles alone and is re-dispatched without a switch.
+            (1, 263),
+        ]
+        assert processor.context_switches == 13
+        assert processor.breakdown[Bucket.SWITCH] == 52
+        assert processor.breakdown[Bucket.ALL_IDLE] == 68
+        assert processor.finish_time == 268
 
 
 class TestSynchronizationOps:
