@@ -1,11 +1,10 @@
-"""Smoke/medium-scale performance trajectory for both engine backends.
+"""Smoke/medium-scale performance trajectory of the simulation core.
 
 Runs each application at the requested workload scale (``--scale smoke``
 is the same seconds-scale configuration ``repro-1991 check`` uses;
 ``--scale medium`` is ~6x larger, big enough that per-event cost
-dominates machine construction) under BOTH event-calendar backends
-(``heap`` and ``wheel``) and records per-app wall time and simulator
-throughput to ``BENCH_smoke.json`` / ``BENCH_medium.json`` at the
+dominates machine construction) and records per-app wall time and
+simulator throughput to ``BENCH_smoke.json`` / ``BENCH_medium.json`` at the
 repository root.  The committed files are the measured trajectory later
 PRs compare against when touching hot paths; CI regenerates them and
 uploads fresh copies as artifacts.
@@ -29,15 +28,11 @@ Provenance never participates in the regression comparison.
 it compares the fresh measurement against the committed one and fails
 (exit 1) on any of
 
-* a throughput collapse — any (backend, app) below half its committed
-  events/sec (the "did this PR accidentally make the simulator 2x
+* a throughput collapse — any app below half its committed events/sec (the "did this PR accidentally make the simulator 2x
   slower" tripwire; wall-clock noise between hosts is real, so the
   threshold is deliberately coarse);
 * committed-vs-fresh drift in a simulated event count, which is
-  deterministic and must match exactly;
-* cross-backend drift — the heap and wheel calendars disagreeing on an
-  event count in the *fresh* run, which would mean the backends are no
-  longer bit-identical and the differential battery has a hole.
+  deterministic and must match exactly.
 
 Unlike the figure/table benchmarks in this directory, this is a plain
 script (``python benchmarks/bench_smoke.py``), not a pytest-benchmark
@@ -65,7 +60,6 @@ from repro.experiments.registry import (  # noqa: E402
     SMOKE_PROCESSES,
     build_app,
 )
-from repro.sim.engine import ENGINE_BACKENDS  # noqa: E402
 from repro.system import Machine  # noqa: E402
 
 #: One committed trajectory file per scale.
@@ -74,7 +68,7 @@ OUTPUTS = {
     "medium": REPO_ROOT / "BENCH_medium.json",
 }
 
-#: Default repetitions per (backend, app); best rep is recorded.
+#: Default repetitions per app; best rep is recorded.
 DEFAULT_REPS = 5
 
 
@@ -101,11 +95,9 @@ def provenance(git_rev: str | None, timestamp: str | None) -> dict:
     }
 
 
-def _measure_app(app: str, scale: str, backend: str, reps: int) -> dict:
-    """Best-of-``reps`` timing of ``Machine.run`` for one (app, backend)."""
-    config = dash_scaled_config(num_processors=SMOKE_PROCESSES).replace(
-        engine_backend=backend
-    )
+def _measure_app(app: str, scale: str, reps: int) -> dict:
+    """Best-of-``reps`` timing of ``Machine.run`` for one app."""
+    config = dash_scaled_config(num_processors=SMOKE_PROCESSES)
     best_wall = None
     events = None
     execution_time = None
@@ -120,7 +112,7 @@ def _measure_app(app: str, scale: str, backend: str, reps: int) -> dict:
             execution_time = result.execution_time
         elif events != result.events_processed:
             raise RuntimeError(
-                f"{app}/{backend}: event count varied between reps "
+                f"{app}: event count varied between reps "
                 f"({events:,} vs {result.events_processed:,}) — the "
                 "simulator is supposed to be deterministic"
             )
@@ -140,63 +132,43 @@ def run_benchmarks(
     git_rev: str | None = None,
     timestamp: str | None = None,
 ) -> dict:
-    backends = {}
-    for backend in ENGINE_BACKENDS:
-        apps = {}
-        for app in APP_NAMES:
-            apps[app] = stats = _measure_app(app, scale, backend, reps)
-            print(
-                f"  {backend:5s} {app:6s} {stats['wall_seconds']:7.3f}s wall, "
-                f"{stats['events']:>9,} events "
-                f"({stats['events_per_sec']:>9,}/s), "
-                f"T={stats['execution_time_pclocks']:,} pclocks"
-            )
-        backends[backend] = {"apps": apps}
+    apps = {}
     for app in APP_NAMES:
-        heap = backends["heap"]["apps"][app]["events_per_sec"]
-        wheel = backends["wheel"]["apps"][app]["events_per_sec"]
-        if heap:
-            print(f"  wheel/heap {app:6s} {wheel / heap:5.2f}x")
+        apps[app] = stats = _measure_app(app, scale, reps)
+        print(
+            f"  {app:6s} {stats['wall_seconds']:7.3f}s wall, "
+            f"{stats['events']:>9,} events "
+            f"({stats['events_per_sec']:>9,}/s), "
+            f"T={stats['execution_time_pclocks']:,} pclocks"
+        )
     return {
         "scale": scale,
         "processors": SMOKE_PROCESSES,
         "reps": reps,
         "python": platform.python_version(),
         "provenance": provenance(git_rev, timestamp),
-        "backends": backends,
+        "apps": apps,
     }
 
 
-#: A (backend, app) is a regression when its fresh throughput is below
+#: An app is a regression when its fresh throughput is below
 #: ``committed events/sec / REGRESSION_FACTOR``.
 REGRESSION_FACTOR = 2.0
 
 
-def _committed_backends(committed: dict) -> dict:
-    """Per-backend sections of a committed payload.  Pre-wheel payloads
-    had a single top-level ``apps`` measured on the heap backend; fold
-    them into the current shape so the trajectory survives the schema
-    change."""
-    if "backends" in committed:
-        return committed["backends"]
-    return {"heap": {"apps": committed.get("apps", {})}}
-
-
 def trajectory_delta_line(committed: dict, fresh: dict) -> str:
-    """One-line per-(backend, app) throughput delta vs the committed
-    baseline, with the baseline's provenance, for the CI log."""
+    """One-line per-app throughput delta vs the committed baseline, with
+    the baseline's provenance, for the CI log."""
     deltas = []
-    for backend, old_section in sorted(_committed_backends(committed).items()):
-        fresh_section = fresh["backends"].get(backend, {"apps": {}})
-        for app, old in sorted(old_section.get("apps", {}).items()):
-            new = fresh_section["apps"].get(app)
-            if new is None or not old.get("events_per_sec"):
-                deltas.append(f"{backend}/{app} n/a")
-                continue
-            change = 100.0 * (
-                new["events_per_sec"] - old["events_per_sec"]
-            ) / old["events_per_sec"]
-            deltas.append(f"{backend}/{app} {change:+.1f}%")
+    for app, old in sorted(committed.get("apps", {}).items()):
+        new = fresh["apps"].get(app)
+        if new is None or not old.get("events_per_sec"):
+            deltas.append(f"{app} n/a")
+            continue
+        change = 100.0 * (
+            new["events_per_sec"] - old["events_per_sec"]
+        ) / old["events_per_sec"]
+        deltas.append(f"{app} {change:+.1f}%")
     prov = committed.get("provenance", {})
     baseline = prov.get("git_rev") or "unknown-rev"
     stamp = prov.get("timestamp")
@@ -207,71 +179,45 @@ def trajectory_delta_line(committed: dict, fresh: dict) -> str:
     )
 
 
-def cross_backend_drift(fresh: dict) -> int:
-    """Event-count disagreements between the fresh heap and wheel runs
-    (each one is a bit-identity violation, not a perf question)."""
-    drifts = 0
-    backends = fresh["backends"]
-    if "heap" not in backends or "wheel" not in backends:
-        return 0
-    for app, heap in sorted(backends["heap"]["apps"].items()):
-        wheel = backends["wheel"]["apps"].get(app)
-        if wheel is None:
-            continue
-        if heap["events"] != wheel["events"]:
-            print(
-                f"  {app}: BACKEND DIVERGENCE — heap fired "
-                f"{heap['events']:,} events, wheel {wheel['events']:,}; "
-                "the calendars are no longer bit-identical"
-            )
-            drifts += 1
-    return drifts
-
-
 def check_against(committed: dict, fresh: dict) -> int:
     """Compare a fresh measurement to the committed trajectory.
 
     Returns the number of regressions: throughput collapses (>2x slower
-    than committed), drifted deterministic event counts, and
-    cross-backend event-count divergence in the fresh run.  Provenance
-    metadata is reporting-only and never compared.
+    than committed) and drifted deterministic event counts.  A baseline
+    with no ``apps`` section counts as one, so the gate fails closed.
+    Provenance metadata is reporting-only and never compared.
     """
+    if not committed.get("apps"):
+        print("  baseline has no per-app section — re-record it")
+        return 1
     regressions = 0
-    for backend, old_section in sorted(_committed_backends(committed).items()):
-        fresh_section = fresh["backends"].get(backend)
-        if fresh_section is None:
-            print(f"  {backend}: backend MISSING from fresh run")
+    for app, old in sorted(committed["apps"].items()):
+        new = fresh["apps"].get(app)
+        if new is None:
+            print(f"  {app}: MISSING from fresh run")
             regressions += 1
             continue
-        for app, old in sorted(old_section.get("apps", {}).items()):
-            label = f"{backend}/{app}"
-            new = fresh_section["apps"].get(app)
-            if new is None:
-                print(f"  {label}: MISSING from fresh run")
-                regressions += 1
-                continue
-            if new["events"] != old["events"]:
-                print(
-                    f"  {label}: simulated event count drifted "
-                    f"({old['events']:,} committed vs {new['events']:,} "
-                    f"fresh) — not a perf question, the simulation changed"
-                )
-                regressions += 1
-            floor = old["events_per_sec"] / REGRESSION_FACTOR
-            if new["events_per_sec"] < floor:
-                print(
-                    f"  {label}: THROUGHPUT REGRESSION "
-                    f"{new['events_per_sec']:,}/s vs committed "
-                    f"{old['events_per_sec']:,}/s "
-                    f"(>{REGRESSION_FACTOR:.0f}x slower)"
-                )
-                regressions += 1
-            else:
-                print(
-                    f"  {label}: ok ({new['events_per_sec']:,}/s vs "
-                    f"committed {old['events_per_sec']:,}/s)"
-                )
-    regressions += cross_backend_drift(fresh)
+        if new["events"] != old["events"]:
+            print(
+                f"  {app}: simulated event count drifted "
+                f"({old['events']:,} committed vs {new['events']:,} "
+                f"fresh) — not a perf question, the simulation changed"
+            )
+            regressions += 1
+        floor = old["events_per_sec"] / REGRESSION_FACTOR
+        if new["events_per_sec"] < floor:
+            print(
+                f"  {app}: THROUGHPUT REGRESSION "
+                f"{new['events_per_sec']:,}/s vs committed "
+                f"{old['events_per_sec']:,}/s "
+                f"(>{REGRESSION_FACTOR:.0f}x slower)"
+            )
+            regressions += 1
+        else:
+            print(
+                f"  {app}: ok ({new['events_per_sec']:,}/s vs "
+                f"committed {old['events_per_sec']:,}/s)"
+            )
     return regressions
 
 
@@ -283,7 +229,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--reps", type=int, default=DEFAULT_REPS, metavar="N",
-        help="repetitions per (backend, app); the best rep is recorded",
+        help="repetitions per app; the best rep is recorded",
     )
     parser.add_argument(
         "--check", action="store_true",

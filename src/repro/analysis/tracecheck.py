@@ -949,10 +949,9 @@ def check_app(
 ) -> ConformanceReport:
     """Trace one smoke-scale application run and check conformance.
 
-    ``config_overrides`` fields (e.g. ``engine_backend``) are applied on
-    top of the standard traced configuration — the backend-matrix tests
-    use this to prove the conformance verdict and the trace itself are
-    identical under the heap and wheel calendars.
+    ``config_overrides`` fields (e.g. ``protocol``) are applied on top
+    of the standard traced configuration — the spec tests use this to
+    trace-check an application under MESI.
     """
     from repro.experiments.registry import SMOKE_PROCESSES, smoke_program
     from repro.system import Machine

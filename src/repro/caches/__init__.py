@@ -1,17 +1,11 @@
-"""Cache hierarchy structures: caches, MSHRs, write and prefetch buffers."""
+"""Cache hierarchy structures: caches and MSHRs."""
 
 from repro.caches.cache import DirectMappedCache, LineState
 from repro.caches.mshr import MSHRTable, OutstandingMiss
-from repro.caches.prefetch_buffer import PrefetchBuffer, PrefetchEntry
-from repro.caches.write_buffer import WriteBuffer, WriteEntry
 
 __all__ = [
     "DirectMappedCache",
     "LineState",
     "MSHRTable",
     "OutstandingMiss",
-    "PrefetchBuffer",
-    "PrefetchEntry",
-    "WriteBuffer",
-    "WriteEntry",
 ]

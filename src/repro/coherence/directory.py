@@ -154,22 +154,3 @@ class Directory:
 
     def known_lines(self):
         return list(self._entries)
-
-    def drop_sharer(self, line: int, node: int) -> None:
-        """Replacement hint: ``node`` evicted its clean copy of ``line``."""
-        entry = self._entries.get(line)
-        if entry is None:
-            return
-        entry.mask &= ~(1 << node)
-        if entry.state == DirState.SHARED and not entry.mask:
-            entry.state = DirState.UNOWNED
-
-    def writeback(self, line: int, node: int) -> None:
-        """Owner ``node`` wrote the dirty line back and dropped it."""
-        entry = self._entries.get(line)
-        if entry is None:
-            return
-        if entry.state == DirState.DIRTY and entry.owner == node:
-            entry.state = DirState.UNOWNED
-            entry.owner = None
-            entry.mask = 0

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
@@ -241,17 +240,6 @@ class MachineConfig:
     #: (:data:`~repro.sim.engine.DEFAULT_EVENT_LIMIT` when ``None``).
     max_events: Optional[int] = None
 
-    #: Event-calendar implementation: ``"heap"`` (the reference binary
-    #: heap) or ``"wheel"`` (the indexed event wheel, bit-identical but
-    #: faster; see ``repro.sim.wheel``).  Timing-neutral by construction
-    #: — the two backends fire the same events in the same order — so
-    #: the field is excluded from canonical result encoding and cache
-    #: fingerprints.  The default honours ``REPRO_ENGINE_BACKEND`` so CI
-    #: can run whole suites per backend without plumbing a flag.
-    engine_backend: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ENGINE_BACKEND", "heap")
-    )
-
     #: Message-fault injection plan (``repro.faults``).  ``None`` or an
     #: empty plan installs no fault layer at all, which keeps fault-free
     #: runs bit-identical to builds without the faults subsystem.
@@ -317,11 +305,6 @@ class MachineConfig:
             raise ValueError("page size must be a multiple of the line size")
         if self.max_events is not None and self.max_events <= 0:
             raise ValueError("max_events must be positive")
-        if self.engine_backend not in ("heap", "wheel"):
-            raise ValueError(
-                f"engine_backend must be 'heap' or 'wheel', "
-                f"got {self.engine_backend!r}"
-            )
         from repro.coherence.specs import spec_names
 
         if self.protocol not in spec_names():

@@ -83,14 +83,9 @@ _ENUMS: Dict[str, Type[enum.Enum]] = {
 #: Fields excluded from the canonical encoding, per dataclass: the
 #: ``world`` is arbitrary application object state (particle lists,
 #: circuit graphs), not a measurement, and is not required by any
-#: figure or table regenerator.  ``engine_backend`` selects between
-#: event-calendar implementations that are proven bit-identical (the
-#: differential battery in ``tests/test_engine_wheel.py`` and the
-#: backend-matrix golden tests), so results are shared across backends
-#: and the same golden digests must hold for both.
+#: figure or table regenerator.
 _SKIP_FIELDS = {
     "SimulationResult": {"world"},
-    "MachineConfig": {"engine_backend"},
 }
 
 

@@ -2,23 +2,17 @@
 
 from repro.sim.engine import (
     DeadlockError,
-    ENGINE_BACKENDS,
     EventEngine,
     SimulationError,
     TIME_INFINITY,
-    create_engine,
 )
 from repro.sim.resource import QueuedResource, ResourceGroup
-from repro.sim.wheel import WheelEventEngine
 
 __all__ = [
     "DeadlockError",
-    "ENGINE_BACKENDS",
     "EventEngine",
     "QueuedResource",
     "ResourceGroup",
     "SimulationError",
     "TIME_INFINITY",
-    "WheelEventEngine",
-    "create_engine",
 ]

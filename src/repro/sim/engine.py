@@ -10,11 +10,6 @@ processor model decide whether it may keep executing *inline* (no event
 round-trip) because no other event in the system can fire before the
 processor's own local time.  This is the key fast path: streams of cache
 hits cost zero heap operations.
-
-This heap implementation is the *reference* backend.  A drop-in indexed
-event wheel (:class:`repro.sim.wheel.WheelEventEngine`) provides the same
-API and bit-identical behaviour at higher throughput; select between them
-with :func:`create_engine` (driven by ``MachineConfig.engine_backend``).
 """
 
 from __future__ import annotations
@@ -31,9 +26,6 @@ TIME_INFINITY = 2**63
 
 #: Default event budget before a run is declared a livelock.
 DEFAULT_EVENT_LIMIT = 2_000_000_000
-
-#: Recognised event-calendar implementations (see :func:`create_engine`).
-ENGINE_BACKENDS = ("heap", "wheel")
 
 
 class SimulationError(RuntimeError):
@@ -191,22 +183,3 @@ class EventEngine:
         if self._now < deadline:
             self._now = deadline
         return self._now
-
-
-def create_engine(backend: str, event_limit: int = DEFAULT_EVENT_LIMIT):
-    """Build the event calendar named by ``backend``.
-
-    ``"heap"`` is the reference :class:`EventEngine`; ``"wheel"`` is the
-    indexed event wheel, proven bit-identical by the differential battery
-    in ``tests/test_engine_wheel.py``.
-    """
-    if backend == "heap":
-        return EventEngine(event_limit=event_limit)
-    if backend == "wheel":
-        # Imported lazily: wheel.py imports the error types from here.
-        from repro.sim.wheel import WheelEventEngine
-
-        return WheelEventEngine(event_limit=event_limit)
-    raise ValueError(
-        f"unknown engine backend {backend!r}; expected one of {ENGINE_BACKENDS}"
-    )

@@ -24,7 +24,7 @@ from repro.consistency import policy_for
 from repro.interconnect import Interconnect
 from repro.memlayout import SharedMemoryAllocator
 from repro.processor import Context, Processor
-from repro.sim.engine import DEFAULT_EVENT_LIMIT, DeadlockError, create_engine
+from repro.sim.engine import DEFAULT_EVENT_LIMIT, DeadlockError, EventEngine
 from repro.sync import BarrierManager, FlagManager, LockManager, SyncCosts
 from repro.system.memiface import NodeMemoryInterface
 from repro.system.results import (
@@ -41,8 +41,7 @@ class Machine:
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        self.engine = create_engine(
-            config.engine_backend,
+        self.engine = EventEngine(
             event_limit=config.max_events
             if config.max_events is not None
             else DEFAULT_EVENT_LIMIT,

@@ -420,8 +420,6 @@ class NodeMemoryInterface:
         inflight = self._wb_inflight
         if len(inflight) >= self._max_wb:
             issue = max(issue, inflight.popleft())
-        while len(inflight) >= self._max_wb:
-            inflight.popleft()
 
         if hit:
             retire = complete = issue + self._lat_wos
@@ -567,9 +565,3 @@ class NodeMemoryInterface:
         self._fill_arrivals = pending
         self._next_fill = horizon
         return len(arrivals) - len(pending)
-
-    # -- queries ------------------------------------------------------------------
-
-    @property
-    def write_buffer_occupancy(self) -> int:
-        return len(self._wb_retires)

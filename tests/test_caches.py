@@ -1,4 +1,4 @@
-"""Unit tests for cache arrays, MSHRs, and buffers."""
+"""Unit tests for cache arrays and MSHRs."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +8,6 @@ from repro.caches import (
     LineState,
     MSHRTable,
     OutstandingMiss,
-    PrefetchBuffer,
-    PrefetchEntry,
-    WriteBuffer,
-    WriteEntry,
 )
 from repro.config import CacheGeometry
 
@@ -120,70 +116,3 @@ class TestMSHR:
         assert miss.combined
         assert seen == [50]
         assert table.combines == 1
-
-
-class TestWriteBuffer:
-    def test_fifo_and_capacity(self):
-        buffer = WriteBuffer(depth=2, max_outstanding=2)
-        buffer.push(WriteEntry(line=0, enqueue_time=0))
-        buffer.push(WriteEntry(line=16, enqueue_time=1))
-        assert buffer.is_full
-        with pytest.raises(OverflowError):
-            buffer.push(WriteEntry(line=32, enqueue_time=2))
-
-    def test_next_issuable_respects_cap(self):
-        buffer = WriteBuffer(depth=4, max_outstanding=1)
-        a = WriteEntry(line=0, enqueue_time=0)
-        b = WriteEntry(line=16, enqueue_time=0)
-        buffer.push(a)
-        buffer.push(b)
-        assert buffer.next_issuable() is a
-        buffer.mark_issued(a)
-        assert buffer.next_issuable() is None  # cap reached
-
-    def test_release_waits_for_head_and_completions(self):
-        buffer = WriteBuffer(depth=4, max_outstanding=4)
-        release = WriteEntry(line=0, enqueue_time=0, is_release=True)
-        regular = WriteEntry(line=16, enqueue_time=0)
-        buffer.push(regular)
-        buffer.push(release)
-        assert buffer.next_issuable() is regular
-        buffer.mark_issued(regular)
-        buffer.record_inflight_completion(100)
-        buffer.retire_head()
-        assert buffer.next_issuable() is None  # acks outstanding
-        buffer.expire_completions(100)
-        assert buffer.next_issuable() is release
-
-    def test_retire_unissued_rejected(self):
-        buffer = WriteBuffer(depth=2, max_outstanding=2)
-        buffer.push(WriteEntry(line=0, enqueue_time=0))
-        with pytest.raises(RuntimeError):
-            buffer.retire_head()
-
-    def test_ack_horizon(self):
-        buffer = WriteBuffer(depth=2, max_outstanding=2)
-        buffer.record_inflight_completion(50)
-        buffer.record_inflight_completion(80)
-        assert buffer.ack_horizon() == 80
-        buffer.expire_completions(60)
-        assert buffer.ack_horizon() == 80
-        buffer.expire_completions(90)
-        assert buffer.ack_horizon() == 0
-
-
-class TestPrefetchBuffer:
-    def test_fifo(self):
-        buffer = PrefetchBuffer(depth=2)
-        buffer.push(PrefetchEntry(line=0, exclusive=False, enqueue_time=0))
-        buffer.push(PrefetchEntry(line=16, exclusive=True, enqueue_time=1))
-        assert buffer.is_full
-        with pytest.raises(OverflowError):
-            buffer.push(PrefetchEntry(line=32, exclusive=False, enqueue_time=2))
-        assert buffer.pop().line == 0
-        assert buffer.head().line == 16
-
-    def test_pop_empty_rejected(self):
-        buffer = PrefetchBuffer(depth=1)
-        with pytest.raises(IndexError):
-            buffer.pop()

@@ -203,40 +203,6 @@ class TestLitmusMatrix:
         assert len(results) == 20  # 5 tests x 4 models
 
 
-class TestLitmusBackendMatrix:
-    """The full 20-pair litmus matrix under both event-calendar
-    backends: every (test, model) pair must produce not just the same
-    verdict but bit-identical observed outcomes per start-skew schedule
-    — the engines are interchangeable calendars, not merely equivalent
-    checkers."""
-
-    @pytest.fixture(scope="class")
-    def suite(self):
-        from repro.analysis.litmus import standard_suite
-
-        return {test.name: test for test in standard_suite()}
-
-    @pytest.mark.parametrize("model", list(Consistency))
-    @pytest.mark.parametrize(
-        "name", ["SB", "SB_locked", "MP_plain", "MP_flag", "IRIW"]
-    )
-    def test_litmus_bit_identical_across_backends(self, suite, name, model):
-        from repro.analysis.litmus import run_litmus
-
-        heap = run_litmus(
-            suite[name], model,
-            config_overrides={"engine_backend": "heap"},
-        )
-        wheel = run_litmus(
-            suite[name], model,
-            config_overrides={"engine_backend": "wheel"},
-        )
-        assert heap.ok, heap.explain()
-        assert wheel.ok, wheel.explain()
-        assert wheel.by_schedule == heap.by_schedule
-        assert wheel.observed == heap.observed
-
-
 class TestLitmusEdgeCases:
     """Config-ablation litmus runs: verdicts must survive turning the
     write-buffer read bypass off and installing an empty fault plan."""

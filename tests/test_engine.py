@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import EventEngine, SimulationError, TIME_INFINITY
+from repro.sim import DeadlockError, EventEngine, SimulationError, TIME_INFINITY
+
+
+def test_empty_run():
+    engine = EventEngine()
+    assert engine.run() == 0
+    assert (engine.now, engine.pending, engine.events_processed) == (0, 0, 0)
+    assert engine.next_time == TIME_INFINITY
 
 
 def test_events_fire_in_time_order():
@@ -170,3 +177,227 @@ def test_heartbeat_rejects_nonpositive_interval():
     engine = EventEngine()
     with pytest.raises(ValueError):
         engine.set_heartbeat(lambda e: None, every=0)
+
+
+def test_time_infinity_is_an_integer():
+    # The empty-calendar sentinel must be an int: peek_time feeds
+    # straight into pclock comparisons in the processor's inline
+    # batching path, and a float('inf') would silently promote integer
+    # time arithmetic to floats.
+    assert type(TIME_INFINITY) is int
+    engine = EventEngine()
+    assert type(engine.peek_time()) is int
+    assert type(engine.next_time) is int
+
+
+def test_run_until_deadline_is_inclusive():
+    engine = EventEngine()
+    fired = []
+    for t in (3, 5, 5, 7):
+        engine.schedule(t, lambda t=t: fired.append(t))
+    assert engine.run_until(5) == 5
+    assert fired == [3, 5, 5]
+    assert engine.next_time == 7
+    engine.run()
+    assert fired == [3, 5, 5, 7]
+
+
+def test_run_until_advances_now_to_deadline_when_idle():
+    engine = EventEngine()
+    assert engine.run_until(42) == 42
+    assert engine.now == 42
+    # The clock never runs backwards on a stale deadline.
+    assert engine.run_until(17) == 42
+    assert engine.now == 42
+
+
+def test_run_until_resumes_after_deadline():
+    engine = EventEngine()
+    fired = []
+    engine.schedule(137, lambda: fired.append(engine.now))
+    engine.run_until(128)
+    assert fired == []
+    assert (engine.now, engine.pending, engine.next_time) == (128, 1, 137)
+    assert engine.run_until(256) == 256
+    assert fired == [137]
+    assert (engine.pending, engine.events_processed) == (0, 1)
+    assert engine.next_time == TIME_INFINITY
+
+
+def test_heartbeat_exception_aborts_the_run():
+    class Abort(SimulationError):
+        pass
+
+    engine = EventEngine()
+    fired = []
+
+    def beat(e):
+        raise Abort(f"aborted at {e.events_processed}")
+
+    engine.set_heartbeat(beat, every=3)
+    for t in range(6):
+        engine.schedule(t, lambda t=t: fired.append(t))
+    with pytest.raises(Abort, match="aborted at 3"):
+        engine.run()
+    # The heartbeat fires before the third event's callback runs.
+    assert fired == [0, 1]
+    assert (engine.now, engine.events_processed, engine.pending) == (2, 3, 3)
+
+
+@pytest.mark.parametrize("exc_type", [DeadlockError, SimulationError])
+def test_callback_exception_consumes_its_event(exc_type):
+    """A raising callback's event is gone; the survivors stay pending,
+    keep their FIFO order and fire on the next run."""
+    engine = EventEngine()
+    fired = []
+
+    def boom():
+        raise exc_type("stalled")
+
+    engine.schedule(4, lambda: fired.append("a"))
+    engine.schedule(4, boom)
+    engine.schedule(4, lambda: fired.append("c"))
+    engine.schedule(9, lambda: fired.append("d"))
+    with pytest.raises(exc_type, match="stalled"):
+        engine.run()
+    assert fired == ["a"]
+    assert (engine.now, engine.events_processed, engine.pending) == (4, 2, 2)
+    assert engine.next_time == 4
+    engine.run()
+    assert fired == ["a", "c", "d"]
+    assert (engine.now, engine.events_processed, engine.pending) == (9, 4, 0)
+
+
+def test_engine_times_stay_integral(monkeypatch):
+    """No path may feed a float time into the calendar: latencies,
+    pclock arithmetic, and the TIME_INFINITY sentinel are all integer by
+    contract, and a single float would poison every downstream
+    comparison.  Wrap schedule() on a real smoke run and check every
+    scheduled time (and the engine clock) stays exactly ``int``."""
+    from repro.config import dash_scaled_config
+    from repro.experiments.registry import SMOKE_PROCESSES, smoke_program
+    from repro.system import run_program
+
+    seen = {"count": 0}
+    original = EventEngine.schedule
+
+    def checked(self, time, callback):
+        assert type(time) is int, f"non-integer time {time!r} scheduled"
+        assert type(self.next_time) is int
+        seen["count"] += 1
+        return original(self, time, callback)
+
+    monkeypatch.setattr(EventEngine, "schedule", checked)
+    config = dash_scaled_config(num_processors=SMOKE_PROCESSES)
+    result = run_program(smoke_program("LU"), config)
+    assert type(result.execution_time) is int
+    assert seen["count"] > 0
+
+
+def _snapshot(engine):
+    return (
+        engine.now,
+        engine.pending,
+        engine.events_processed,
+        engine.peek_time(),
+        engine.next_time,
+    )
+
+
+def test_fifo_ties_drain_to_an_empty_calendar():
+    engine = EventEngine()
+    fired = []
+    for tag in range(5):
+        engine.schedule(7, lambda tag=tag: fired.append(tag))
+    engine.run()
+    assert fired == [0, 1, 2, 3, 4]
+    assert _snapshot(engine) == (7, 0, 5, TIME_INFINITY, TIME_INFINITY)
+
+
+def test_schedule_after_from_a_callback_counts_both_events():
+    engine = EventEngine()
+    fired = []
+    engine.schedule(5, lambda: engine.schedule_after(3, lambda: fired.append(engine.now)))
+    engine.run()
+    assert fired == [8]
+    assert _snapshot(engine) == (8, 0, 2, TIME_INFINITY, TIME_INFINITY)
+
+
+def test_schedule_in_the_past_is_rejected_without_side_effects():
+    messages = []
+    for _ in range(2):
+        engine = EventEngine()
+        engine.schedule(10, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError) as excinfo:
+            engine.schedule(9, lambda: None)
+        messages.append(str(excinfo.value))
+        # The rejected event never entered the calendar.
+        assert _snapshot(engine) == (10, 0, 1, TIME_INFINITY, TIME_INFINITY)
+    assert messages[0] == messages[1]
+
+
+def test_event_limit_error_is_deterministic():
+    outcomes = []
+    for _ in range(2):
+        engine = EventEngine(event_limit=10)
+
+        def respawn(engine=engine):
+            engine.schedule_after(1, respawn)
+
+        engine.schedule(0, respawn)
+        # Background events so the pending count in the message is
+        # exercised, not just zero.
+        engine.schedule(1000, lambda: None)
+        engine.schedule(3000, lambda: None)
+        with pytest.raises(SimulationError) as excinfo:
+            engine.run()
+        outcomes.append((str(excinfo.value), _snapshot(engine)))
+    assert outcomes[0] == outcomes[1]
+    # The over-limit event is already popped; only the background two remain.
+    assert "2 events pending" in outcomes[0][0]
+
+
+def test_lone_event_exception_consumes_it():
+    engine = EventEngine()
+
+    def boom():
+        raise DeadlockError("lone event")
+
+    engine.schedule(5, boom)
+    engine.schedule(11, lambda: None)
+    with pytest.raises(DeadlockError, match="lone event"):
+        engine.run()
+    assert _snapshot(engine) == (5, 1, 1, 11, 11)
+    engine.run()
+    assert _snapshot(engine) == (11, 0, 2, TIME_INFINITY, TIME_INFINITY)
+
+
+def test_heartbeat_sees_now_and_count_at_each_beat():
+    engine = EventEngine()
+    beats = []
+    engine.set_heartbeat(lambda e: beats.append((e.now, e.events_processed)), every=2)
+    for t in range(5):
+        engine.schedule(t, lambda: None)
+    engine.run()
+    assert beats == [(1, 2), (3, 4)]
+    assert _snapshot(engine) == (4, 0, 5, TIME_INFINITY, TIME_INFINITY)
+
+
+def test_heartbeat_detached_between_runs_stops_beating():
+    engine = EventEngine()
+    beats = []
+    engine.set_heartbeat(lambda e: beats.append(e.now), every=1)
+    engine.schedule(1, lambda: None)
+    engine.run()
+    engine.set_heartbeat(None)
+    engine.schedule(2, lambda: None)
+    engine.run()
+    assert beats == [1]
+
+
+def test_heartbeat_detach_accepts_nonpositive_interval():
+    engine = EventEngine()
+    engine.set_heartbeat(None, every=0)
+    engine.schedule(1, lambda: None)
+    assert engine.run() == 1

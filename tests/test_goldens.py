@@ -27,10 +27,6 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 APPS = ("MP3D", "LU", "PTHOR")
 
-#: Every golden is asserted under both event-calendar backends: one set
-#: of files, two engines that must reproduce it bit-for-bit.
-BACKENDS = ("heap", "wheel")
-
 
 def golden_config():
     """The pinned machine configuration (smoke apps, 8 processors, SC)."""
@@ -71,22 +67,12 @@ def golden_path(app: str) -> Path:
     return GOLDEN_DIR / f"{app.lower()}.json"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("app", APPS)
-def test_golden_stats_match(app, backend, request):
-    result = run_program(
-        build_app(app, "smoke"),
-        golden_config().replace(engine_backend=backend),
-    )
+def test_golden_stats_match(app, request):
+    result = run_program(build_app(app, "smoke"), golden_config())
     stats = golden_stats(result)
     path = golden_path(app)
     if request.config.getoption("--update-goldens"):
-        if backend != "heap":
-            # The reference backend writes the files; the wheel leg of
-            # the matrix re-reads them below on the next run, so a
-            # refresh never launders a backend divergence into the
-            # goldens themselves.
-            pytest.skip("goldens are regenerated from the heap leg only")
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
         return
@@ -100,7 +86,7 @@ def test_golden_stats_match(app, backend, request):
         if golden.get(key) != stats.get(key)
     }
     assert not mismatches, (
-        f"{app} (engine_backend={backend}) drifted from "
+        f"{app} drifted from "
         f"tests/goldens/{path.name} "
         f"(field: (golden, measured)): {mismatches}\n"
         "If this change is intended and reviewed, refresh with "

@@ -294,14 +294,3 @@ class TestApplicationSmoke:
         report = check_app("LU")
         assert report.ok, report.format()
         assert report.num_events > 1000
-
-    def test_lu_smoke_trace_identical_across_backends(self):
-        """The trace-conformance oracle sees the same execution under
-        both event-calendar backends: identical event count, identical
-        derived read values, identical (empty) violation list."""
-        heap = check_app("LU", config_overrides={"engine_backend": "heap"})
-        wheel = check_app("LU", config_overrides={"engine_backend": "wheel"})
-        assert heap.ok, heap.format()
-        assert wheel.ok, wheel.format()
-        assert wheel.num_events == heap.num_events
-        assert wheel.read_values == heap.read_values
