@@ -16,9 +16,17 @@ Cached payloads are the same canonical encoding applied to the
 ``world``, which is app-specific object state, not a measurement), so a
 cache hit replays the *bit-identical* measurement payload the original
 run produced — the property the differential tests in
-``tests/test_parallel.py`` lock in.  Every entry embeds the SHA-256 of
-its own payload; corrupted or truncated files fail the parse or the
-digest check and are treated as misses, never as crashes.
+``tests/test_parallel.py`` lock in.
+
+An entry file ``<key>.json`` holds two parts: one JSON header line
+(``format``, ``key``, ``version``, ``sha256``, ``wall_seconds``), then
+the canonical payload bytes exactly once.  The digest is checked on the
+body as it sits on disk, and one ``json.loads`` with :func:`_revive` as
+its object hook turns the body back into a result.  Corrupted,
+truncated or relocated files fail the split, the header check, the
+digest or the parse and are treated as misses, never as crashes.  An
+entry of an older :data:`CACHE_FORMAT` is a miss too, so a format bump
+re-simulates an existing cache once.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from repro.processor.accounting import Bucket, TimeBreakdown
 from repro.system.results import PrefetchSummary, SimulationResult, SyncSummary
 
 #: On-disk format version; bump on any incompatible layout change.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: Environment variable consulted when no explicit cache dir is given.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -121,20 +129,24 @@ def encode(value: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(value).__name__} for the result cache")
 
 
+def _revive(obj: Dict[str, Any]) -> Any:
+    """``json.loads`` object hook inverting :func:`encode`'s tags.
+
+    The parser calls it bottom-up, so every nested value is already
+    revived when its enclosing tag is seen.
+    """
+    if "__enum__" in obj:
+        return _ENUMS[obj["__enum__"]](obj["value"])
+    if "__dataclass__" in obj:
+        return _DATACLASSES[obj["__dataclass__"]](**obj["fields"])
+    if "__dict__" in obj:
+        return dict(obj["__dict__"])
+    return obj
+
+
 def decode(value: Any) -> Any:
     """Inverse of :func:`encode` (tuples come back as lists)."""
-    if isinstance(value, dict):
-        if "__enum__" in value:
-            return _ENUMS[value["__enum__"]](value["value"])
-        if "__dataclass__" in value:
-            cls = _DATACLASSES[value["__dataclass__"]]
-            kwargs = {k: decode(v) for k, v in value["fields"].items()}
-            return cls(**kwargs)
-        if "__dict__" in value:
-            return {decode(k): decode(v) for k, v in value["__dict__"]}
-    if isinstance(value, list):
-        return [decode(v) for v in value]
-    return value
+    return json.loads(payload_bytes(value), object_hook=_revive)
 
 
 def payload_bytes(payload: Any) -> bytes:
@@ -156,7 +168,7 @@ def canonical_result_bytes(result: SimulationResult) -> bytes:
 def result_from_bytes(blob: bytes) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from its canonical bytes
     (``world`` is ``None`` on the replayed result)."""
-    return decode(json.loads(blob.decode("utf-8")))
+    return json.loads(blob, object_hook=_revive)
 
 
 def config_fingerprint(config: MachineConfig) -> str:
@@ -195,9 +207,10 @@ class CachedRun:
 class ResultCache:
     """On-disk content-addressed store of serialized run results.
 
-    One JSON file per fingerprint, written atomically (temp file +
-    rename) so a crashed writer never leaves a half-entry that poisons
-    later runs: unparsable or digest-mismatched files read as misses.
+    One ``<key>.json`` file per fingerprint (a header line, then the
+    payload), written atomically (temp file + rename) so a crashed
+    writer never leaves a half-entry that poisons later runs:
+    unparsable or digest-mismatched files read as misses.
 
     Concurrent writers (a supervised sweep's pool restarts can overlap
     a retry with a straggler finishing the same point) are serialized
@@ -225,16 +238,17 @@ class ResultCache:
     def load(self, key: str) -> Optional[CachedRun]:
         """Replay a stored run, or ``None`` on any miss — including a
         corrupted, truncated, or mismatched entry."""
-        path = self.path_for(key)
         try:
-            wrapper = json.loads(path.read_text("utf-8"))
-            if wrapper["format"] != CACHE_FORMAT or wrapper["key"] != key:
+            head, sep, blob = self.path_for(key).read_bytes().partition(b"\n")
+            if not sep:
+                raise ValueError("no header line")
+            header = json.loads(head)
+            if header["format"] != CACHE_FORMAT or header["key"] != key:
                 raise ValueError("stale or relocated cache entry")
-            blob = payload_bytes(wrapper["result"])
-            if hashlib.sha256(blob).hexdigest() != wrapper["sha256"]:
+            if hashlib.sha256(blob).hexdigest() != header["sha256"]:
                 raise ValueError("payload digest mismatch")
-            result = decode(wrapper["result"])
-            wall = float(wrapper.get("wall_seconds", 0.0))
+            result = result_from_bytes(blob)
+            wall = float(header.get("wall_seconds", 0.0))
         except (OSError, ValueError, KeyError, TypeError):
             # OSError: absent/unreadable; ValueError covers json parse
             # errors and our own integrity checks; KeyError/TypeError:
@@ -251,20 +265,20 @@ class ResultCache:
         self, key: str, result: SimulationResult, wall_seconds: float
     ) -> bytes:
         """Persist one run; returns its canonical payload bytes."""
-        payload = encode(result)
-        blob = payload_bytes(payload)
-        wrapper = {
+        blob = canonical_result_bytes(result)
+        header = {
             "format": CACHE_FORMAT,
             "key": key,
             "version": __version__,
             "sha256": hashlib.sha256(blob).hexdigest(),
             "wall_seconds": wall_seconds,
-            "result": payload,
         }
-        data = json.dumps(wrapper, sort_keys=True).encode("utf-8")
+        data = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + blob
         with _entry_lock(self.root, key):
+            # The ".tmp" suffix keeps a killed writer's leftover out of
+            # every "*.json" listing of the entries.
             fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.root), prefix=".tmp-", suffix=".json"
+                dir=str(self.root), prefix=".tmp-", suffix=".tmp"
             )
             try:
                 with os.fdopen(fd, "wb") as handle:

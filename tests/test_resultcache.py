@@ -8,16 +8,22 @@ Fingerprint laws (seeded/derandomized hypothesis, so CI is stable):
   and fault plans — changes the cache key;
 * equal configs built in different orders hash equal;
 * corrupted or truncated cache files read as misses, never crashes.
+
+The entry layout (one header line, then the canonical payload bytes)
+and the revive round trip of every registered tag are pinned too.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import __version__
 from repro.config import (
     CacheGeometry,
     Consistency,
@@ -27,7 +33,9 @@ from repro.config import (
     PlacementPolicy,
     dash_scaled_config,
 )
+from repro.experiments import resultcache
 from repro.experiments.resultcache import (
+    CACHE_FORMAT,
     ResultCache,
     canonical_result_bytes,
     config_fingerprint,
@@ -176,20 +184,93 @@ def test_config_roundtrips_through_canonical_encoding():
     assert decode(encode(config)) == config
 
 
-class TestCorruptionTolerance:
-    @pytest.fixture()
-    def stored(self, tmp_path):
-        """A cache holding one real run."""
-        from repro.experiments import build_app
-        from repro.system import run_program
+def _smoke_run(config):
+    from repro.experiments import build_app
+    from repro.system import run_program
 
-        cache = ResultCache(tmp_path)
+    return run_program(build_app("LU", "smoke"), config)
+
+
+def _split_entry(path):
+    """The header line (parsed) and the body bytes of one entry."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(head), body
+
+
+def _write_entry(path, header, body):
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+
+
+@pytest.fixture()
+def stored(tmp_path):
+    """A cache holding one real run."""
+    cache = ResultCache(tmp_path)
+    config = dash_scaled_config(num_processors=4)
+    result = _smoke_run(config)
+    key = cache.key("LU", "smoke", False, config)
+    cache.store(key, result, 0.1)
+    return cache, key, result
+
+
+class TestEntryLayout:
+    def test_entry_is_a_header_line_then_the_canonical_payload(self, stored):
+        cache, key, result = stored
+        assert [p.name for p in cache.root.glob("*.json")] == [f"{key}.json"]
+        header, body = _split_entry(cache.path_for(key))
+        assert set(header) == {"format", "key", "version", "sha256", "wall_seconds"}
+        assert header["format"] == CACHE_FORMAT
+        assert header["key"] == key
+        assert header["version"] == __version__
+        assert header["wall_seconds"] == 0.1
+        assert body == canonical_result_bytes(result)
+        assert header["sha256"] == hashlib.sha256(body).hexdigest()
+
+    def test_revive_round_trips_every_registered_tag(self):
+        result = _smoke_run(
+            dash_scaled_config(num_processors=4, fault_plan=FaultPlan.smoke(seed=7))
+        )
+        assert result.faults is not None
+        blob = canonical_result_bytes(result)
+        for name in resultcache._ENUMS:
+            assert f'"__enum__":"{name}"'.encode() in blob, name
+        for name in resultcache._DATACLASSES:
+            assert f'"__dataclass__":"{name}"'.encode() in blob, name
+        revived = result_from_bytes(blob)
+        assert canonical_result_bytes(revived) == blob
+        for field in dataclasses.fields(result):
+            if field.name != "world":
+                assert getattr(revived, field.name) == getattr(result, field.name), (
+                    field.name
+                )
+        assert revived.world is None
+
+    def test_leftover_temp_file_is_not_an_entry(self, tmp_path, monkeypatch):
         config = dash_scaled_config(num_processors=4)
-        result = run_program(build_app("LU", "smoke"), config)
+        result = _smoke_run(config)
+        made = []
+        real_mkstemp = resultcache.tempfile.mkstemp
+
+        def spy(**kwargs):
+            made.append(kwargs)
+            return real_mkstemp(**kwargs)
+
+        monkeypatch.setattr(resultcache.tempfile, "mkstemp", spy)
+        cache = ResultCache(tmp_path)
         key = cache.key("LU", "smoke", False, config)
         cache.store(key, result, 0.1)
-        return cache, key, result
+        assert len(made) == 1
+        # A writer killed between its write and its rename leaves a
+        # temp file named exactly as a store names it.
+        fd, _ = real_mkstemp(**made[0])
+        with open(fd, "wb") as handle:
+            handle.write(cache.path_for(key).read_bytes()[:100])
+        assert [p.name for p in tmp_path.glob("*.json")] == [f"{key}.json"]
+        cached = cache.load(key)
+        assert cached is not None
+        assert cached.payload == canonical_result_bytes(result)
 
+
+class TestCorruptionTolerance:
     def test_intact_entry_replays(self, stored):
         cache, key, result = stored
         cached = cache.load(key)
@@ -211,18 +292,60 @@ class TestCorruptionTolerance:
     def test_tampered_payload_fails_the_digest(self, stored):
         cache, key, _ = stored
         path = cache.path_for(key)
-        wrapper = json.loads(path.read_text())
-        wrapper["result"]["fields"]["execution_time"] += 1
-        path.write_text(json.dumps(wrapper))
+        header, body = _split_entry(path)
+        # Change one digit of execution_time; the body stays valid JSON.
+        match = re.search(rb'"execution_time":(\d)', body)
+        digit = int(match.group(1))
+        tampered = (
+            body[: match.start(1)] + str(digit % 9 + 1).encode() + body[match.end(1) :]
+        )
+        assert tampered != body
+        json.loads(tampered)
+        _write_entry(path, header, tampered)
         assert cache.load(key) is None
 
     def test_wrong_key_in_wrapper_is_a_miss(self, stored):
         cache, key, _ = stored
         path = cache.path_for(key)
-        wrapper = json.loads(path.read_text())
-        wrapper["key"] = "0" * 64
-        path.write_text(json.dumps(wrapper))
+        header, body = _split_entry(path)
+        header["key"] = "0" * 64
+        _write_entry(path, header, body)
         assert cache.load(key) is None
+
+    def test_format_one_entry_is_a_miss_until_stored_again(self, stored):
+        cache, key, result = stored
+        path = cache.path_for(key)
+        header, body = _split_entry(path)
+        # The single-document layout: the wrapper embeds the payload.
+        old = dict(header, format=1, result=json.loads(body))
+        path.write_text(json.dumps(old, sort_keys=True))
+        misses = cache.misses
+        assert cache.load(key) is None
+        assert cache.misses == misses + 1
+        cache.store(key, result, 0.1)
+        cached = cache.load(key)
+        assert cached is not None
+        assert cached.payload == body
+
+    def test_header_without_body_is_a_miss(self, stored):
+        cache, key, _ = stored
+        path = cache.path_for(key)
+        head = path.read_bytes().partition(b"\n")[0]
+        path.write_bytes(head + b"\n")
+        assert cache.load(key) is None
+        path.write_bytes(head)
+        assert cache.load(key) is None
+
+    def test_verified_body_that_is_not_a_result_is_a_miss(self, stored):
+        cache, key, _ = stored
+        path = cache.path_for(key)
+        header, _ = _split_entry(path)
+        body = b"[]"
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+        _write_entry(path, header, body)
+        hits, misses = cache.hits, cache.misses
+        assert cache.load(key) is None
+        assert (cache.hits, cache.misses) == (hits, misses + 1)
 
     def test_absent_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
