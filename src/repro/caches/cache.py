@@ -10,15 +10,20 @@ references are assumed to hit, as in the paper (Section 2.3, footnote 2).
 
 :class:`DirectMappedCache` also supports set-associative geometries with
 LRU replacement (``CacheGeometry.ways > 1``) for the interference
-ablations; the paper's experiments all use ``ways=1``, which takes a
-dedicated fast path.
+ablations; the paper's experiments all use ``ways=1``.
 
-Storage is packed array-of-struct: with ``ways == 1`` the array is a
-flat ``_tags`` list (line base addresses, ``-1`` for never-filled) plus
-a ``_states`` bytearray of raw :class:`LineState` values, so the
-protocol's hot path can probe both with plain integer indexing via
-:meth:`DirectMappedCache.packed_arrays` and never construct an enum.
-The public API still speaks :class:`LineState` members.
+Every geometry uses one packed, way-major layout: a flat ``_tags`` list
+(line base addresses, ``-1`` for never-filled) and a ``_states``
+bytearray of raw :class:`LineState` values, each with ``num_sets *
+ways`` slots.  Way ``k`` of set ``i`` lives at slot ``i + k * num_sets``,
+so plane 0 (slots ``0 .. num_sets - 1``) is exactly the direct-mapped
+array.  Plane order is LRU order: plane 0 holds a set's most recently
+used line.  An invalidation leaves a hole (state 0) in place; an insert
+takes the set's first hole, or evicts its last plane, shifting the
+planes above down by one.  The protocol's hot paths probe plane 0 with
+plain integer indexing via :meth:`DirectMappedCache.packed_arrays` and
+never construct an enum; only an associative plane-0 miss calls back
+into the cache.  The public API still speaks :class:`LineState` members.
 """
 
 from __future__ import annotations
@@ -58,21 +63,21 @@ _MEMBERS = (
 
 
 class DirectMappedCache:
-    """A (set-associative capable) cache array of (tag, state) entries.
+    """A (set-associative capable) cache array of (tag, state) slots.
 
     ``tag`` stores the full line base address, which keeps lookups
-    trivial and exact.  With ``ways == 1`` (DASH's configuration, and
-    the default) the hot paths avoid all per-set list handling.
+    trivial and exact.  See the module docstring for the way-major
+    plane layout; with ``ways == 1`` (DASH's configuration, and the
+    default) there is a single plane.
     """
 
     __slots__ = (
         "geometry",
         "_tags",
         "_states",
-        "_sets",
         "_line_bytes",
-        "_num_sets",
-        "_ways",
+        "_nsets",
+        "_slots",
         "hits",
         "misses",
         "evictions",
@@ -82,171 +87,136 @@ class DirectMappedCache:
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
         self._line_bytes = geometry.line_bytes
-        self._num_sets = geometry.num_sets
-        self._ways = geometry.ways
-        if self._ways == 1:
-            self._tags = [-1] * self._num_sets
-            self._states = bytearray(self._num_sets)
-            self._sets = None
-        else:
-            # Per-set list of [tag, state], most recently used first.
-            self._tags = None
-            self._states = None
-            self._sets = [[] for _ in range(self._num_sets)]
+        self._nsets = geometry.num_sets
+        self._slots = geometry.num_sets * geometry.ways
+        self._tags = [-1] * self._slots
+        self._states = bytearray(self._slots)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations_received = 0
 
-    # -- geometry helpers --------------------------------------------------
-
-    def set_index(self, line: int) -> int:
-        return (line // self._line_bytes) % self._num_sets
-
-    def line_of(self, addr: int) -> int:
-        return addr - (addr % self._line_bytes)
-
     def packed_arrays(self):
-        """The raw ``(tags, states)`` arrays, or ``None`` when the
-        geometry is associative.
+        """The raw ``(tags, states)`` arrays.
 
-        The lists/bytearray are mutated in place and never rebound, so
+        The list/bytearray are mutated in place and never rebound, so
         holders may alias them.  ``states`` entries are raw ints; the
         caller owns keeping the hit/miss counters honest when probing
-        around the public API (see the protocol fast path).
+        around the public API (see the protocol's packed probes).
         """
-        if self._ways == 1:
-            return self._tags, self._states
-        return None
+        return self._tags, self._states
 
-    # -- associative-set helpers ---------------------------------------------
+    # -- plane helpers -------------------------------------------------------
 
-    def _find(self, entries, line: int):
-        for position, entry in enumerate(entries):
-            if entry[0] == line:
-                return position
-        return None
+    def _slot_of(self, line: int) -> int:
+        """The slot holding ``line`` in a valid state, else -1."""
+        tags = self._tags
+        states = self._states
+        for slot in range(
+            (line // self._line_bytes) % self._nsets, self._slots, self._nsets
+        ):
+            if tags[slot] == line and states[slot]:
+                return slot
+        return -1
+
+    def _to_front(self, slot: int, line: int, state: int) -> None:
+        """Store ``(line, state)`` at plane 0 of ``slot``'s set, moving
+        the lines in the planes before ``slot``'s one plane deeper
+        (the entry at ``slot`` is overwritten)."""
+        tags = self._tags
+        states = self._states
+        sets = self._nsets
+        while slot >= sets:
+            tags[slot] = tags[slot - sets]
+            states[slot] = states[slot - sets]
+            slot -= sets
+        tags[slot] = line
+        states[slot] = state
 
     # -- accesses ----------------------------------------------------------
 
+    def touch(self, line: int) -> int:
+        """Move a resident ``line`` to plane 0 (most recently used) and
+        return its raw state; 0 when absent.  Counters are untouched."""
+        slot = self._slot_of(line)
+        if slot < 0:
+            return 0
+        state = self._states[slot]
+        self._to_front(slot, line, state)
+        return state
+
     def lookup(self, line: int) -> LineState:
         """State of ``line`` (INVALID when absent); counts hit/miss and
-        refreshes LRU order on associative geometries."""
-        if self._ways == 1:
-            index = (line // self._line_bytes) % self._num_sets
-            if self._tags[index] == line:
-                state = self._states[index]
-                if state:
-                    self.hits += 1
-                    return _MEMBERS[state]
-            self.misses += 1
-            return LineState.INVALID
-        entries = self._sets[self.set_index(line)]
-        position = self._find(entries, line)
-        if position is not None and entries[position][1] != LineState.INVALID:
-            entry = entries.pop(position)
-            entries.insert(0, entry)
+        refreshes LRU order."""
+        state = self.touch(line)
+        if state:
             self.hits += 1
-            return entry[1]
-        self.misses += 1
-        return LineState.INVALID
+        else:
+            self.misses += 1
+        return _MEMBERS[state]
 
     def probe(self, line: int) -> LineState:
         """State of ``line`` without touching counters or LRU order."""
-        if self._ways == 1:
-            index = (line // self._line_bytes) % self._num_sets
-            if self._tags[index] == line:
-                return _MEMBERS[self._states[index]]
-            return LineState.INVALID
-        index = self.set_index(line)
-        position = self._find(self._sets[index], line)
-        if position is not None:
-            return self._sets[index][position][1]
-        return LineState.INVALID
+        slot = self._slot_of(line)
+        return _MEMBERS[self._states[slot]] if slot >= 0 else LineState.INVALID
 
     def insert(
         self, line: int, state: LineState
     ) -> Optional[Tuple[int, LineState]]:
-        """Install ``line`` with ``state``.
+        """Install ``line`` with ``state`` as its set's most recently
+        used line.
 
         Returns ``(victim_line, victim_state)`` if a different valid line
         was evicted from the set, else None.
         """
         if state == LineState.INVALID:
             raise ValueError("cannot insert a line in INVALID state")
-        if self._ways == 1:
-            index = (line // self._line_bytes) % self._num_sets
-            tags = self._tags
-            states = self._states
-            victim = None
-            if tags[index] != line and tags[index] != -1 and states[index]:
-                victim = (tags[index], _MEMBERS[states[index]])
+        tags = self._tags
+        states = self._states
+        victim = None
+        hole = -1
+        for slot in range(
+            (line // self._line_bytes) % self._nsets, self._slots, self._nsets
+        ):
+            if not states[slot]:
+                if hole < 0:
+                    hole = slot
+            elif tags[slot] == line:
+                break  # resident: moves to plane 0 from its own slot
+        else:
+            # Not resident: the first hole, else the last (LRU) plane.
+            if hole >= 0:
+                slot = hole
+            else:
+                victim = (tags[slot], _MEMBERS[states[slot]])
                 self.evictions += 1
-            tags[index] = line
-            states[index] = state
-            return victim
-        entries = self._sets[self.set_index(line)]
-        position = self._find(entries, line)
-        if position is not None:
-            entry = entries.pop(position)
-            entry[1] = state
-            entries.insert(0, entry)
-            return None
-        entries.insert(0, [line, state])
-        if len(entries) > self._ways:
-            victim_line, victim_state = entries.pop()
-            if victim_state != LineState.INVALID:
-                self.evictions += 1
-                return (victim_line, victim_state)
-        return None
+        self._to_front(slot, line, state)
+        return victim
 
     def set_state(self, line: int, state: LineState) -> None:
-        """Change the state of a resident line (e.g. SHARED -> DIRTY)."""
-        if self._ways == 1:
-            index = (line // self._line_bytes) % self._num_sets
-            if self._tags[index] != line or not self._states[index]:
-                raise KeyError(f"line {line:#x} not resident")
-            self._states[index] = state
-            return
-        index = self.set_index(line)
-        position = self._find(self._sets[index], line)
-        if position is None or self._sets[index][position][1] == LineState.INVALID:
+        """Change the state of a resident line (e.g. SHARED -> DIRTY)
+        without touching LRU order."""
+        slot = self._slot_of(line)
+        if slot < 0:
             raise KeyError(f"line {line:#x} not resident")
-        self._sets[index][position][1] = state
+        self._states[slot] = state
 
     def invalidate(self, line: int) -> bool:
-        """Drop ``line`` if resident; True if something was dropped."""
-        if self._ways == 1:
-            index = (line // self._line_bytes) % self._num_sets
-            if self._tags[index] == line and self._states[index]:
-                self._states[index] = 0
-                self.invalidations_received += 1
-                return True
+        """Drop ``line`` if resident, leaving a hole; True if something
+        was dropped."""
+        slot = self._slot_of(line)
+        if slot < 0:
             return False
-        entries = self._sets[self.set_index(line)]
-        position = self._find(entries, line)
-        if position is not None and entries[position][1] != LineState.INVALID:
-            entries.pop(position)
-            self.invalidations_received += 1
-            return True
-        return False
+        self._states[slot] = 0
+        self.invalidations_received += 1
+        return True
 
     def resident_lines(self):
-        """Iterate over (line, state) of valid entries (for invariants)."""
-        if self._ways == 1:
-            for tag, state in zip(self._tags, self._states):
-                if tag != -1 and state:
-                    yield tag, _MEMBERS[state]
-            return
-        for entries in self._sets:
-            for tag, state in entries:
-                if state != LineState.INVALID:
-                    yield tag, state
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        total = self.accesses
-        return self.hits / total if total else 0.0
+        """Iterate over (line, state) of valid entries (for invariants),
+        set by set, most recently used first."""
+        tags = self._tags
+        states = self._states
+        for first in range(self._nsets):
+            for slot in range(first, self._slots, self._nsets):
+                if states[slot]:
+                    yield tags[slot], _MEMBERS[states[slot]]

@@ -213,38 +213,32 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         #: Hit rules resolved once per instance: by directory precision
         #: a resident state pins the home entry (SHARED copies pin
         #: SHARED; owner states pin DIRTY), so the handlers need not
-        #: consult the directory on a hit.  Raw-int views serve the
-        #: packed fast paths, where the cache state arrives as a plain
-        #: byte.  Read hits are state-preserving in every registered
-        #: spec (protolint's stutter pass), so only write hits carry a
-        #: next-state map (MESI's silent E -> M upgrade).
-        self._read_hit_rules = {
-            r.cache_state: r
+        #: consult the directory on a hit.  The views are keyed by the
+        #: raw state byte the packed cache arrays hold.  Read hits are
+        #: state-preserving in every registered spec (protolint's
+        #: stutter pass), so only write hits carry a next-state map
+        #: (MESI's silent E -> M upgrade).
+        self._read_hit_rule_by_int = {
+            int(r.cache_state): r
             for r in self.table.rules
             if r.event is ProtoEvent.READ_HIT
         }
-        self._read_hit_rule_by_int = {
-            int(s): r for s, r in self._read_hit_rules.items()
-        }
         self._read_hit_fills = {
-            int(s): Action.FILL_FROM_CACHE in r.action_set
-            for s, r in self._read_hit_rules.items()
+            s: Action.FILL_FROM_CACHE in r.action_set
+            for s, r in self._read_hit_rule_by_int.items()
         }
-        self._write_hit_rules = {
-            r.cache_state: r
+        self._write_hit_by_int = {
+            int(r.cache_state): r
             for r in self.table.rules
             if r.event is ProtoEvent.WRITE_HIT
         }
-        self._write_hit_by_int = {
-            int(s): r for s, r in self._write_hit_rules.items()
-        }
         self._write_hit_fills = {
-            int(s): Action.FILL_FROM_CACHE in r.action_set
-            for s, r in self._write_hit_rules.items()
+            s: Action.FILL_FROM_CACHE in r.action_set
+            for s, r in self._write_hit_by_int.items()
         }
         self._write_hit_next_by_int = {
-            int(s): int(r.next_cache_state)
-            for s, r in self._write_hit_rules.items()
+            s: int(r.next_cache_state)
+            for s, r in self._write_hit_by_int.items()
         }
         #: Gate for the processors' inline SC write probe: the M-state
         #: write hit must exist, fill from cache, and preserve M for the
@@ -259,7 +253,6 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         #: for the prefetch/fault-exposure probes.
         self._owner_line_states = spec.owner_states
         self._owner_state_ints = frozenset(int(s) for s in spec.owner_states)
-        self._downgrade_state = spec.downgrade_state
         self._downgrade_int = int(spec.downgrade_state)
         self._write_hit_states = spec.write_hit_states()
         #: Replacement event per resident state (MESI adds the
@@ -329,33 +322,25 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         #: Memory-event trace recorder; installed by the machine when
         #: ``MachineConfig.trace_memory_events`` is set, else ``None``.
         self.trace = None
-        #: Packed-array fast path: with both levels direct-mapped (every
-        #: paper configuration) the hit checks index the caches' raw
-        #: tag/state arrays directly.  The arrays are aliased here —
-        #: DirectMappedCache mutates them in place and never rebinds.
-        self._fast = bool(caches) and all(
-            nc.primary.packed_arrays() is not None
-            and nc.secondary.packed_arrays() is not None
+        #: Packed cache arrays: the handlers index the caches' raw
+        #: tag/state arrays directly at plane 0, which is the whole
+        #: array of a direct-mapped level (every paper configuration).
+        #: The arrays are aliased here — DirectMappedCache mutates them
+        #: in place and never rebinds.  Per node ``(ptags, pstates,
+        #: primary, stags, sstates, secondary)``: one list index
+        #: resolves everything the hit checks touch.
+        self._node_arrays = [
+            nc.primary.packed_arrays() + (nc.primary,)
+            + nc.secondary.packed_arrays() + (nc.secondary,)
             for nc in caches
-        )
-        if self._fast:
-            self._primary_arrays = [nc.primary.packed_arrays() for nc in caches]
-            self._secondary_arrays = [nc.secondary.packed_arrays() for nc in caches]
-            self._pri_sets = caches[0].primary.geometry.num_sets
-            self._sec_sets = caches[0].secondary.geometry.num_sets
-            #: Per-node ``(ptags, pstates, primary, stags, sstates,
-            #: secondary)`` — one list index resolves everything the hit
-            #: checks touch.
-            self._fast_info = [
-                pa + (nc.primary,) + sa + (nc.secondary,)
-                for nc, pa, sa in zip(
-                    caches, self._primary_arrays, self._secondary_arrays
-                )
-            ]
-        else:
-            self._primary_arrays = self._secondary_arrays = None
-            self._fast_info = None
-            self._pri_sets = self._sec_sets = 0
+        ]
+        self._pri_nsets = config.primary_cache.num_sets
+        self._sec_nsets = config.secondary_cache.num_sets
+        #: Associative levels: a line absent from plane 0 may still sit
+        #: in a deeper plane, so a plane-0 miss falls through to the
+        #: cache's own (plane-searching, LRU-keeping) methods.
+        self._pri_deep = config.primary_cache.ways > 1
+        self._sec_deep = config.secondary_cache.ways > 1
         lat = config.latency
         # Hot-path latency scalars (frozen config; hoisted once).
         self._lat_read_primary_hit = lat.read_primary_hit
@@ -404,18 +389,6 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
             return self.home_of(line) != node
         raise ValueError(f"unknown access kind {kind!r}")
 
-    def _install_primary(self, node: int, line: int) -> None:
-        # Primary evictions are silent: the cache is write-through, so a
-        # clean copy can always be dropped without directory action.
-        self.caches[node].primary.insert(line, LineState.SHARED)
-
-    def _install_secondary(
-        self, node: int, line: int, state: LineState, time: int
-    ) -> None:
-        victim = self.caches[node].secondary.insert(line, state)
-        if victim is not None:
-            self._evict(node, victim[0], victim[1], time)
-
     def _evict(
         self, node: int, victim_line: int, victim_state: int, time: int
     ) -> None:
@@ -424,15 +397,13 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         secondary cache."""
         # Inclusion: dropping a secondary line drops any primary copy
         # (packed form of ``primary.invalidate``, counter kept).
-        fast = self._fast_info
-        if fast is not None:
-            info = fast[node]
-            pindex = (victim_line // self._line_bytes) % self._pri_sets
-            if info[0][pindex] == victim_line and info[1][pindex]:
-                info[1][pindex] = 0
-                info[2].invalidations_received += 1
-        else:
-            self.caches[node].primary.invalidate(victim_line)
+        info = self._node_arrays[node]
+        pindex = (victim_line // self._line_bytes) % self._pri_nsets
+        if info[0][pindex] == victim_line and info[1][pindex]:
+            info[1][pindex] = 0
+            info[2].invalidations_received += 1
+        elif self._pri_deep:
+            info[2].invalidate(victim_line)
         home = self._home_of(victim_line)
         entries = self._dir_maps[home]
         entry = entries.get(victim_line)
@@ -490,74 +461,101 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         )
         return resolved
 
+    def _fill_secondary(
+        self, node: int, line: int, state: int, sidx: int, time: int
+    ) -> None:
+        """Install absent ``line`` in ``node``'s secondary cache with
+        ``state``; a displaced valid line goes through :meth:`_evict`."""
+        info = self._node_arrays[node]
+        if self._sec_deep:
+            victim = info[5].insert(line, state)
+            if victim is not None:
+                self._evict(node, victim[0], victim[1], time)
+            return
+        # Packed ``insert``: the same transitions and counters (a
+        # nonzero state implies a real tag, so the never-filled test is
+        # subsumed).
+        stags = info[3]
+        sstates = info[4]
+        old_tag = stags[sidx]
+        old_state = sstates[sidx]
+        stags[sidx] = line
+        sstates[sidx] = state
+        if old_state and old_tag != line:
+            info[5].evictions += 1
+            self._evict(node, old_tag, old_state, time)
+
+    def _fill_primary(self, node: int, line: int, pindex: int) -> None:
+        """Install ``line`` in ``node``'s primary cache (packed
+        ``insert``).  Primary evictions are silent: the cache is
+        write-through, so a clean copy can always be dropped without
+        directory action."""
+        info = self._node_arrays[node]
+        if self._pri_deep:
+            info[2].insert(line, LineState.SHARED)
+            return
+        ptags = info[0]
+        pstates = info[1]
+        if pstates[pindex] and ptags[pindex] != line:
+            info[2].evictions += 1
+        ptags[pindex] = line
+        pstates[pindex] = 1  # LineState.SHARED
+
+    def _invalidate_copies(
+        self, node: int, line: int, sidx: int, pindex: int
+    ) -> None:
+        """Invalidate ``node``'s copies of ``line`` at both levels
+        (packed form of ``cache.invalidate``, counters kept)."""
+        info = self._node_arrays[node]
+        if info[3][sidx] == line and info[4][sidx]:
+            info[4][sidx] = 0
+            info[5].invalidations_received += 1
+        elif self._sec_deep:
+            info[5].invalidate(line)
+        if info[0][pindex] == line and info[1][pindex]:
+            info[1][pindex] = 0
+            info[2].invalidations_received += 1
+        elif self._pri_deep:
+            info[2].invalidate(line)
+
     # -- cached reads --------------------------------------------------------
 
     def read(self, node: int, addr: int, time: int) -> AccessOutcome:
         """Service a processor read at ``time``; returns data arrival."""
         line = addr - addr % self._line_bytes
-        if self._fast:
-            # Packed fast path: identical transitions and counter
-            # updates to the generic path below, minus the per-level
-            # method dispatch.  The dominant case — a primary hit — is
-            # two list probes and a dict bump.
-            info = self._fast_info[node]
-            word = line // self._line_bytes
-            index = word % self._pri_sets
-            if info[0][index] == line and info[1][index]:
-                info[2].hits += 1
-                arrival = time + self._lat_read_primary_hit
-                reads = self.stats.reads_by_class
-                reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
-                return _OUTCOME((arrival, arrival, _PRIMARY_HIT))
-            info[2].misses += 1
-            sindex = word % self._sec_sets
-            state = info[4][sindex] if info[3][sindex] == line else 0
-            if state:
-                info[5].hits += 1
-                if not self._read_hit_fills[state]:
-                    rule = self._read_hit_rule_by_int[state]
-                    raise ProtocolTableError(
-                        f"read-hit rule does not fill from cache: "
-                        f"{rule.describe()}"
-                    )
-                # Packed primary fill (``_install_primary`` inlined:
-                # write-through level, silent eviction, counter kept).
-                pindex = word % self._pri_sets
-                ptags = info[0]
-                pstates = info[1]
-                if pstates[pindex] and ptags[pindex] != line:
-                    info[2].evictions += 1
-                ptags[pindex] = line
-                pstates[pindex] = 1  # LineState.SHARED
-                arrival = time + self._lat_read_fill_secondary
-                reads = self.stats.reads_by_class
-                reads[_SECONDARY_HIT] = reads.get(_SECONDARY_HIT, 0) + 1
-                return _OUTCOME((arrival, arrival, _SECONDARY_HIT))
-            info[5].misses += 1
-            outcome = self._read_fill(node, line, time)
-            self.stats.count_read(outcome.access_class)
-            return outcome
-        lat = self.config.latency
-        caches = self.caches[node]
-        if caches.primary.lookup(line) != LineState.INVALID:
-            outcome = _OUTCOME((
-                time + lat.read_primary_hit,
-                time + lat.read_primary_hit,
-                AccessClass.PRIMARY_HIT,
-            ))
-            self.stats.count_read(outcome.access_class)
-            return outcome
-        state = caches.secondary.lookup(line)
-        if state != LineState.INVALID:
-            rule = self._read_hit_rules[state]
-            if Action.FILL_FROM_CACHE not in rule.action_set:
+        # The dominant case — a primary hit — is two list probes and a
+        # dict bump.  A plane-0 miss on an associative level searches
+        # the deeper planes (``touch`` moves a hit to plane 0).
+        info = self._node_arrays[node]
+        word = line // self._line_bytes
+        index = word % self._pri_nsets
+        if (info[0][index] == line and info[1][index]) or (
+            self._pri_deep and info[2].touch(line)
+        ):
+            info[2].hits += 1
+            arrival = time + self._lat_read_primary_hit
+            reads = self.stats.reads_by_class
+            reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
+            return _OUTCOME((arrival, arrival, _PRIMARY_HIT))
+        info[2].misses += 1
+        sindex = word % self._sec_nsets
+        state = info[4][sindex] if info[3][sindex] == line else 0
+        if not state and self._sec_deep:
+            state = info[5].touch(line)
+        if state:
+            info[5].hits += 1
+            if not self._read_hit_fills[state]:
+                rule = self._read_hit_rule_by_int[state]
                 raise ProtocolTableError(
-                    f"read-hit rule does not fill from cache: {rule.describe()}"
+                    f"read-hit rule does not fill from cache: "
+                    f"{rule.describe()}"
                 )
-            self._install_primary(node, line)
-            arrival = time + lat.read_fill_secondary
-            self.stats.count_read(AccessClass.SECONDARY_HIT)
-            return _OUTCOME((arrival, arrival, AccessClass.SECONDARY_HIT))
+            self._fill_primary(node, line, index)
+            arrival = time + self._lat_read_fill_secondary
+            reads = self.stats.reads_by_class
+            reads[_SECONDARY_HIT] = reads.get(_SECONDARY_HIT, 0) + 1
+            return _OUTCOME((arrival, arrival, _SECONDARY_HIT))
+        info[5].misses += 1
         outcome = self._read_fill(node, line, time)
         self.stats.count_read(outcome.access_class)
         return outcome
@@ -586,7 +584,6 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         rule, fetches, sets_owner = pair
 
         net = self.net
-        fast = self._fast_info
         if fetches:
             owner = entry.owner
             if home == node:
@@ -605,20 +602,18 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 delay = net.charge_fetch_owner_remote(node, home, owner, time)
                 access_class = AccessClass.REMOTE
             # DOWNGRADE_OWNER: the owner's copy (M, or E under MESI)
-            # demotes to the spec's downgrade state in place.
-            # SHARING_WRITEBACK refreshes home memory (bandwidth
-            # charged, latency hidden; a no-op refresh when the owner
-            # held the line clean-exclusive).
-            if fast is not None:
-                oinfo = fast[owner]
-                sidx = (line // self._line_bytes) % self._sec_sets
-                if (
-                    oinfo[3][sidx] == line
-                    and oinfo[4][sidx] in self._owner_state_ints
-                ):
+            # demotes to the spec's downgrade state in place, keeping
+            # its LRU position.  SHARING_WRITEBACK refreshes home memory
+            # (bandwidth charged, latency hidden; a no-op refresh when
+            # the owner held the line clean-exclusive).
+            oinfo = self._node_arrays[owner]
+            sidx = (line // self._line_bytes) % self._sec_nsets
+            if oinfo[3][sidx] == line and oinfo[4][sidx]:
+                if oinfo[4][sidx] in self._owner_state_ints:
                     oinfo[4][sidx] = self._downgrade_int
-            elif self.caches[owner].secondary.probe(line) in self._owner_line_states:
-                self.caches[owner].secondary.set_state(line, self._downgrade_state)
+            elif self._sec_deep:
+                if oinfo[5].probe(line) in self._owner_state_ints:
+                    oinfo[5].set_state(line, self._downgrade_int)
             if owner != home:
                 net.charge_hop(owner, home, time + delay, data=True)
             net.charge_memory(home, time + delay)
@@ -647,34 +642,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
             else:
                 entry.mask |= 1 << node
 
-        if fast is not None:
-            # Packed installs — same transitions and counters as
-            # ``_install_secondary`` + ``_install_primary`` (a displaced
-            # valid secondary line still goes through ``_evict``; a
-            # nonzero state implies a real tag, so the ``!= -1`` test of
-            # ``insert`` is subsumed).
-            info = fast[node]
-            word = line // self._line_bytes
-            sidx = word % self._sec_sets
-            stags = info[3]
-            sstates = info[4]
-            old_tag = stags[sidx]
-            old_state = sstates[sidx]
-            stags[sidx] = line
-            sstates[sidx] = rule.next_cache_state
-            if old_state and old_tag != line:
-                info[5].evictions += 1
-                self._evict(node, old_tag, old_state, time)
-            pindex = word % self._pri_sets
-            ptags = info[0]
-            pstates = info[1]
-            if pstates[pindex] and ptags[pindex] != line:
-                info[2].evictions += 1
-            ptags[pindex] = line
-            pstates[pindex] = 1  # write-through level: silent eviction
-        else:
-            self._install_secondary(node, line, rule.next_cache_state, time)
-            self._install_primary(node, line)
+        word = line // self._line_bytes
+        self._fill_secondary(
+            node, line, rule.next_cache_state, word % self._sec_nsets, time
+        )
+        self._fill_primary(node, line, word % self._pri_nsets)
         arrival = time + base + delay
         return _OUTCOME((arrival, arrival, access_class))
 
@@ -690,85 +662,45 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         """
         line = addr - addr % self._line_bytes
         stats = self.stats
-        if self._fast:
-            # Packed fast path — same transitions/counters as below.
-            info = self._fast_info[node]
-            word = line // self._line_bytes
-            sindex = word % self._sec_sets
-            state = info[4][sindex] if info[3][sindex] == line else 0
-            if state:
-                info[5].hits += 1
-            else:
-                info[5].misses += 1
-            stats.writes_total += 1
-            if state:
-                stats.writes_line_present += 1
-            whit = self._write_hit_by_int.get(state)
-            if whit is not None:  # secondary-owned write hit (M, or E)
-                if not self._write_hit_fills[state]:
-                    raise ProtocolTableError(
-                        "write-hit rule does not fill from cache: "
-                        f"{whit.describe()}"
-                    )
-                # MESI's silent upgrade: an E copy becomes M with no
-                # message (a no-op store for M itself).
-                info[4][sindex] = self._write_hit_next_by_int[state]
-                # Write-through primary: refresh the copy if present
-                # (tag match on an invalid way is not presence).
-                pindex = word % self._pri_sets
-                if info[0][pindex] == line and info[1][pindex]:
-                    info[1][pindex] = 1  # LineState.SHARED
-                retire = time + self._lat_write_owned_secondary
-                writes = stats.writes_by_class
-                writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-                outcome = _OUTCOME((retire, retire, _SECONDARY_HIT))
-            else:
-                outcome = self._acquire_ownership(
-                    node, line, time, had_shared=state, background=background
-                )
-                stats.count_write(outcome.access_class)
-                # Refresh a present write-through primary copy in place
-                # (probe-then-insert inlined: a tag match with a valid
-                # state can only re-install as SHARED, no eviction).
-                pindex = word % self._pri_sets
-                if info[0][pindex] == line and info[1][pindex]:
-                    info[1][pindex] = 1  # LineState.SHARED
-            if self.trace is not None:
-                self.trace.record_write(
-                    node, addr, time, outcome.retire, outcome.complete,
-                    outcome.access_class.value,
-                )
-            return outcome
-        lat = self.config.latency
-        caches = self.caches[node]
-        state = caches.secondary.lookup(line)
-        self.stats.writes_total += 1
-        if state != LineState.INVALID:
-            self.stats.writes_line_present += 1
-
-        whit = self._write_hit_rules.get(state)
-        if whit is not None:
-            if Action.FILL_FROM_CACHE not in whit.action_set:
+        info = self._node_arrays[node]
+        word = line // self._line_bytes
+        sindex = word % self._sec_nsets
+        state = info[4][sindex] if info[3][sindex] == line else 0
+        if not state and self._sec_deep:
+            state = info[5].touch(line)
+        if state:
+            info[5].hits += 1
+            stats.writes_line_present += 1
+        else:
+            info[5].misses += 1
+        stats.writes_total += 1
+        whit = self._write_hit_by_int.get(state)
+        if whit is not None:  # secondary-owned write hit (M, or E)
+            if not self._write_hit_fills[state]:
                 raise ProtocolTableError(
                     "write-hit rule does not fill from cache: "
                     f"{whit.describe()}"
                 )
-            if whit.next_cache_state != state:
-                # MESI's silent upgrade: E -> M with no message.
-                caches.secondary.set_state(line, whit.next_cache_state)
-            # Write-through primary: refresh the primary copy if present.
-            if caches.primary.probe(line) != LineState.INVALID:
-                caches.primary.insert(line, LineState.SHARED)
-            retire = time + lat.write_owned_secondary
-            self.stats.count_write(AccessClass.SECONDARY_HIT)
-            outcome = _OUTCOME((retire, retire, AccessClass.SECONDARY_HIT))
+            # MESI's silent upgrade: an E copy becomes M with no
+            # message (a no-op store for M itself).
+            info[4][sindex] = self._write_hit_next_by_int[state]
+            retire = time + self._lat_write_owned_secondary
+            writes = stats.writes_by_class
+            writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
+            outcome = _OUTCOME((retire, retire, _SECONDARY_HIT))
         else:
             outcome = self._acquire_ownership(
                 node, line, time, had_shared=state, background=background
             )
-            self.stats.count_write(outcome.access_class)
-            if caches.primary.probe(line) != LineState.INVALID:
-                caches.primary.insert(line, LineState.SHARED)
+            stats.count_write(outcome.access_class)
+        # Write-through primary: refresh a present copy, as a re-insert
+        # would (tag match on an invalid way is not presence; a deeper
+        # copy moves to plane 0).
+        pindex = word % self._pri_nsets
+        if (info[0][pindex] == line and info[1][pindex]) or (
+            self._pri_deep and info[2].touch(line)
+        ):
+            info[1][pindex] = 1  # LineState.SHARED
         if self.trace is not None:
             self.trace.record_write(
                 node, addr, time, outcome.retire, outcome.complete,
@@ -781,7 +713,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         node: int,
         line: int,
         time: int,
-        had_shared: LineState,
+        had_shared: int,
         background: bool = False,
     ) -> AccessOutcome:
         lat = self.config.latency
@@ -809,8 +741,9 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         ack_extra = 0
 
         net = self.net
-        fast = self._fast_info
         word = line // self._line_bytes
+        sidx = word % self._sec_nsets
+        pindex = word % self._pri_nsets
         if fetches:
             owner = entry.owner
             self.stats.ownership_transfers += 1
@@ -829,21 +762,8 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 AccessClass.REMOTE if base == lat.write_owned_remote else AccessClass.HOME
             )
             # INVALIDATE_OWNER: the transfer invalidates the previous
-            # owner's copies (packed form of ``cache.invalidate`` at
-            # both levels, counters kept honest).
-            if fast is not None:
-                oinfo = fast[owner]
-                sidx = word % self._sec_sets
-                if oinfo[3][sidx] == line and oinfo[4][sidx]:
-                    oinfo[4][sidx] = 0
-                    oinfo[5].invalidations_received += 1
-                pindex = word % self._pri_sets
-                if oinfo[0][pindex] == line and oinfo[1][pindex]:
-                    oinfo[1][pindex] = 0
-                    oinfo[2].invalidations_received += 1
-            else:
-                self.caches[owner].secondary.invalidate(line)
-                self.caches[owner].primary.invalidate(line)
+            # owner's copies at both levels.
+            self._invalidate_copies(owner, line, sidx, pindex)
             self.stats.invalidations_sent += 1
         else:
             # READ_MEMORY, plus INVALIDATE_SHARERS when the entry lists
@@ -864,24 +784,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
             # ascending node order (lowest set bit first — identical to
             # the sorted-set order the set representation used); the
             # requester retires at ownership, acknowledgements trail.
-            if fast is not None:
-                sidx = word % self._sec_sets
-                pindex = word % self._pri_sets
             while sharer_mask:
                 low = sharer_mask & -sharer_mask
                 sharer = low.bit_length() - 1
                 sharer_mask ^= low
-                if fast is not None:
-                    sinfo = fast[sharer]
-                    if sinfo[3][sidx] == line and sinfo[4][sidx]:
-                        sinfo[4][sidx] = 0
-                        sinfo[5].invalidations_received += 1
-                    if sinfo[0][pindex] == line and sinfo[1][pindex]:
-                        sinfo[1][pindex] = 0
-                        sinfo[2].invalidations_received += 1
-                else:
-                    self.caches[sharer].secondary.invalidate(line)
-                    self.caches[sharer].primary.invalidate(line)
+                self._invalidate_copies(sharer, line, sidx, pindex)
                 net.charge_hop(home, sharer, time + delay, data=False, background=background)
                 net.charge_hop(sharer, node, time + delay, data=False, background=background)
                 self.stats.invalidations_sent += 1
@@ -897,30 +804,15 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         entry.owner = node
         entry.mask = 0
 
-        if fast is not None:
-            # Packed install/upgrade — mirrors ``_install_secondary``
-            # (miss) and ``set_state`` (upgrade, including its
-            # not-resident error) without the method frames.
-            info = fast[node]
-            sidx = word % self._sec_sets
-            stags = info[3]
-            sstates = info[4]
-            if had_shared:
-                if stags[sidx] != line or not sstates[sidx]:
-                    raise KeyError(f"line {line:#x} not resident")
-                sstates[sidx] = rule.next_cache_state
-            else:
-                old_tag = stags[sidx]
-                old_state = sstates[sidx]
-                stags[sidx] = line
-                sstates[sidx] = rule.next_cache_state
-                if old_state and old_tag != line:
-                    info[5].evictions += 1
-                    self._evict(node, old_tag, old_state, time)
-        elif had_shared == LineState.INVALID:
-            self._install_secondary(node, line, rule.next_cache_state, time)
+        info = self._node_arrays[node]
+        if not had_shared:
+            self._fill_secondary(node, line, rule.next_cache_state, sidx, time)
+        elif info[3][sidx] == line and info[4][sidx]:
+            # Upgrade in place, keeping LRU order (packed ``set_state``).
+            info[4][sidx] = rule.next_cache_state
         else:
-            self.caches[node].secondary.set_state(line, rule.next_cache_state)
+            # A deeper plane — or ``set_state``'s not-resident KeyError.
+            info[5].set_state(line, rule.next_cache_state)
 
         retire = time + base + delay
         return _OUTCOME((retire, retire + ack_extra, access_class))
@@ -951,7 +843,9 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
             outcome = self._read_fill(node, line, time)
         self.stats.count_prefetch(outcome.access_class)
         # Prefetch responses are placed in both caches (Section 5.1).
-        self._install_primary(node, line)
+        self._fill_primary(
+            node, line, (line // self._line_bytes) % self._pri_nsets
+        )
         return outcome
 
     # -- uncached accesses ---------------------------------------------------

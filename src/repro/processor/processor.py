@@ -216,7 +216,7 @@ class Processor:
         (contexts, packed cycle counters, run lengths) are mutated in
         place and never rebound, and the scalars come from the frozen
         config.  The packed-probe block is live only when the fused
-        path's gates all pass (see ``memiface.read``); observers — the
+        path's trace gates pass (see ``memiface.read``); observers — the
         sanitizer, the litmus recorder, the fault injector, traces —
         all install before ``Machine.run`` starts the processors, and
         the probe re-checks the wrapper dicts on every continuation.
@@ -226,23 +226,23 @@ class Processor:
         wprobe = None
         if (
             self.trace is None
-            and getattr(memiface, "_fuse", False)
             and memiface.trace is None
             and memiface.protocol.trace is None
         ):
-            finfo = memiface._finfo[self.node_id]
+            arrays = memiface._arrays
             probe = (
-                finfo[0],
-                finfo[1],
-                finfo[2],
+                arrays[0],
+                arrays[1],
+                arrays[2],
                 memiface._reads,
                 memiface._line_bytes,
-                memiface._pri_sets,
+                memiface._pri_nsets,
                 memiface._lat_rph,
             )
             if (
                 memiface.policy.write_stalls_processor
                 and memiface.protocol._write_hit_inline_ok
+                and not memiface._pri_deep
             ):
                 # SC write probe: a DIRTY secondary line is an owned
                 # write hit that never leaves the node, so it can be
@@ -253,14 +253,16 @@ class Processor:
                 # cache and stays M (the probe's fixed ``state == 2``
                 # test serves exactly that rule; MESI's E hit falls
                 # through to the memiface path) — a table that says
-                # otherwise must keep raising through the classic path.
+                # otherwise must keep raising through the memiface path.
+                # An associative primary skips the probe: its refresh
+                # would have to move a deeper-plane copy to plane 0.
                 wprobe = (
-                    finfo[3],
-                    finfo[4],
-                    finfo[5],
+                    arrays[3],
+                    arrays[4],
+                    arrays[5],
                     memiface._writes,
                     memiface.protocol.stats,
-                    memiface._sec_sets,
+                    memiface._sec_nsets,
                     memiface._lat_wos,
                 )
         self._hot = (
@@ -314,7 +316,7 @@ class Processor:
         # probe in ``memiface.read`` (checked in _prime) plus a fresh
         # "no wrapper installed" check per continuation, so the
         # sanitizer, litmus recorder, and fault injector all re-route
-        # through the classic path.
+        # through ``memiface.read``.
         if (
             probe is not None
             and "read" not in memiface._pdict
@@ -326,13 +328,13 @@ class Processor:
                 pstats,
                 reads,
                 line_bytes,
-                pri_sets,
+                pri_nsets,
                 lat_rph,
             ) = probe
         else:
             ptags = None
             pstates = pstats = reads = None
-            line_bytes = pri_sets = lat_rph = 0
+            line_bytes = pri_nsets = lat_rph = 0
         if (
             wprobe is not None
             and ptags is not None
@@ -345,13 +347,13 @@ class Processor:
                 sstats,
                 writes,
                 pstats_all,
-                sec_sets,
+                sec_nsets,
                 lat_wos,
             ) = wprobe
         else:
             stags = None
             sstates = sstats = writes = pstats_all = None
-            sec_sets = lat_wos = 0
+            sec_nsets = lat_wos = 0
         time = self.time
         run = self._current_run
         ctx = contexts[self._active]
@@ -403,9 +405,9 @@ class Processor:
                     # irrelevant to a hit).  Pending retire/queue
                     # timestamps don't affect a hit, and their expiry
                     # is observation-independent, so the sweep can
-                    # wait for the next classic-path access.
+                    # wait for the next memiface access.
                     line = addr - addr % line_bytes
-                    index = (line // line_bytes) % pri_sets
+                    index = (line // line_bytes) % pri_nsets
                     if (
                         ptags[index] == line
                         and pstates[index]
@@ -481,12 +483,12 @@ class Processor:
                     # ``memiface.write`` consults no pending state on
                     # this path.
                     line = addr - addr % line_bytes
-                    sindex = (line // line_bytes) % sec_sets
+                    sindex = (line // line_bytes) % sec_nsets
                     if stags[sindex] == line and sstates[sindex] == 2:
                         sstats.hits += 1
                         pstats_all.writes_total += 1
                         pstats_all.writes_line_present += 1
-                        pindex = (line // line_bytes) % pri_sets
+                        pindex = (line // line_bytes) % pri_nsets
                         if ptags[pindex] == line and pstates[pindex]:
                             pstates[pindex] = 1  # refresh write-through copy
                         writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1

@@ -128,44 +128,37 @@ class NodeMemoryInterface:
         self._pf_depth = config.prefetch_buffer_depth
         self._pf_gap = config.contention.bus_occupancy_header
 
-        # Fused probes (see read/write/prefetch): when the protocol's
-        # packed fast path is live, the hit and discard checks run
-        # inline here — identical counters and latencies, minus the
-        # protocol's call frames.  The per-call gates disable a probe
-        # the moment anything wraps ``protocol.read``/``write``/
-        # ``prefetch`` (the sanitizer, the litmus recorder, and the
-        # fault injector all install instance attributes) or installs
-        # a memory-event trace, so every observer sees the classic
-        # path.  The aliased containers (``_fast_info``, the stats
-        # dicts) are mutated in place and never rebound.
+        # Fused probes (see read/write/prefetch): the protocol's packed
+        # hit and discard checks run inline here — identical counters
+        # and latencies, minus the protocol's call frames.  The per-call
+        # gates disable a probe the moment anything wraps
+        # ``protocol.read``/``write``/``prefetch`` (the sanitizer, the
+        # litmus recorder, and the fault injector all install instance
+        # attributes) or installs a memory-event trace, so every
+        # observer sees the protocol's own entry points.  The aliased
+        # containers (``_node_arrays``, the stats dicts) are mutated in
+        # place and never rebound.
         self._pdict = protocol.__dict__
-        self._fuse = bool(getattr(protocol, "_fast", False))
-        if self._fuse:
-            self._finfo = protocol._fast_info
-            self._pri_sets = protocol._pri_sets
-            self._sec_sets = protocol._sec_sets
-            self._stats = protocol.stats
-            self._reads = protocol.stats.reads_by_class
-            self._writes = protocol.stats.writes_by_class
-            self._lat_rph = protocol._lat_read_primary_hit
-            self._lat_rfs = protocol._lat_read_fill_secondary
-            self._lat_wos = protocol._lat_write_owned_secondary
-            # Spec-derived hit-rule views (see CoherenceProtocol): the
-            # fused probes must serve exactly the states the active
-            # protocol calls hits (MESI adds E) with the rule's declared
-            # next state.
-            self._rhit_fills = protocol._read_hit_fills
-            self._rhit_rules = protocol._read_hit_rule_by_int
-            self._whit_rules = protocol._write_hit_by_int
-            self._whit_fills = protocol._write_hit_fills
-            self._whit_next = protocol._write_hit_next_by_int
-        else:
-            self._finfo = None
-            self._pri_sets = self._sec_sets = 0
-            self._stats = self._reads = self._writes = None
-            self._lat_rph = self._lat_rfs = self._lat_wos = 0
-            self._rhit_fills = self._rhit_rules = None
-            self._whit_rules = self._whit_fills = self._whit_next = None
+        self._arrays = protocol._node_arrays[node]
+        self._pri_nsets = protocol._pri_nsets
+        self._sec_nsets = protocol._sec_nsets
+        self._pri_deep = protocol._pri_deep
+        self._sec_deep = protocol._sec_deep
+        self._stats = protocol.stats
+        self._reads = protocol.stats.reads_by_class
+        self._writes = protocol.stats.writes_by_class
+        self._lat_rph = protocol._lat_read_primary_hit
+        self._lat_rfs = protocol._lat_read_fill_secondary
+        self._lat_wos = protocol._lat_write_owned_secondary
+        # Spec-derived hit-rule views (see CoherenceProtocol): the
+        # fused probes must serve exactly the states the active
+        # protocol calls hits (MESI adds E) with the rule's declared
+        # next state.
+        self._rhit_fills = protocol._read_hit_fills
+        self._rhit_rules = protocol._read_hit_rule_by_int
+        self._whit_rules = protocol._write_hit_by_int
+        self._whit_fills = protocol._write_hit_fills
+        self._whit_next = protocol._write_hit_next_by_int
 
         # Counters
         self.write_buffer_full_stall_cycles = 0
@@ -281,26 +274,28 @@ class NodeMemoryInterface:
 
         proto = self.protocol
         if (
-            self._fuse
-            and self.trace is None
+            self.trace is None
             and proto.trace is None
             and "read" not in self._pdict
         ):
-            # Fused packed probe — bit-identical to protocol.read's
-            # fast path (same counter bumps, same latencies, same
-            # table-sanity raise); see the gate comment in __init__.
-            node = self.node
-            info = self._finfo[node]
+            # Fused packed probe — bit-identical to protocol.read (same
+            # counter bumps, same latencies, same table-sanity raise);
+            # see the gate comment in __init__.
+            info = self._arrays
             word = line // self._line_bytes
-            index = word % self._pri_sets
-            if info[0][index] == line and info[1][index]:
+            index = word % self._pri_nsets
+            if (info[0][index] == line and info[1][index]) or (
+                self._pri_deep and info[2].touch(line)
+            ):
                 info[2].hits += 1
                 reads = self._reads
                 reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
                 return _MK_READ((now + self._lat_rph, _PRIMARY_HIT, False))
             info[2].misses += 1
-            sindex = word % self._sec_sets
+            sindex = word % self._sec_nsets
             state = info[4][sindex] if info[3][sindex] == line else 0
+            if not state and self._sec_deep:
+                state = info[5].touch(line)
             if state:
                 info[5].hits += 1
                 if not self._rhit_fills[state]:
@@ -309,19 +304,12 @@ class NodeMemoryInterface:
                         f"read-hit rule does not fill from cache: "
                         f"{rule.describe()}"
                     )
-                # Packed primary fill (``_install_primary`` inlined:
-                # write-through level, silent eviction, counter kept).
-                ptags = info[0]
-                pstates = info[1]
-                if pstates[index] and ptags[index] != line:
-                    info[2].evictions += 1
-                ptags[index] = line
-                pstates[index] = 1  # LineState.SHARED
+                proto._fill_primary(self.node, line, index)
                 reads = self._reads
                 reads[_SECONDARY_HIT] = reads.get(_SECONDARY_HIT, 0) + 1
                 return _MK_READ((now + self._lat_rfs, _SECONDARY_HIT, False))
             info[5].misses += 1
-            outcome = proto._read_fill(node, line, now)
+            outcome = proto._read_fill(self.node, line, now)
             self._stats.count_read(outcome.access_class)
             retire = outcome[0]
             self.mshr.add(OutstandingMiss(line, False, now, retire, False))
@@ -349,25 +337,25 @@ class NodeMemoryInterface:
             self._expire(now)
         proto = self.protocol
         # Owned-write probe (M, or E under MESI), serving SC and RC
-        # alike: bit-identical to protocol.write's owned-hit fast path
-        # — same counter bumps, same primary refresh, same table-sanity
-        # raise; see the gate comment in __init__.  Counters are only
-        # touched once the hit is established, so a miss leaves the
-        # classic path's accounting untouched.  An owned hit never
-        # leaves the node, so its effect does not depend on when it
-        # issues: SC retires it now, RC at the buffered issue time.
+        # alike: bit-identical to protocol.write's owned hit — same
+        # counter bumps, same primary refresh, same table-sanity raise;
+        # see the gate comment in __init__.  Counters are only touched
+        # once the hit is established, so a miss — or a line in a deeper
+        # plane of an associative secondary — leaves the access to
+        # ``protocol.write``.  An owned hit never leaves the node, so
+        # its effect does not depend on when it issues: SC retires it
+        # now, RC at the buffered issue time.
         hit = False
         if (
-            self._fuse
-            and self._cached
+            self._cached
             and self.trace is None
             and proto.trace is None
             and "write" not in self._pdict
         ):
             line = addr - addr % self._line_bytes
-            info = self._finfo[self.node]
+            info = self._arrays
             word = line // self._line_bytes
-            sindex = word % self._sec_sets
+            sindex = word % self._sec_nsets
             state = info[4][sindex] if info[3][sindex] == line else 0
             rule = self._whit_rules.get(state)
             if rule is not None:
@@ -384,8 +372,10 @@ class NodeMemoryInterface:
                 stats.writes_total += 1
                 stats.writes_line_present += 1
                 # Write-through primary: refresh the copy if present.
-                pindex = word % self._pri_sets
-                if info[0][pindex] == line and info[1][pindex]:
+                pindex = word % self._pri_nsets
+                if (info[0][pindex] == line and info[1][pindex]) or (
+                    self._pri_deep and info[2].touch(line)
+                ):
                     info[1][pindex] = 1  # LineState.SHARED
                 writes = self._writes
                 writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
@@ -507,18 +497,15 @@ class NodeMemoryInterface:
             self._next_expiry = issue
 
         proto = self.protocol
-        if (
-            self._fuse
-            and proto.trace is None
-            and "prefetch" not in self._pdict
-        ):
+        if proto.trace is None and "prefetch" not in self._pdict:
             # Fused discard — protocol.prefetch's own test on the packed
             # secondary state: a line present in a write-hit state, or
             # present at all for a shared prefetch, is already
-            # satisfied.  A discard touches no protocol counter; see
-            # the gate comment in __init__.
-            sindex = (line // self._line_bytes) % self._sec_sets
-            info = self._finfo[self.node]
+            # satisfied.  A discard touches no protocol counter; a line
+            # in a deeper plane is left to ``protocol.prefetch``'s own
+            # test.  See the gate comment in __init__.
+            sindex = (line // self._line_bytes) % self._sec_nsets
+            info = self._arrays
             state = info[4][sindex] if info[3][sindex] == line else 0
             if state and (not exclusive or state in self._whit_rules):
                 self.prefetches_discarded += 1

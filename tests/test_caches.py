@@ -60,7 +60,7 @@ class TestDirectMappedCache:
     def test_probe_does_not_count(self):
         cache = _cache()
         cache.probe(0)
-        assert cache.accesses == 0
+        assert cache.hits == cache.misses == 0
 
     def test_resident_lines(self):
         cache = _cache()
@@ -70,13 +70,6 @@ class TestDirectMappedCache:
             0: LineState.SHARED,
             16: LineState.DIRTY,
         }
-
-    def test_hit_rate(self):
-        cache = _cache()
-        cache.insert(0, LineState.SHARED)
-        cache.lookup(0)
-        cache.lookup(16)
-        assert cache.hit_rate() == 0.5
 
     @given(st.lists(st.integers(min_value=0, max_value=4096), max_size=300))
     def test_property_lookup_matches_model(self, addresses):

@@ -229,10 +229,42 @@ def _background_occupancy(protocol):
     ]
 
 
-class TestEvictionDifferential:
-    """The one eviction routine gives the same result on the packed
-    (direct-mapped) and classic (associative) cache paths."""
+#: Dirty write-back traffic of one eviction at time 5 from node 1 to
+#: home 0: ``resource -> (next_free, busy_total, transactions)`` for
+#: every background resource it occupies (all others stay idle).
+_WRITEBACK_OCCUPANCY = {
+    "bg.node0.link_in": (11, 6, 1),
+    "bg.node0.memory": (13, 8, 1),
+    "bg.node1.bus": (10, 5, 1),
+    "bg.node1.link_out": (11, 6, 1),
+}
 
+#: ``(protocol, rule) -> (dir state, sharers, eviction write-backs,
+#: background occupancy)`` after node 1 evicts the line, as recorded
+#: while the packed and classic object cache paths still both existed
+#: and agreed on every entry.
+_EVICTION_PINS = {
+    ("directory-msi", "evict-clean-other-sharers"): (DirState.SHARED, {2}, 0, {}),
+    ("directory-msi", "evict-clean-last"): (DirState.UNOWNED, set(), 0, {}),
+    ("directory-msi", "evict-dirty"): (
+        DirState.UNOWNED, set(), 1, _WRITEBACK_OCCUPANCY,
+    ),
+    ("mesi", "evict-clean-other-sharers"): (DirState.SHARED, {2}, 0, {}),
+    ("mesi", "evict-clean-last"): (DirState.UNOWNED, set(), 0, {}),
+    ("mesi", "evict-exclusive"): (
+        DirState.UNOWNED, set(), 1, _WRITEBACK_OCCUPANCY,
+    ),
+    ("mesi", "evict-dirty"): (DirState.UNOWNED, set(), 1, _WRITEBACK_OCCUPANCY),
+}
+
+
+class TestEvictionDifferential:
+    """The one eviction routine against the values the packed
+    (direct-mapped) and classic object (associative) cache paths agreed
+    on before the object path was removed, on a direct-mapped and a
+    two-way secondary cache."""
+
+    @pytest.mark.parametrize("secondary_ways", [1, 2], ids=["1way", "2way"])
     @pytest.mark.parametrize(
         "protocol_name,rule",
         [
@@ -243,31 +275,30 @@ class TestEvictionDifferential:
         ],
         ids=lambda value: value if isinstance(value, str) else value.name,
     )
-    def test_packed_and_classic_evictions_agree(self, protocol_name, rule):
-        packed, line = _eviction_situation(protocol_name, 1, rule)
-        classic, classic_line = _eviction_situation(protocol_name, 2, rule)
-        assert packed._fast and not classic._fast
-        assert line == classic_line
-        # Packed installs pass the raw state byte, the classic path the
-        # cache's LineState member.
-        packed._evict(1, line, int(rule.cache_state), 5)
-        classic._evict(1, line, rule.cache_state, 5)
-        entry = packed.directories[0].entry(line)
-        assert entry == classic.directories[0].entry(line)
-        assert entry.state == rule.next_dir_state
-        assert 1 not in entry.sharers and entry.owner != 1
-        writes_back = Action.WRITEBACK_MEMORY in rule.action_set
-        assert packed.stats.eviction_writebacks == int(writes_back)
-        assert classic.stats.eviction_writebacks == int(writes_back)
-        occupancy = _background_occupancy(packed)
-        assert occupancy == _background_occupancy(classic)
-        assert any(busy for _, _, busy, _ in occupancy) == writes_back
-        for protocol in (packed, classic):
-            primary = protocol.caches[1].primary
-            assert primary.probe(line) == LineState.INVALID
-            assert primary.invalidations_received == 1
+    def test_packed_and_classic_evictions_agree(
+        self, protocol_name, rule, secondary_ways
+    ):
+        dir_state, sharers, writebacks, occupancy = _EVICTION_PINS[
+            (protocol_name, rule.name)
+        ]
+        protocol, line = _eviction_situation(protocol_name, secondary_ways, rule)
+        protocol._evict(1, line, int(rule.cache_state), 5)
+        entry = protocol.directories[0].entry(line)
+        assert entry.state == dir_state == rule.next_dir_state
+        assert entry.owner is None
+        assert entry.sharers == sharers
+        assert protocol.stats.eviction_writebacks == writebacks
+        assert writebacks == int(Action.WRITEBACK_MEMORY in rule.action_set)
+        assert {
+            name: (next_free, busy, transactions)
+            for name, next_free, busy, transactions in _background_occupancy(protocol)
+            if next_free or busy or transactions
+        } == occupancy
+        primary = protocol.caches[1].primary
+        assert primary.probe(line) == LineState.INVALID
+        assert primary.invalidations_received == 1
 
-    @pytest.mark.parametrize("secondary_ways", [1, 2], ids=["packed", "classic"])
+    @pytest.mark.parametrize("secondary_ways", [1, 2], ids=["1way", "2way"])
     def test_impossible_eviction_raises_on_every_call(self, secondary_ways):
         protocol, regions = make_protocol(secondary_ways=secondary_ways)
         line = protocol.line_of(regions[0].addr(0))

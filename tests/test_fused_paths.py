@@ -1,20 +1,22 @@
 """Fused fast paths against the classic protocol path.
 
 The memory interface and the processor loop serve read hits, owned
-write hits and prefetch discards inline when the protocol's packed fast
-path is live.  Installing a pass-through instance wrapper on
+write hits and prefetch discards inline, probing the packed cache
+arrays.  Installing a pass-through instance wrapper on
 ``protocol.read``/``write``/``prefetch`` closes every one of those gates
 (the same mechanism the sanitizer, the litmus recorder and the fault
-injector rely on), so each configuration here runs twice — fused and
-classic — and must produce identical canonical results and identical
-protocol counters.
+injector rely on) and routes each access through the protocol's own
+entry points, so each configuration here runs twice — fused and classic
+(gates closed) — and must produce identical canonical results and
+identical protocol counters.  The associative legs cover the probes'
+fallback from plane 0 to the deeper planes.
 """
 
 import itertools
 
 import pytest
 
-from repro.config import Consistency, dash_scaled_config
+from repro.config import CacheGeometry, Consistency, dash_scaled_config
 from repro.experiments import SMOKE_PROCESSES, build_app
 from repro.experiments.resultcache import canonical_result_bytes
 from repro.system import Machine
@@ -112,3 +114,34 @@ def test_fused_matches_classic_four_contexts(app):
         consistency=Consistency.RC,
     )
     assert_fused_matches_classic(app, config, prefetching=True)
+
+
+#: ``(id, consistency, protocol, prefetching, contexts)`` legs run on an
+#: associative machine (2-way primary, 4-way secondary).
+ASSOCIATIVE_LEGS = [
+    ("sc-directory-msi-nopf", Consistency.SC, "directory-msi", False, 1),
+    ("rc-mesi-pf", Consistency.RC, "mesi", True, 1),
+    ("rc-directory-msi-pf-4ctx", Consistency.RC, "directory-msi", True, 4),
+    ("rc-directory-msi-nopf-4ctx", Consistency.RC, "directory-msi", False, 4),
+]
+
+
+@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize(
+    "consistency,protocol,prefetching,contexts",
+    [leg[1:] for leg in ASSOCIATIVE_LEGS],
+    ids=[leg[0] for leg in ASSOCIATIVE_LEGS],
+)
+def test_fused_matches_classic_associative(
+    app, consistency, protocol, prefetching, contexts
+):
+    config = dash_scaled_config(
+        num_processors=SMOKE_PROCESSES // contexts,
+        contexts_per_processor=contexts,
+        context_switch_cycles=4,
+        consistency=consistency,
+        protocol=protocol,
+        primary_cache=CacheGeometry(size_bytes=2048, ways=2),
+        secondary_cache=CacheGeometry(size_bytes=4096, ways=4),
+    )
+    assert_fused_matches_classic(app, config, prefetching)

@@ -67,12 +67,10 @@ def golden_path(app: str) -> Path:
     return GOLDEN_DIR / f"{app.lower()}.json"
 
 
-@pytest.mark.parametrize("app", APPS)
-def test_golden_stats_match(app, request):
-    result = run_program(build_app(app, "smoke"), golden_config())
-    stats = golden_stats(result)
-    path = golden_path(app)
-    if request.config.getoption("--update-goldens"):
+def assert_matches_golden(path: Path, stats: dict, update: bool) -> None:
+    """Compare ``stats`` with the golden at ``path``; rewrite the golden
+    instead when ``update`` (``--update-goldens``) is set."""
+    if update:
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
         return
@@ -86,11 +84,21 @@ def test_golden_stats_match(app, request):
         if golden.get(key) != stats.get(key)
     }
     assert not mismatches, (
-        f"{app} drifted from "
+        f"{path.stem} drifted from "
         f"tests/goldens/{path.name} "
         f"(field: (golden, measured)): {mismatches}\n"
         "If this change is intended and reviewed, refresh with "
         "--update-goldens."
+    )
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_golden_stats_match(app, request):
+    result = run_program(build_app(app, "smoke"), golden_config())
+    assert_matches_golden(
+        golden_path(app),
+        golden_stats(result),
+        request.config.getoption("--update-goldens"),
     )
 
 
