@@ -79,6 +79,9 @@ from repro.coherence.table import ProtoEvent, Rule, TransitionTable
 #: the *right* spec of the pair).
 DIFF_MUTATIONS = ("mesi-without-e-writeback",)
 
+#: The registered spec every :data:`DIFF_MUTATIONS` entry is built from.
+DIFF_MUTATION_BASE = "mesi"
+
 #: A visible action: ("R"|"W", cache, line, value).
 VisAct = Tuple[str, int, int, int]
 
@@ -320,7 +323,7 @@ def mutated_spec(mutation: str) -> ProtocolSpec:
     from repro.coherence.specs import get_spec
     import dataclasses
 
-    base = get_spec("mesi")
+    base = get_spec(DIFF_MUTATION_BASE)
     broken = Rule(
         "evict-exclusive",
         LineState.EXCLUSIVE, DirState.DIRTY, ProtoEvent.EVICT_EXCLUSIVE,
@@ -340,5 +343,6 @@ def mutated_spec(mutation: str) -> ProtocolSpec:
         events=base.table.events,
     )
     return dataclasses.replace(
-        base, name=f"mesi[{mutation}]", table=table, runtime_supported=False
+        base, name=f"{DIFF_MUTATION_BASE}[{mutation}]", table=table,
+        runtime_supported=False,
     )

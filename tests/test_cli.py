@@ -1,8 +1,11 @@
 """Tests for the command-line interface (cheap targets only)."""
 
+import re
+import shlex
+
 import pytest
 
-from repro.cli import main
+from repro.cli import CHECKS, build_parser, main, select_checks
 
 
 def test_table1_prints_and_succeeds(capsys):
@@ -130,6 +133,13 @@ def test_checks_list_accepts_new_names(capsys):
     assert "[srclint]" in capsys.readouterr().out
 
 
+def test_lint_and_races_share_one_execution_per_app(capsys):
+    assert main(["check", "--app", "LU", "--checks", "races,lint"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[LU]") == 1  # one op-stream run feeds both reports
+    assert "check: ok" in out
+
+
 def test_strict_flag_accepted_with_lint(capsys):
     status = main(["check", "--app", "LU", "--checks", "lint", "--strict"])
     assert status == 0
@@ -137,13 +147,6 @@ def test_strict_flag_accepted_with_lint(capsys):
 
 
 # -- trace conformance and layout lint ----------------------------------------
-
-
-def test_trace_mutate_choices_match_tracecheck():
-    from repro.analysis.tracecheck import MUTATION_NAMES
-    from repro.cli import _TRACE_MUTATIONS
-
-    assert _TRACE_MUTATIONS == MUTATION_NAMES
 
 
 def test_trace_mutate_prints_witness_and_fails(capsys):
@@ -193,6 +196,15 @@ def test_verdict_names_every_failing_check(capsys):
     assert "check: FAILED (invariants)" in out
 
 
+def test_verdict_lists_failures_in_run_order(capsys):
+    status = main(
+        ["check", "--trace-mutate", "drop-inval-ack", "--model-check",
+         "--mc-mutate", "skip-invalidation"]
+    )
+    assert status == 1
+    assert "check: FAILED (model, trace)" in capsys.readouterr().out
+
+
 # -- transition-table protolint -----------------------------------------------
 
 
@@ -205,13 +217,6 @@ def test_proto_lint_flag_passes_and_prints_summary(capsys):
     assert "fingerprint agrees with the model checker" in out
     assert "[litmus]" not in out  # dedicated flag runs only its check
     assert "check: ok" in out
-
-
-def test_proto_mutate_choices_match_protolint():
-    from repro.analysis.protolint import PROTO_MUTATIONS
-    from repro.cli import _PROTO_MUTATIONS
-
-    assert _PROTO_MUTATIONS == PROTO_MUTATIONS
 
 
 def test_proto_mutate_prints_witness_and_fails(capsys):
@@ -315,117 +320,303 @@ def test_diff_mutate_is_refuted_with_witness(capsys):
     assert "impossible in directory-msi" in out
 
 
-def test_diff_mutate_choices_match_protodiff():
-    from repro.analysis.protodiff import DIFF_MUTATIONS
-    from repro.cli import _DIFF_MUTATIONS
 
-    assert _DIFF_MUTATIONS == DIFF_MUTATIONS
+
+def test_diff_mutate_rejects_a_right_spec_it_does_not_mutate(capsys):
+    # The mutation is built from mesi; a different RIGHT spec used to be
+    # silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--proto-diff", "mesi", "moesi",
+              "--diff-mutate", "mesi-without-e-writeback"])
+    assert exc.value.code == 2
+    assert "RIGHT must be mesi (got moesi)" in capsys.readouterr().err
+    # The CI/README spelling names the mutated spec and still runs.
+    status = main(["check", "--proto-diff", "directory-msi", "mesi",
+                   "--diff-mutate", "mesi-without-e-writeback"])
+    assert status == 1
+    assert ("directory-msi ~ mesi[mesi-without-e-writeback]"
+            in capsys.readouterr().out)
+
+
+# -- check selection: the registry, --list-checks, --all, defaults ------------
+
+
+def _selected(*flags):
+    return select_checks(build_parser().parse_args(["check", *flags]))
 
 
 def test_select_checks_proto_matrix_and_diff_flags():
-    from repro.cli import select_checks
-
-    assert select_checks(_check_args(proto_matrix=True)) == ["protomatrix"]
-    assert select_checks(
-        _check_args(proto_diff=["directory-msi", "mesi"])
-    ) == ["protodiff"]
-    assert select_checks(
-        _check_args(diff_mutate="mesi-without-e-writeback")
-    ) == ["protodiff"]
-
-
-# -- check selection: --list-checks, --all, defaults --------------------------
-
-
-def _check_args(**overrides):
-    import argparse
-
-    defaults = dict(
-        faults="none", model_check=False, lock_order=False, lint_src=False,
-        proto_lint=False, proto_mutate=None, proto_matrix=False,
-        proto_diff=None, diff_mutate=None, trace_check=False,
-        trace_mutate=None, layout_lint=False, chaos=False, all_checks=False,
-        checks=None, lat_bound=False, lat_audit=False, lat_mutate=None,
-    )
-    defaults.update(overrides)
-    return argparse.Namespace(**defaults)
+    assert _selected("--proto-matrix") == ["protomatrix"]
+    assert _selected("--proto-diff", "directory-msi", "mesi") == ["protodiff"]
+    assert _selected("--diff-mutate", "mesi-without-e-writeback") == [
+        "protodiff"
+    ]
 
 
 def test_list_checks_names_every_check_and_defaults(capsys):
-    from repro.cli import _CHECKS, _DEFAULT_CHECKS
-
     status = main(["check", "--list-checks"])
     out = capsys.readouterr().out
     assert status == 0
-    for name in _CHECKS:
-        assert name in out
+    for check in CHECKS:
+        assert check.name in out
     assert "checks marked * run by default" in out
     # Default markers line up with the documented default subset.
     starred = [
         line.split()[1] for line in out.splitlines()
         if line.strip().startswith("*")
     ]
-    assert tuple(starred) == _DEFAULT_CHECKS
+    assert starred == [check.name for check in CHECKS if check.default]
 
 
 def test_list_checks_prints_flags_and_default_membership(capsys):
-    from repro.cli import _CHECK_FLAGS, _CHECKS, _DEFAULT_CHECKS
-
     main(["check", "--list-checks"])
     out = capsys.readouterr().out
     # Every check's dedicated flags appear; flagless checks point at
     # --checks <name>; membership lines match the default subset.
-    for name in _CHECKS:
-        flags = _CHECK_FLAGS[name]
-        if flags:
-            for flag in flags:
-                assert flag in out
+    for check in CHECKS:
+        if check.options:
+            for option in check.options:
+                assert option.flag in out
         else:
-            assert f"--checks {name}" in out
-    assert out.count("default: yes") == len(_DEFAULT_CHECKS)
-    assert out.count("default: no") == len(_CHECKS) - len(_DEFAULT_CHECKS)
+            assert f"--checks {check.name}" in out
+    defaults = sum(check.default for check in CHECKS)
+    assert out.count("default: yes") == defaults
+    assert out.count("default: no") == len(CHECKS) - defaults
 
 
 def test_check_flags_table_covers_every_check():
-    from repro.cli import _CHECK_FLAGS, _CHECKS
-
-    assert set(_CHECK_FLAGS) == set(_CHECKS)
+    names = [check.name for check in CHECKS]
+    assert len(set(names)) == len(names)
+    flags = [option.flag for check in CHECKS for option in check.options]
+    assert len(set(flags)) == len(flags)  # each flag owned by one check
+    for check in CHECKS:
+        assert _selected("--checks", check.name) == [check.name]
 
 
 def test_select_checks_lat_flags_select_latbound():
-    from repro.cli import select_checks
-
-    assert select_checks(_check_args(lat_bound=True)) == ["latbound"]
-    assert select_checks(_check_args(lat_audit=True)) == ["latbound"]
-    assert select_checks(
-        _check_args(lat_mutate="uncharged-hop")
-    ) == ["latbound"]
+    assert _selected("--lat-bound") == ["latbound"]
+    assert _selected("--lat-audit") == ["latbound"]
+    assert _selected("--lat-mutate", "uncharged-hop") == ["latbound"]
 
 
 def test_select_checks_default_is_documented_subset():
-    from repro.cli import _DEFAULT_CHECKS, select_checks
-
-    assert select_checks(_check_args()) == list(_DEFAULT_CHECKS)
+    assert _selected() == ["lint", "races", "litmus", "invariants"]
+    assert _selected() == [check.name for check in CHECKS if check.default]
 
 
 def test_select_checks_all_runs_everything_once():
-    from repro.cli import _CHECKS, select_checks
-
-    checks = select_checks(_check_args(all_checks=True, proto_lint=True))
-    assert checks == list(_CHECKS)  # dedicated flag deduped, order kept
+    # dedicated flag deduped, order kept
+    assert _selected("--all", "--proto-lint") == [c.name for c in CHECKS]
 
 
 def test_select_checks_dedicated_flags_are_exclusive():
-    from repro.cli import select_checks
-
-    assert select_checks(_check_args(proto_lint=True)) == ["protolint"]
-    assert select_checks(
-        _check_args(proto_mutate="overlap-rule")
-    ) == ["protolint"]
+    assert _selected("--proto-lint") == ["protolint"]
+    assert _selected("--proto-mutate", "overlap-rule") == ["protolint"]
 
 
 def test_select_checks_explicit_list_merges_flags():
-    from repro.cli import select_checks
+    assert _selected("--checks", "lint,litmus", "--proto-lint") == [
+        "lint", "litmus", "protolint"
+    ]
 
-    checks = select_checks(_check_args(checks="lint,litmus", proto_lint=True))
-    assert checks == ["lint", "litmus", "protolint"]
+
+# -- pins: the CLI surface the docs and CI rely on ----------------------------
+
+_LIST_CHECKS = """\
+available checks (run order):
+  * lint        structural lint of each app's op streams (op shape, sync pairing)
+    default: yes; flags: --checks lint
+  * races       happens-before data-race detection over the op streams
+    default: yes; flags: --checks races
+  * litmus      consistency litmus matrix through the full machine
+    default: yes; flags: --checks litmus
+  * invariants  sanitized smoke simulation (SWMR, inclusion, precision)
+    default: yes; flags: --checks invariants
+    faults      smoke apps under seeded message faults, sanitizer armed
+    default: no; flags: --faults
+    model       exhaustive model check of the abstract directory protocol
+    default: no; flags: --model-check, --mc-mutate, --mc-fingerprint
+    lockorder   static lock-order deadlock and barrier analysis
+    default: no; flags: --lock-order
+    srclint     determinism + hot-path lint over the simulator source
+    default: no; flags: --lint-src
+    protolint   static completeness/determinism/liveness check of the declarative protocol transition table
+    default: no; flags: --proto-lint, --proto-mutate, --proto-fingerprint
+    protomatrix model check + protolint over every registered protocol spec (directory-msi, mesi, moesi)
+    default: no; flags: --proto-matrix, --proto-matrix-fingerprints
+    protodiff   differential protocol equivalence: product-compose two specs' reachable models and prove (or refute with a minimal witness) observational equivalence
+    default: no; flags: --proto-diff, --diff-mutate
+    latbound    static per-transaction latency envelopes derived from the protocol table, with optional trace audit
+    default: no; flags: --lat-bound, --lat-audit, --lat-mutate, --lat-fingerprint
+    trace       axiomatic trace conformance (litmus matrix + smoke runs)
+    default: no; flags: --trace-check, --trace-mutate
+    layout      static memory-layout lint of the bundled apps
+    default: no; flags: --layout-lint
+    chaos       crash-tolerance drill: SIGKILL pool workers mid-sweep, corrupt the journal tail, resume, verify bit-identity
+    default: no; flags: --chaos
+checks marked * run by default; --all runs every check; --checks a,b or a dedicated flag runs just those
+"""
+
+
+def test_list_checks_output_is_pinned(capsys):
+    assert main(["check", "--list-checks"]) == 0
+    assert capsys.readouterr().out == _LIST_CHECKS
+
+
+_EVERY_CHECK = (
+    "lint", "races", "litmus", "invariants", "faults", "model", "lockorder",
+    "srclint", "protolint", "protomatrix", "protodiff", "latbound", "trace",
+    "layout", "chaos",
+)
+
+#: Every ``repro-1991 check`` flag combination in .github/workflows/ci.yml
+#: and README.md, with the passes it selects.
+_DOCUMENTED_INVOCATIONS = [
+    ("", ("lint", "races", "litmus", "invariants")),
+    ("--faults smoke", ("faults",)),
+    ("--faults smoke --seed 7", ("faults",)),
+    ("--chaos", ("chaos",)),
+    ("--lint-src", ("srclint",)),
+    ("--lock-order --strict", ("lockorder",)),
+    ("--trace-check", ("trace",)),
+    ("--trace-check --app all", ("trace",)),
+    ("--layout-lint", ("layout",)),
+    ("--all", _EVERY_CHECK),
+    ("--app LU --checks races", ("races",)),
+    ("--model-check", ("model",)),
+    ("--model-check --mc-caches 3", ("model",)),
+    ("--model-check --mc-fingerprint .ci-cache/model.fingerprint", ("model",)),
+    ("--model-check --mc-mutate skip-invalidation", ("model",)),
+    ("--proto-lint", ("protolint",)),
+    ("--proto-lint --proto-fingerprint .ci-cache/proto.fingerprint",
+     ("protolint",)),
+    ("--proto-mutate drop-transition", ("protolint",)),
+    ("--proto-matrix", ("protomatrix",)),
+    ("--proto-matrix --proto-matrix-fingerprints .ci-cache/proto-matrix",
+     ("protomatrix",)),
+    ("--checks protodiff", ("protodiff",)),
+    ("--proto-diff directory-msi mesi", ("protodiff",)),
+    ("--proto-diff directory-msi mesi --diff-mutate mesi-without-e-writeback",
+     ("protodiff",)),
+    ("--trace-mutate drop-inval-ack", ("trace",)),
+    ("--lat-bound", ("latbound",)),
+    ("--lat-bound --lat-fingerprint .ci-cache/latbound.fingerprint",
+     ("latbound",)),
+    ("--lat-bound --lat-audit", ("latbound",)),
+    ("--app LU --lat-bound --lat-audit", ("latbound",)),
+    ("--lat-mutate uncharged-hop", ("latbound",)),
+    ("--lat-mutate double-charged-directory-occupancy", ("latbound",)),
+    ("--lat-mutate envelope-too-tight", ("latbound",)),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, expected", _DOCUMENTED_INVOCATIONS,
+    ids=[flags or "bare" for flags, _ in _DOCUMENTED_INVOCATIONS],
+)
+def test_documented_invocations_select_pinned_checks(flags, expected):
+    assert tuple(_selected(*shlex.split(flags))) == expected
+
+
+# -- one parametrized pass over the registry ----------------------------------
+
+#: What each seeded mutation's detection must print.
+_MUTATION_WITNESSES = {
+    "skip-invalidation": ("counterexample (swmr)", "#0   initial"),
+    "lost-writeback": ("counterexample (data-value)", "#0   initial"),
+    "nack-forever": ("counterexample (no-stuck-state)", "#0   initial"),
+    "drop-transition": ("[completeness]", "[liveness]", "#0   initial"),
+    "overlap-rule": ("[determinism]", "overlap on"),
+    "orphan-state": ("[liveness] dead transition",),
+    "mesi-without-e-writeback": (
+        "NOT equivalent", "divergence after", "impossible in directory-msi",
+    ),
+    "uncharged-hop": ("[hop-continuity]", "witness: "),
+    "double-charged-directory-occupancy": (
+        "[directory-single-pass]", "witness: ",
+    ),
+    "envelope-too-tight": ("earliest witness:",),
+    "drop-inval-ack": ("[trace] mutation 'drop-inval-ack'", "witness cycle"),
+    "release-overtakes-writes": ("[release-completion]", "witness cycle"),
+    "forward-unissued-write": ("[well-formed-forward]", "claimed source:"),
+}
+
+_MUTATIONS = [
+    (check, mutation) for check in CHECKS for mutation in check.mutations
+]
+
+
+def test_every_declared_mutation_has_a_witness_marker():
+    assert [m for _, m in _MUTATIONS] == list(_MUTATION_WITNESSES)
+
+
+@pytest.mark.parametrize(
+    "check, mutation", _MUTATIONS, ids=[m for _, m in _MUTATIONS]
+)
+def test_declared_mutation_is_detected_with_witness(check, mutation, capsys):
+    flag = check.option("mutate").flag
+    status = main(["check", "--checks", check.name, flag, mutation])
+    out = capsys.readouterr().out
+    assert status == 1
+    for marker in _MUTATION_WITNESSES[mutation]:
+        assert marker in out
+    assert "was NOT detected" not in out
+    assert out.rstrip().endswith(f"check: FAILED ({check.name})")
+
+
+_FINGERPRINTED = [check for check in CHECKS if check.option("fingerprint")]
+
+#: Each fingerprint-bearing check's message prefix (tag and noun).
+_FINGERPRINT_LABELS = {
+    "model": "[model] fingerprint",
+    "protolint": "[protolint] table fingerprint",
+    "protomatrix": "[protomatrix] mesi: fingerprint",
+    "latbound": "[latbound] envelope fingerprint",
+}
+
+
+def test_fingerprint_bearing_checks():
+    assert [check.name for check in _FINGERPRINTED] == list(_FINGERPRINT_LABELS)
+
+
+@pytest.mark.parametrize(
+    "check", _FINGERPRINTED, ids=[check.name for check in _FINGERPRINTED]
+)
+def test_fingerprint_cache_roundtrip_and_tamper(check, tmp_path, capsys):
+    from repro.coherence.specs import spec_names
+
+    path = tmp_path / "fingerprint"
+    argv = ["check", "--checks", check.name,
+            check.option("fingerprint").flag, str(path)]
+    # protomatrix caches one file per registered spec under a directory.
+    files = len(spec_names()) if check.name == "protomatrix" else 1
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("fingerprint cached") == files
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("fingerprint matches") == files
+    for cached in [path] if path.is_file() else sorted(path.iterdir()):
+        cached.write_text("0" * 64 + "\n")
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.count("fingerprint MISMATCH") == files
+    label = re.escape(_FINGERPRINT_LABELS[check.name])
+    assert re.search(
+        label + r" MISMATCH: cached 0{16} != computed [0-9a-f]{16} — .+; "
+        r"review the (protocol )?diff and delete \S+ to accept", out
+    )
+    assert out.rstrip().endswith(f"check: FAILED ({check.name})")
+
+
+def test_undetected_mutation_is_reported(monkeypatch, capsys):
+    import repro.analysis.tracecheck as tracecheck
+
+    class Clean:
+        ok = True
+
+        def format(self):
+            return "no violations"
+
+    monkeypatch.setattr(tracecheck, "run_mutation_demo", lambda name: Clean())
+    assert main(["check", "--trace-mutate", "drop-inval-ack"]) == 0
+    out = capsys.readouterr().out
+    assert "[trace] mutation 'drop-inval-ack' was NOT detected" in out
