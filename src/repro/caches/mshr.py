@@ -8,6 +8,13 @@ per line so that:
 * a demand reference to a line with an outstanding prefetch *combines*
   with it instead of sending duplicate messages (Section 5.1), and
 * a second context's miss to the same line piggybacks on the first.
+
+Entries exist only where a later access can meet them: prefetches, and
+demand misses on multi-context nodes.  A single context blocks on every
+read (Section 4.1), so its demand read miss retires before its node
+issues anything else; the memory interface records no entry for it,
+only its retire time, and raises ``SimulationError`` on a ``read`` or
+``prefetch`` issued earlier than that.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from typing import Callable, Dict, List, Optional
 class OutstandingMiss:
     """One in-flight fill/ownership transaction for a line.
 
-    Packed ``__slots__`` storage — allocated on every secondary-cache
-    miss, probed on every read while any miss is outstanding.
+    Packed ``__slots__`` storage — allocated on every prefetch and on
+    every multi-context demand miss, probed on every read while any
+    miss is outstanding.
     """
 
     __slots__ = (

@@ -661,13 +661,30 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         ``complete`` additionally covers invalidation acknowledgements.
         """
         line = addr - addr % self._line_bytes
-        stats = self.stats
+        sindex = (line // self._line_bytes) % self._sec_nsets
         info = self._node_arrays[node]
-        word = line // self._line_bytes
-        sindex = word % self._sec_nsets
         state = info[4][sindex] if info[3][sindex] == line else 0
         if not state and self._sec_deep:
             state = info[5].touch(line)
+        return self._write_probed(node, addr, line, state, time, background)
+
+    def _write_probed(
+        self,
+        node: int,
+        addr: int,
+        line: int,
+        state: int,
+        time: int,
+        background: bool = False,
+    ) -> AccessOutcome:
+        """Everything :meth:`write` does after its probe: ``state`` is
+        ``line``'s raw secondary state, already moved to plane 0 when it
+        was found in a deeper one.  The memory interface's fused write
+        probe hands its misses straight here, as its read probe hands
+        secondary misses to :meth:`_read_fill`."""
+        stats = self.stats
+        info = self._node_arrays[node]
+        word = line // self._line_bytes
         if state:
             info[5].hits += 1
             stats.writes_line_present += 1
@@ -683,7 +700,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 )
             # MESI's silent upgrade: an E copy becomes M with no
             # message (a no-op store for M itself).
-            info[4][sindex] = self._write_hit_next_by_int[state]
+            info[4][word % self._sec_nsets] = self._write_hit_next_by_int[state]
             retire = time + self._lat_write_owned_secondary
             writes = stats.writes_by_class
             writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
@@ -753,14 +770,13 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 delay = net.charge_fetch_owner_via(
                     node, via, home, owner, time, background=background
                 )
+                access_class = AccessClass.HOME
             else:
                 base = lat.write_owned_remote
                 delay = net.charge_fetch_owner_remote(
                     node, home, owner, time, background=background
                 )
-            access_class = (
-                AccessClass.REMOTE if base == lat.write_owned_remote else AccessClass.HOME
-            )
+                access_class = AccessClass.REMOTE
             # INVALIDATE_OWNER: the transfer invalidates the previous
             # owner's copies at both levels.
             self._invalidate_copies(owner, line, sidx, pindex)

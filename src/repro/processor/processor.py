@@ -22,7 +22,10 @@ cases are written flat: the clock and current run length live in locals
 a packed per-slot list (:data:`~repro.processor.accounting.BUCKET_SLOT`),
 the thread generator is resumed with a bare ``next()``, and the
 read/write/busy/prefetch opcodes and their short-stall handling are
-inline.
+inline.  The inline primary-hit and SC owned-write probes are decided
+once per run, in :meth:`Processor._prime`, from the entry points
+observers have wrapped by then; ``Machine.run`` rejects a run whose
+wrappers changed afterwards.
 :attr:`Processor.breakdown` materializes the packed counters back into a
 :class:`~repro.processor.accounting.TimeBreakdown`, so every external
 observer sees the same accounting as before.
@@ -102,6 +105,7 @@ class Processor:
         "_parked",
         "_loop_cb",
         "_hot",
+        "_primed_on",
         "_switch_cycles",
         "_switch_threshold",
         "_multi",
@@ -162,6 +166,9 @@ class Processor:
         #: install); one slot load + unpack per ``_loop`` entry instead
         #: of a dozen attribute reads.
         self._hot = None
+        #: Wrapped entry points the inline probes were decided on
+        #: (``memiface.wrapped_entry_points()`` at :meth:`_prime`).
+        self._primed_on = None
 
         self._switch_cycles = config.context_switch_cycles
         self._switch_threshold = config.switch_min_stall_cycles
@@ -215,19 +222,29 @@ class Processor:
         Every entry is stable for the whole run: the aliased containers
         (contexts, packed cycle counters, run lengths) are mutated in
         place and never rebound, and the scalars come from the frozen
-        config.  The packed-probe block is live only when the fused
-        path's trace gates pass (see ``memiface.read``); observers — the
-        sanitizer, the litmus recorder, the fault injector, traces —
-        all install before ``Machine.run`` starts the processors, and
-        the probe re-checks the wrapper dicts on every continuation.
+        config.  The inline probes are decided here, once: the read
+        probe is live only when the fused path's trace gates pass (see
+        ``memiface.read``) and neither ``read`` entry point is wrapped,
+        the SC write probe only on top of that and with neither
+        ``write`` entry point wrapped.  Observers — the sanitizer, the
+        litmus recorder, the fault injector, the ``tracecheck``
+        mutations, traces — all install before ``Machine.run`` starts
+        the processors; ``Machine.run`` compares the wrapped entry
+        points recorded here with those at the end of the run and
+        raises if an observer installed mid-run, which the probes would
+        otherwise have bypassed.  A dead probe leaves ``None`` tags, so
+        the loop tests one local per access.
         """
         memiface = self.memiface
-        probe = None
-        wprobe = None
+        self._primed_on = wrapped = memiface.wrapped_entry_points()
+        probe = (None, None, None, None, 0, 0, 0)
+        wprobe = (None, None, None, None, None, 0, 0)
         if (
             self.trace is None
             and memiface.trace is None
             and memiface.protocol.trace is None
+            and "read" not in wrapped[0]
+            and "read" not in wrapped[1]
         ):
             arrays = memiface._arrays
             probe = (
@@ -243,6 +260,8 @@ class Processor:
                 memiface.policy.write_stalls_processor
                 and memiface.protocol._write_hit_inline_ok
                 and not memiface._pri_deep
+                and "write" not in wrapped[0]
+                and "write" not in wrapped[1]
             ):
                 # SC write probe: a DIRTY secondary line is an owned
                 # write hit that never leaves the node, so it can be
@@ -273,10 +292,8 @@ class Processor:
             self._multi,
             self._switch_threshold,
             self.run_lengths,
-            probe,
-            wprobe,
             self.config.prefetch_issue_cycles,
-        )
+        ) + probe + wprobe
         return self._hot
 
     def _advance(self, cycles: int, slot: int) -> None:
@@ -306,54 +323,27 @@ class Processor:
             multi,
             threshold,
             run_lengths,
-            probe,
-            wprobe,
             pf_issue,
+            # Inline primary-hit probe (``ptags`` None when off): the
+            # packed-cache read hit runs right here, same gates as the
+            # fused probe in ``memiface.read`` (decided in _prime).
+            ptags,
+            pstates,
+            pstats,
+            reads,
+            line_bytes,
+            pri_nsets,
+            lat_rph,
+            # Inline SC owned-write probe (``stags`` None when off).
+            stags,
+            sstates,
+            sstats,
+            writes,
+            pstats_all,
+            sec_nsets,
+            lat_wos,
         ) = hot
         trace = self.trace
-        # Inline primary-hit probe: the packed-cache read hit runs right
-        # here when the fused path is live — same gates as the fused
-        # probe in ``memiface.read`` (checked in _prime) plus a fresh
-        # "no wrapper installed" check per continuation, so the
-        # sanitizer, litmus recorder, and fault injector all re-route
-        # through ``memiface.read``.
-        if (
-            probe is not None
-            and "read" not in memiface._pdict
-            and "read" not in memiface.__dict__
-        ):
-            (
-                ptags,
-                pstates,
-                pstats,
-                reads,
-                line_bytes,
-                pri_nsets,
-                lat_rph,
-            ) = probe
-        else:
-            ptags = None
-            pstates = pstats = reads = None
-            line_bytes = pri_nsets = lat_rph = 0
-        if (
-            wprobe is not None
-            and ptags is not None
-            and "write" not in memiface._pdict
-            and "write" not in memiface.__dict__
-        ):
-            (
-                stags,
-                sstates,
-                sstats,
-                writes,
-                pstats_all,
-                sec_nsets,
-                lat_wos,
-            ) = wprobe
-        else:
-            stags = None
-            sstates = sstats = writes = pstats_all = None
-            sec_nsets = lat_wos = 0
         time = self.time
         run = self._current_run
         ctx = contexts[self._active]

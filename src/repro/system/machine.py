@@ -24,7 +24,12 @@ from repro.consistency import policy_for
 from repro.interconnect import Interconnect
 from repro.memlayout import SharedMemoryAllocator
 from repro.processor import Context, Processor
-from repro.sim.engine import DEFAULT_EVENT_LIMIT, DeadlockError, EventEngine
+from repro.sim.engine import (
+    DEFAULT_EVENT_LIMIT,
+    DeadlockError,
+    EventEngine,
+    SimulationError,
+)
 from repro.sync import BarrierManager, FlagManager, LockManager, SyncCosts
 from repro.system.memiface import NodeMemoryInterface
 from repro.system.results import (
@@ -187,6 +192,20 @@ class Machine:
             if watchdog is not None:
                 watchdog.detach(self.engine)
 
+        # The processors decided their inline probes once, on the entry
+        # points wrapped when they primed; a wrapper installed (or
+        # removed) later was bypassed by those probes for part of the
+        # run, so the run is rejected rather than silently misobserved.
+        for processor in self.processors:
+            primed_on = processor._primed_on
+            now = processor.memiface.wrapped_entry_points()
+            if primed_on is not None and primed_on != now:
+                raise SimulationError(
+                    f"node {processor.node_id}: wrapped entry points "
+                    f"changed mid-run (interface, protocol): primed on "
+                    f"{primed_on}, ended with {now} — install observers "
+                    "before Machine.run"
+                )
         unfinished = [p.node_id for p in self.processors if not p.finished]
         if unfinished:
             raise DeadlockError(

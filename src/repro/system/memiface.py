@@ -13,6 +13,14 @@ constraints.  Under release consistency this is semantically safe — RC
 explicitly allows writes to propagate early, and only the *release* fence
 (handled via :meth:`release_point`) constrains ordering.  Under SC the
 buffer is bypassed entirely and the processor stalls to completion.
+
+MSHR entries exist only where a later access can meet them in flight:
+prefetches, and demand misses on multi-context nodes.  A single context
+blocks on every read (Section 4.1), so no access of its node can issue
+before its demand read miss retires; that miss makes no entry, and the
+interface keeps only its retire time.  A ``read`` or ``prefetch`` issued
+on a single-context node before that time is a sequence the processor
+never produces, and raises :class:`~repro.sim.engine.SimulationError`.
 """
 
 from __future__ import annotations
@@ -27,13 +35,21 @@ from repro.coherence import AccessClass, CoherenceProtocol
 from repro.coherence.table import ProtocolTableError
 from repro.config import MachineConfig
 from repro.consistency import ConsistencyPolicy
-from repro.sim.engine import TIME_INFINITY, EventEngine
+from repro.sim.engine import TIME_INFINITY, EventEngine, SimulationError
 
 _PRIMARY_HIT = AccessClass.PRIMARY_HIT
 _SECONDARY_HIT = AccessClass.SECONDARY_HIT
 
 #: Expiry watermark sentinel: nothing pending matures before this.
 _NEVER = TIME_INFINITY
+
+#: ``_write_buffered``'s marker for a write the owned-write probe has
+#: already served (a raw secondary state is never negative).
+_OWNED_HIT = -1
+
+#: Entry points an observer may rebind on a memory interface or on the
+#: protocol instance; either closes the fast paths that bypass them.
+_ENTRY_POINTS = ("read", "write", "prefetch")
 
 
 class ReadResult(NamedTuple):
@@ -116,6 +132,12 @@ class NodeMemoryInterface:
         # path probes it on every access.
         self._misses = self.mshr._misses
         self._line_bytes = config.line_bytes
+        #: Single-context node: demand read misses make no MSHR entry
+        #: (see the module docstring); ``_demand_retire`` is the retire
+        #: time of the last one, which no read or prefetch may precede.
+        #: It stays 0 on a multi-context node, so the guard never fires.
+        self._single = config.contexts_per_processor == 1
+        self._demand_retire = 0
         self._bypass = bool(config.write_buffer_bypass and policy.reads_bypass_writes)
         self._cached = bool(config.caching_shared_data)
         #: Earliest time any tracked entry matures.  While ``now`` is
@@ -130,8 +152,10 @@ class NodeMemoryInterface:
 
         # Fused probes (see read/write/prefetch): the protocol's packed
         # hit and discard checks run inline here — identical counters
-        # and latencies, minus the protocol's call frames.  The per-call
-        # gates disable a probe the moment anything wraps
+        # and latencies, minus the protocol's call frames — and their
+        # misses go straight to the protocol's post-probe helpers
+        # (``_read_fill``, ``_write_probed``).  The per-call gates
+        # disable a probe the moment anything wraps
         # ``protocol.read``/``write``/``prefetch`` (the sanitizer, the
         # litmus recorder, and the fault injector all install instance
         # attributes) or installs a memory-event trace, so every
@@ -229,6 +253,8 @@ class NodeMemoryInterface:
     # -- reads ---------------------------------------------------------------
 
     def read(self, addr: int, now: int) -> ReadResult:
+        if now < self._demand_retire:
+            self._early_access("read", now)
         # Expiry only has work to do once something has matured; the
         # watermark keeps the dominant case free of the sweep entirely.
         if now >= self._next_expiry:
@@ -312,17 +338,13 @@ class NodeMemoryInterface:
             outcome = proto._read_fill(self.node, line, now)
             self._stats.count_read(outcome.access_class)
             retire = outcome[0]
-            self.mshr.add(OutstandingMiss(line, False, now, retire, False))
-            if retire < self._next_expiry:
-                self._next_expiry = retire
+            self._demand_miss(line, now, retire)
             return _MK_READ((retire, outcome[2], False))
         outcome = proto.read(self.node, addr, now)
         retire = outcome[0]
         access_class = outcome[2]
         if access_class is not _PRIMARY_HIT and access_class is not _SECONDARY_HIT:
-            self.mshr.add(OutstandingMiss(line, False, now, retire, False))
-            if retire < self._next_expiry:
-                self._next_expiry = retire
+            self._demand_miss(line, now, retire)
         if self.trace is not None:
             self.trace.record_read(
                 self.node, addr, now, retire, source="memory",
@@ -330,72 +352,109 @@ class NodeMemoryInterface:
             )
         return _MK_READ((retire, access_class, False))
 
+    def _demand_miss(self, line: int, now: int, retire: int) -> None:
+        """Track a demand read miss issued at ``now`` until ``retire``:
+        an MSHR entry on a multi-context node, only the retire time on a
+        single-context one (see the module docstring)."""
+        if self._single:
+            self._demand_retire = retire
+            return
+        self.mshr.add(OutstandingMiss(line, False, now, retire, False))
+        if retire < self._next_expiry:
+            self._next_expiry = retire
+
+    def _early_access(self, kind: str, now: int) -> None:
+        raise SimulationError(
+            f"node {self.node}: {kind} at t={now} issued before its single "
+            f"context's demand miss retires at t={self._demand_retire}"
+        )
+
+    def wrapped_entry_points(self) -> tuple:
+        """``(interface names, protocol names)``: the entry points an
+        observer has rebound on this interface's or the protocol's
+        instance.  The processor's inline probes are decided on this
+        once per run; ``Machine.run`` compares it again at the end."""
+        return (
+            tuple(name for name in _ENTRY_POINTS if name in self.__dict__),
+            tuple(name for name in _ENTRY_POINTS if name in self._pdict),
+        )
+
     # -- writes --------------------------------------------------------------
 
     def write(self, addr: int, now: int) -> WriteResult:
         if now >= self._next_expiry:
             self._expire(now)
         proto = self.protocol
-        # Owned-write probe (M, or E under MESI), serving SC and RC
-        # alike: bit-identical to protocol.write's owned hit — same
-        # counter bumps, same primary refresh, same table-sanity raise;
-        # see the gate comment in __init__.  Counters are only touched
-        # once the hit is established, so a miss — or a line in a deeper
-        # plane of an associative secondary — leaves the access to
-        # ``protocol.write``.  An owned hit never leaves the node, so
-        # its effect does not depend on when it issues: SC retires it
-        # now, RC at the buffered issue time.
-        hit = False
         if (
             self._cached
             and self.trace is None
             and proto.trace is None
             and "write" not in self._pdict
         ):
+            # Fused write probe, serving SC and RC alike: the secondary
+            # state as ``protocol.write`` probes it (a deeper-plane copy
+            # moves to plane 0, as on the read path).  An owned hit (M,
+            # or E under MESI) is served here, bit-identical to
+            # protocol.write's — same counter bumps, same primary
+            # refresh, same table-sanity raise; see the gate comment in
+            # __init__.  Anything else is handed to ``_write_probed``
+            # with the state already in hand.  An owned hit never leaves
+            # the node, so its effect does not depend on when it issues:
+            # SC retires it now, RC at the buffered issue time.
             line = addr - addr % self._line_bytes
             info = self._arrays
             word = line // self._line_bytes
             sindex = word % self._sec_nsets
             state = info[4][sindex] if info[3][sindex] == line else 0
+            if not state and self._sec_deep:
+                state = info[5].touch(line)
             rule = self._whit_rules.get(state)
-            if rule is not None:
-                if not self._whit_fills[state]:
-                    raise ProtocolTableError(
-                        "write-hit rule does not fill from cache: "
-                        f"{rule.describe()}"
-                    )
-                # MESI's silent upgrade: an E copy becomes M with no
-                # message (a no-op store for M itself).
-                info[4][sindex] = self._whit_next[state]
-                info[5].hits += 1
-                stats = self._stats
-                stats.writes_total += 1
-                stats.writes_line_present += 1
-                # Write-through primary: refresh the copy if present.
-                pindex = word % self._pri_nsets
-                if (info[0][pindex] == line and info[1][pindex]) or (
-                    self._pri_deep and info[2].touch(line)
-                ):
-                    info[1][pindex] = 1  # LineState.SHARED
-                writes = self._writes
-                writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-                hit = True
+            if rule is None:
+                if self.policy.write_stalls_processor:
+                    outcome = proto._write_probed(self.node, addr, line, state, now)
+                    return _MK_WRITE((outcome[1], 0, outcome[2]))
+                return self._write_buffered(addr, now, state)
+            if not self._whit_fills[state]:
+                raise ProtocolTableError(
+                    "write-hit rule does not fill from cache: "
+                    f"{rule.describe()}"
+                )
+            # MESI's silent upgrade: an E copy becomes M with no
+            # message (a no-op store for M itself).
+            info[4][sindex] = self._whit_next[state]
+            info[5].hits += 1
+            stats = self._stats
+            stats.writes_total += 1
+            stats.writes_line_present += 1
+            # Write-through primary: refresh the copy if present.
+            pindex = word % self._pri_nsets
+            if (info[0][pindex] == line and info[1][pindex]) or (
+                self._pri_deep and info[2].touch(line)
+            ):
+                info[1][pindex] = 1  # LineState.SHARED
+            writes = self._writes
+            writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
+            if self.policy.write_stalls_processor:
+                return _MK_WRITE((now + self._lat_wos, 0, _SECONDARY_HIT))
+            return self._write_buffered(addr, now, _OWNED_HIT)
         if self.policy.write_stalls_processor:
             # SC: the processor stalls until the write completes with
             # respect to all processors — ownership plus invalidation
             # acknowledgements when other copies existed.
-            if hit:
-                return _MK_WRITE((now + self._lat_wos, 0, _SECONDARY_HIT))
             if self._cached:
                 outcome = proto.write(self.node, addr, now)
             else:
                 outcome = proto.write_uncached(self.node, addr, now)
             return _MK_WRITE((outcome.complete, 0, outcome.access_class))
-        return self._write_buffered(addr, now, hit)
+        return self._write_buffered(addr, now, None)
 
-    def _write_buffered(self, addr: int, now: int, hit: bool) -> WriteResult:
-        """RC path: enqueue in the write buffer, drain eagerly.  ``hit``
-        is set when ``write``'s owned-write probe served the access."""
+    def _write_buffered(
+        self, addr: int, now: int, state: Optional[int]
+    ) -> WriteResult:
+        """RC path: enqueue in the write buffer, drain eagerly.  ``state``
+        is ``_OWNED_HIT`` when ``write``'s probe served the access, the
+        probed secondary state when it did not, and None when the probe
+        did not run."""
         full_stall = 0
         wb = self._wb_retires
         if len(wb) >= self._wb_depth:
@@ -411,13 +470,18 @@ class NodeMemoryInterface:
         if len(inflight) >= self._max_wb:
             issue = max(issue, inflight.popleft())
 
-        if hit:
+        line = addr - addr % self._line_bytes
+        if state == _OWNED_HIT:
             retire = complete = issue + self._lat_wos
             access_class = _SECONDARY_HIT
         else:
             # Buffered writes drain on the background resource chain:
             # DASH gives demand reads priority over the write buffer.
-            if self._cached:
+            if state is not None:
+                outcome = self.protocol._write_probed(
+                    self.node, addr, line, state, issue, background=True
+                )
+            elif self._cached:
                 outcome = self.protocol.write(
                     self.node, addr, issue, background=True
                 )
@@ -437,7 +501,6 @@ class NodeMemoryInterface:
             complete = retire
         if complete > now:
             self._wb_completions.append(complete)
-        line = addr - addr % self._line_bytes
         self._wb_lines[line] = retire
         if retire < self._next_expiry:
             self._next_expiry = retire
@@ -466,6 +529,8 @@ class NodeMemoryInterface:
     # -- prefetches -------------------------------------------------------------
 
     def prefetch(self, addr: int, exclusive: bool, now: int) -> PrefetchResult:
+        if now < self._demand_retire:
+            self._early_access("prefetch", now)
         if now >= self._next_expiry:
             self._expire(now)
         full_stall = 0

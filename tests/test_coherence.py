@@ -1,5 +1,7 @@
 """Unit tests for the directory coherence protocol."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,12 +26,14 @@ def make_protocol(
     cache_bytes=(2048, 4096),
     protocol="directory-msi",
     secondary_ways=1,
+    **changes,
 ):
     config = dash_scaled_config(
         num_processors=num_nodes,
         contention=ContentionConfig(enabled=contention),
         protocol=protocol,
         secondary_cache=CacheGeometry(size_bytes=cache_bytes[1], ways=secondary_ways),
+        **changes,
     )
     allocator = SharedMemoryAllocator(num_nodes, page_bytes=config.page_bytes)
     regions = [
@@ -132,6 +136,31 @@ class TestWritePath:
         assert out.retire - 10 == 82
         assert protocol.caches[1].secondary.probe(line) == LineState.INVALID
         assert protocol.directories[2].entry(line).owner == 0
+
+    @pytest.mark.parametrize(
+        "writer,home,access_class",
+        [
+            (0, 0, AccessClass.HOME),  # requester is the home
+            (0, 1, AccessClass.HOME),  # the owner is the home
+            (0, 2, AccessClass.REMOTE),  # three parties
+        ],
+    )
+    def test_transfer_class_with_equal_home_and_remote_latency(
+        self, writer, home, access_class
+    ):
+        # The class follows the transaction's shape, not its latency:
+        # a table may price a home and a remote transfer alike.
+        config = dash_scaled_config()
+        protocol, regions = make_protocol(
+            latency=dataclasses.replace(
+                config.latency, write_owned_home=64, write_owned_remote=64
+            )
+        )
+        addr = regions[home].addr(0)
+        protocol.write(1, addr, 0)  # dirty at node 1
+        out = protocol.write(writer, addr, 10)
+        assert out.access_class is access_class
+        assert out.retire - 10 >= 64
 
     def test_upgrade_from_shared(self):
         protocol, regions = make_protocol()

@@ -1,11 +1,13 @@
 """Unit tests for the node memory interface (write/prefetch buffers,
 MSHR combining, consistency behaviour)."""
 
+import pytest
+
 from repro.caches import LineState
 from repro.coherence import AccessClass
 from repro.config import Consistency, ContentionConfig, dash_scaled_config
 from repro.consistency import policy_for
-from repro.sim.engine import TIME_INFINITY
+from repro.sim.engine import TIME_INFINITY, SimulationError
 from repro.system import Machine
 
 
@@ -21,6 +23,14 @@ def make_machine(consistency=Consistency.RC, **changes):
         machine.allocator.alloc_local(f"r{i}", 8192, i) for i in range(4)
     ]
     return machine, regions
+
+
+def close_gate(machine, name):
+    """Pass-through instance wrapper on ``protocol.<name>``: the
+    mechanism that routes the memory interface's reads or prefetches
+    through the protocol's own entry point instead of its fused probe."""
+    original = getattr(machine.protocol, name)
+    setattr(machine.protocol, name, lambda *args: original(*args))
 
 
 class TestSCWrites:
@@ -137,8 +147,11 @@ class TestPrefetchPath:
 
 
 class TestMSHRCombining:
+    # Two demand reads of one node overlap only when another context
+    # runs while the first is outstanding: a single context blocks.
+
     def test_second_read_combines_with_first(self):
-        machine, regions = make_machine(Consistency.RC)
+        machine, regions = make_machine(Consistency.RC, contexts_per_processor=2)
         iface = machine.memifaces[0]
         addr = regions[1].addr(0)
         first = iface.read(addr, 0)
@@ -146,12 +159,42 @@ class TestMSHRCombining:
         assert second.ready == first.ready
 
     def test_mshr_expires_lazily(self):
-        machine, regions = make_machine(Consistency.RC)
+        machine, regions = make_machine(Consistency.RC, contexts_per_processor=2)
         iface = machine.memifaces[0]
         addr = regions[1].addr(0)
         iface.read(addr, 0)
         iface.read(regions[0].addr(0), 10_000)  # triggers expiry
         assert iface.mshr.lookup(iface.protocol.line_of(addr)) is None
+
+
+class TestSingleContextDemandMisses:
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "observer"])
+    def test_demand_miss_makes_no_mshr_entry(self, fused):
+        results = []
+        for contexts in (1, 2):
+            machine, regions = make_machine(
+                Consistency.SC, contexts_per_processor=contexts
+            )
+            if not fused:
+                close_gate(machine, "read")
+            iface = machine.memifaces[0]
+            results.append(iface.read(regions[1].addr(0), 0))
+            assert len(iface.mshr) == (0 if contexts == 1 else 1)
+        assert results[0] == results[1] == (72, AccessClass.HOME, False)
+
+    @pytest.mark.parametrize("kind", ["read", "prefetch"])
+    def test_access_before_the_miss_retires_raises(self, kind):
+        machine, regions = make_machine(Consistency.RC)
+        iface = machine.memifaces[0]
+        ready = iface.read(regions[1].addr(0), 0).ready
+        other = regions[2].addr(0)
+        with pytest.raises(SimulationError, match="before its single context"):
+            if kind == "read":
+                iface.read(other, ready - 1)
+            else:
+                iface.prefetch(other, False, ready - 1)
+        # From the retire time on, the node may issue again.
+        assert iface.read(other, ready).access_class is AccessClass.HOME
 
 
 class TestUncachedMode:
@@ -167,21 +210,13 @@ class TestUncachedMode:
         assert write.proceed == lat.write_owned_local - lat.uncached_discount
 
 
-def close_prefetch_gate(machine):
-    """Pass-through instance wrapper on ``protocol.prefetch``: the
-    mechanism that routes the memory interface's prefetches through
-    the classic protocol path instead of its fused discard."""
-    original = machine.protocol.prefetch
-    machine.protocol.prefetch = lambda *args: original(*args)
-
-
 class TestMESIPrefetchDiscard:
     """Fused and classic prefetch paths agree on every MESI outcome."""
 
     def _prefetch_counters(self, setup, exclusive, fused):
         machine, regions = make_machine(Consistency.RC, protocol="mesi")
         if not fused:
-            close_prefetch_gate(machine)
+            close_gate(machine, "prefetch")
         addr = regions[0].addr(0)
         line = machine.protocol.line_of(addr)
         expected_state = setup(machine, addr)
@@ -261,8 +296,12 @@ class TestWatermarks:
         assert iface.consume_fill_stalls(2000) == 0
 
     def test_expire_leaves_exact_expiry_watermark(self):
+        # Two contexts, so the overlapping demand misses are tracked.
         machine, regions = make_machine(
-            Consistency.RC, write_buffer_depth=4, max_outstanding_writes=2
+            Consistency.RC,
+            write_buffer_depth=4,
+            max_outstanding_writes=2,
+            contexts_per_processor=2,
         )
         iface = machine.memifaces[0]
         # A mix of buffered writes (local and remote, with a sharer to
@@ -286,7 +325,7 @@ class TestWatermarks:
             assert iface._next_expiry == min(survivors, default=TIME_INFINITY)
 
     def test_mshr_waiters_fire_in_insertion_order(self):
-        machine, regions = make_machine(Consistency.RC)
+        machine, regions = make_machine(Consistency.RC, contexts_per_processor=2)
         iface = machine.memifaces[0]
         remote = regions[1].addr(0)
         local = regions[0].addr(0)

@@ -324,3 +324,25 @@ class TestTermination:
 
         with pytest.raises(ValueError):
             run_threads([body])
+
+
+class TestProbeGates:
+    """The inline probes are decided once, when the processor primes;
+    an observer wrapped in later would be bypassed, so the run fails."""
+
+    def test_wrapper_installed_mid_run_is_rejected(self):
+        from repro.experiments import SMOKE_PROCESSES, build_app
+        from repro.sim.engine import SimulationError
+
+        machine = Machine(dash_scaled_config(num_processors=SMOKE_PROCESSES))
+        machine.load(build_app("MP3D", "smoke"))
+        protocol = machine.protocol
+
+        def install(engine):
+            if "read" not in vars(protocol):
+                original = protocol.read
+                protocol.read = lambda *args: original(*args)
+
+        machine.engine.set_heartbeat(install, every=1000)
+        with pytest.raises(SimulationError, match="changed mid-run"):
+            machine.run()
