@@ -20,10 +20,11 @@ transaction is followed by invariant checks over the state it touched:
 
 Violations raise :class:`~repro.sim.engine.SimulationError` carrying a
 trace of the most recent transactions so the offending sequence can be
-reconstructed.  Instrumentation is installed by rebinding *instance*
-attributes on the protocol and memory interfaces — a machine without the
-sanitizer runs the original bound methods with zero added work, which is
-what keeps the default configuration's performance unchanged.
+reconstructed.  Instrumentation is installed through
+:meth:`~repro.system.machine.Machine.interpose` on the protocol's and
+memory interfaces' entry points — a machine without the sanitizer runs
+the original bound methods and fused paths with zero added work, which
+is what keeps the default configuration's performance unchanged.
 
 Enable via ``MachineConfig(sanitize=True)`` or construct directly::
 
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Optional
 
 from repro.caches import LineState
-from repro.coherence import AccessOutcome
+from repro.coherence import AccessOutcome, CoherenceProtocol
 from repro.coherence.directory import DirState
 from repro.sim.engine import SimulationError
 
@@ -93,75 +95,43 @@ class CoherenceSanitizer:
         self.protocol = machine.protocol
         self.trace = TransitionTrace(trace_depth)
         self.checks_performed = 0
-        self._installed = False
-        self._saved = []
 
     # -- instrumentation ------------------------------------------------------
 
     def install(self) -> "CoherenceSanitizer":
         """Wrap the protocol's and memory interfaces' entry points."""
-        if self._installed:
-            return self
-        protocol = self.protocol
-        self._wrap_protocol(protocol, "read", "read")
-        self._wrap_protocol(protocol, "write", "write")
-        self._wrap_protocol(protocol, "read_uncached", "read_uncached")
-        self._wrap_protocol(protocol, "write_uncached", "write_uncached")
-        self._wrap_prefetch(protocol)
-        for iface in self.machine.memifaces:
-            self._wrap_iface(iface)
-        self._installed = True
+        machine = self.machine
+        for name in CoherenceProtocol.ENTRY_POINTS:
+            machine.interpose(self.protocol, name, partial(self._checked, name))
+        for iface in machine.memifaces:
+            for name in ("read", "write", "prefetch"):
+                machine.interpose(iface, name, partial(self._buffers_checked, iface))
         return self
 
-    def uninstall(self) -> None:
-        """Restore the original bound methods."""
-        for obj, name in self._saved:
-            try:
-                delattr(obj, name)
-            except AttributeError:
-                pass
-        self._saved.clear()
-        self._installed = False
+    def _checked(self, name: str, original):
+        """``original`` followed by the transition record and the line
+        check.  Every entry point takes ``(node, addr, ..., time)``;
+        prefetch's extra argument is ``exclusive``."""
+        protocol = self.protocol
 
-    def _wrap_protocol(self, protocol, name: str, kind: str) -> None:
-        original = getattr(protocol, name)
-        sanitizer = self
-
-        def wrapper(node, addr, time, **kwargs):
-            outcome = original(node, addr, time, **kwargs)
-            sanitizer._record(time, node, kind, addr, outcome)
-            sanitizer.check_line(protocol.line_of(addr))
+        def wrapper(node, addr, *args, **kwargs):
+            outcome = original(node, addr, *args, **kwargs)
+            kind = name
+            if name == "prefetch" and args[0]:
+                kind = "prefetch-excl"
+            self._record(args[-1], node, kind, addr, outcome)
+            self.check_line(protocol.line_of(addr))
             return outcome
 
-        setattr(protocol, name, wrapper)
-        self._saved.append((protocol, name))
+        return wrapper
 
-    def _wrap_prefetch(self, protocol) -> None:
-        original = protocol.prefetch
-        sanitizer = self
+    def _buffers_checked(self, iface, original):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            self.check_buffers(iface)
+            return result
 
-        def wrapper(node, addr, exclusive, time):
-            outcome = original(node, addr, exclusive, time)
-            kind = "prefetch-excl" if exclusive else "prefetch"
-            sanitizer._record(time, node, kind, addr, outcome)
-            sanitizer.check_line(protocol.line_of(addr))
-            return outcome
-
-        protocol.prefetch = wrapper
-        self._saved.append((protocol, "prefetch"))
-
-    def _wrap_iface(self, iface) -> None:
-        sanitizer = self
-        for name in ("read", "write", "prefetch"):
-            original = getattr(iface, name)
-
-            def wrapper(*args, _original=original, _iface=iface, **kwargs):
-                result = _original(*args, **kwargs)
-                sanitizer.check_buffers(_iface)
-                return result
-
-            setattr(iface, name, wrapper)
-            self._saved.append((iface, name))
+        return wrapper
 
     def _record(
         self, time: int, node: int, kind: str, addr: int,

@@ -223,22 +223,25 @@ def _run_one(
         node: [] for node in range(test.num_threads)
     }
     writes_by_addr: Dict[int, List[int]] = {}
-    protocol = machine.protocol
-    original_read = protocol.read
-    original_write = protocol.write
 
-    def recording_read(node, addr, time):
-        outcome = original_read(node, addr, time)
-        reads_by_node[node].append((addr, time))
-        return outcome
+    def recording_read(original):
+        def read(node, addr, time):
+            outcome = original(node, addr, time)
+            reads_by_node[node].append((addr, time))
+            return outcome
 
-    def recording_write(node, addr, time, background=False):
-        outcome = original_write(node, addr, time, background=background)
-        writes_by_addr.setdefault(addr, []).append(outcome.retire)
-        return outcome
+        return read
 
-    protocol.read = recording_read
-    protocol.write = recording_write
+    def recording_write(original):
+        def write(node, addr, time, background=False):
+            outcome = original(node, addr, time, background=background)
+            writes_by_addr.setdefault(addr, []).append(outcome.retire)
+            return outcome
+
+        return write
+
+    machine.interpose(machine.protocol, "read", recording_read)
+    machine.interpose(machine.protocol, "write", recording_write)
 
     machine.load(program)
     machine.run()

@@ -827,27 +827,26 @@ def _read_forwarding_unissued(self: Any, addr: int, now: int) -> Any:
     return NodeMemoryInterface.read(self, addr, now)
 
 
+#: Mutation name -> (memory-interface entry point, buggy replacement).
+_MUTATIONS = {
+    "drop-inval-ack": ("write", _write_dropping_acks),
+    "release-overtakes-writes": ("release_point", _release_point_overtaking),
+    "forward-unissued-write": ("read", _read_forwarding_unissued),
+}
+
+
 def apply_mutation(machine: Any, name: str) -> None:
-    """Install one intentionally-buggy behaviour on a built machine
-    (instance rebinding, same technique as the fault injector)."""
-    if name == "drop-inval-ack":
-        for iface in machine.memifaces:
-            setattr(iface, "write", types.MethodType(_write_dropping_acks, iface))
-    elif name == "release-overtakes-writes":
-        for iface in machine.memifaces:
-            setattr(
-                iface, "release_point",
-                types.MethodType(_release_point_overtaking, iface),
-            )
-    elif name == "forward-unissued-write":
-        for iface in machine.memifaces:
-            setattr(
-                iface, "read",
-                types.MethodType(_read_forwarding_unissued, iface),
-            )
-    else:
+    """Install one intentionally-buggy behaviour on a built machine,
+    through ``Machine.interpose`` like every other observer."""
+    if name not in _MUTATIONS:
         raise ValueError(
             f"unknown mutation {name!r}; expected one of {MUTATION_NAMES}"
+        )
+    entry_point, buggy = _MUTATIONS[name]
+    for iface in machine.memifaces:
+        machine.interpose(
+            iface, entry_point,
+            lambda _current, iface=iface: types.MethodType(buggy, iface),
         )
 
 

@@ -697,7 +697,8 @@ CHECKS: Tuple[Check, ...] = (
                       "(SWMR, data values, directory precision, no stuck states) "
                       "over the --mc-* bounds, printing a minimal counterexample "
                       "trace on violation"),
-              _flag("--mc-mutate", role="mutate", choices=MC_MUTATIONS, default=None,
+              _flag("--mc-mutate", selects=True, role="mutate", choices=MC_MUTATIONS,
+                    default=None,
                     help="model-check a deliberately broken protocol variant (demo: "
                          "each mutation yields a minimal counterexample trace)"),
               _flag("--mc-fingerprint", role="fingerprint", default=None, metavar="PATH",

@@ -172,13 +172,17 @@ class NodeCaches:  # srclint: ok(missing-slots) — dataclass defaults clash wit
     secondary: DirectMappedCache
 
 
-class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layers rebind instance methods
+class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose installs observers as instance attributes
     """Transaction engine over the directories, caches, and interconnect.
 
     The protocol *state machine* is the declarative
     :attr:`table`; this class sequences the rule actions and charges
     the latencies.
     """
+
+    #: Transaction entry points an observer may wrap through
+    #: :meth:`~repro.system.machine.Machine.interpose`.
+    ENTRY_POINTS = ("read", "write", "prefetch", "read_uncached", "write_uncached")
 
     def __init__(
         self,

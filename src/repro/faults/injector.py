@@ -1,12 +1,13 @@
 """Fault injection at the interconnect/coherence-protocol boundary.
 
 :class:`FaultInjector` instruments a built
-:class:`~repro.system.machine.Machine` the same way the PR-1 coherence
-sanitizer does — by rebinding *instance* attributes over the protocol's
-transaction entry points (``read``, ``write``, ``prefetch``,
-``read_uncached``, ``write_uncached``).  A machine whose fault plan is
-empty never installs the injector at all, so the fault-free fast path
-stays bit-identical to a machine without the fault layer.
+:class:`~repro.system.machine.Machine` the same way the coherence
+sanitizer does — through :meth:`~repro.system.machine.Machine.interpose`
+over the protocol's transaction entry points (``read``, ``write``,
+``prefetch``, ``read_uncached``, ``write_uncached``).  A machine whose
+fault plan is empty never installs the injector at all, so the
+fault-free fast path stays bit-identical to a machine without the fault
+layer.
 
 For every access that would actually put a message on the network
 (:meth:`~repro.coherence.protocol.CoherenceProtocol.crosses_node_boundary`),
@@ -36,9 +37,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
-from repro.coherence import AccessOutcome
+from repro.coherence import AccessOutcome, CoherenceProtocol
 from repro.faults.plan import FaultPlan
 from repro.sim.engine import SimulationError
 
@@ -108,7 +110,6 @@ class FaultInjector:
         # One deterministic stream per (plan, machine seed): the call
         # sequence is deterministic, so the injected faults are too.
         self._rng = random.Random(plan.seed * 1_000_003 + seed_mix)
-        self._installed = False
 
     # -- instrumentation ----------------------------------------------------
 
@@ -119,44 +120,25 @@ class FaultInjector:
         sanitizer checks the real, single protocol transaction and the
         injector only shifts its issue time and response latency.
         """
-        if self._installed:
-            return self
-        protocol = self.protocol
-        for kind in ("read", "write", "read_uncached", "write_uncached"):
-            self._wrap(protocol, kind)
-        self._wrap_prefetch(protocol)
-        self._installed = True
+        for kind in CoherenceProtocol.ENTRY_POINTS:
+            self.machine.interpose(self.protocol, kind, partial(self._wrap, kind))
         return self
 
-    def _wrap(self, protocol, kind: str) -> None:
-        original = getattr(protocol, kind)
-        injector = self
+    def _wrap(self, kind: str, original):
+        """Every entry point takes ``(node, addr, ..., time)``;
+        prefetch's extra argument is ``exclusive``."""
+        protocol = self.protocol
 
-        def wrapper(node, addr, time, **kwargs):
-            if not protocol.crosses_node_boundary(kind, node, addr):
-                return original(node, addr, time, **kwargs)
-            return injector._faulted(
+        def wrapper(node, addr, *args, **kwargs):
+            *extra, time = args
+            if not protocol.crosses_node_boundary(kind, node, addr, *extra):
+                return original(node, addr, *args, **kwargs)
+            return self._faulted(
                 kind, node, addr, time,
-                lambda t: original(node, addr, t, **kwargs),
+                lambda t: original(node, addr, *extra, t, **kwargs),
             )
 
-        setattr(protocol, kind, wrapper)
-
-    def _wrap_prefetch(self, protocol) -> None:
-        original = protocol.prefetch
-        injector = self
-
-        def wrapper(node, addr, exclusive, time):
-            if not protocol.crosses_node_boundary(
-                "prefetch", node, addr, exclusive=exclusive
-            ):
-                return original(node, addr, exclusive, time)
-            return injector._faulted(
-                "prefetch", node, addr, time,
-                lambda t: original(node, addr, exclusive, t),
-            )
-
-        protocol.prefetch = wrapper
+        return wrapper
 
     # -- the fault path ------------------------------------------------------
 

@@ -105,7 +105,6 @@ class Processor:
         "_parked",
         "_loop_cb",
         "_hot",
-        "_primed_on",
         "_switch_cycles",
         "_switch_threshold",
         "_multi",
@@ -166,9 +165,6 @@ class Processor:
         #: install); one slot load + unpack per ``_loop`` entry instead
         #: of a dozen attribute reads.
         self._hot = None
-        #: Wrapped entry points the inline probes were decided on
-        #: (``memiface.wrapped_entry_points()`` at :meth:`_prime`).
-        self._primed_on = None
 
         self._switch_cycles = config.context_switch_cycles
         self._switch_threshold = config.switch_min_stall_cycles
@@ -222,30 +218,19 @@ class Processor:
         Every entry is stable for the whole run: the aliased containers
         (contexts, packed cycle counters, run lengths) are mutated in
         place and never rebound, and the scalars come from the frozen
-        config.  The inline probes are decided here, once: the read
-        probe is live only when the fused path's trace gates pass (see
-        ``memiface.read``) and neither ``read`` entry point is wrapped,
-        the SC write probe only on top of that and with neither
-        ``write`` entry point wrapped.  Observers — the sanitizer, the
-        litmus recorder, the fault injector, the ``tracecheck``
-        mutations, traces — all install before ``Machine.run`` starts
-        the processors; ``Machine.run`` compares the wrapped entry
-        points recorded here with those at the end of the run and
-        raises if an observer installed mid-run, which the probes would
-        otherwise have bypassed.  A dead probe leaves ``None`` tags, so
-        the loop tests one local per access.
+        config.  The inline probes are decided here, once: both are
+        live only while the memory interface's ``_fused`` flag is set
+        (no observer installed through ``Machine.interpose``, no
+        memory-event trace), and the SC write probe only on top of
+        that.  ``Machine.interpose`` refuses to install once the run
+        has started, so the flag cannot change under the probes.  A
+        dead probe leaves ``None`` tags, so the loop tests one local
+        per access.
         """
         memiface = self.memiface
-        self._primed_on = wrapped = memiface.wrapped_entry_points()
         probe = (None, None, None, None, 0, 0, 0)
         wprobe = (None, None, None, None, None, 0, 0)
-        if (
-            self.trace is None
-            and memiface.trace is None
-            and memiface.protocol.trace is None
-            and "read" not in wrapped[0]
-            and "read" not in wrapped[1]
-        ):
+        if memiface._fused:
             arrays = memiface._arrays
             probe = (
                 arrays[0],
@@ -260,8 +245,6 @@ class Processor:
                 memiface.policy.write_stalls_processor
                 and memiface.protocol._write_hit_inline_ok
                 and not memiface._pri_deep
-                and "write" not in wrapped[0]
-                and "write" not in wrapped[1]
             ):
                 # SC write probe: a DIRTY secondary line is an owned
                 # write hit that never leaves the node, so it can be

@@ -102,6 +102,11 @@ class Machine:
             for i in range(config.num_processors)
         ]
         self._program: Optional[Program] = None
+        #: ``(id(target), name) -> method`` for every entry point
+        #: installed by :meth:`interpose`; the run-time guard accepts no
+        #: other instance attribute.
+        self._interposed: dict = {}
+        self._started = False
 
         # Invariant sanitizer (off by default): imported lazily so the
         # analysis package stays entirely out of ordinary runs.
@@ -112,8 +117,9 @@ class Machine:
             self.sanitizer = CoherenceSanitizer(self).install()
 
         # Fault injection (off by default, and an empty plan installs
-        # nothing): installed after the sanitizer so the sanitizer sees
-        # the single real protocol transaction of each retried access.
+        # nothing): installed after the sanitizer, so ``interpose`` nests
+        # it outside and the sanitizer sees the single real protocol
+        # transaction of each retried access.
         self.fault_injector = None
         if config.fault_plan is not None and not config.fault_plan.is_empty:
             from repro.faults.injector import FaultInjector
@@ -135,8 +141,57 @@ class Machine:
             self.protocol.trace = self.trace
             for iface in self.memifaces:
                 iface.trace = self.trace
+                iface._fused = False  # the fused paths skip the hooks
             for processor in self.processors:
                 processor.trace = self.trace
+
+    # -- observers ------------------------------------------------------------
+
+    def interpose(self, target, name: str, wrap):
+        """Replace ``target.<name>`` with ``wrap(current)`` and return it.
+
+        The one way an observer (the sanitizer, the fault injector, the
+        litmus recorder, the ``tracecheck`` mutations) hooks a
+        transaction: ``target`` is :attr:`protocol` or one of
+        :attr:`memifaces`, ``name`` one of its ``ENTRY_POINTS``.  Wrappers
+        nest in install order — each ``wrap`` receives the entry point
+        as the earlier ones left it — and any installation closes the
+        fused fast paths of every node, so each access reaches the
+        wrapped entry points.  Installing once :meth:`run` has started
+        raises: the fast paths are decided when the run starts.
+        """
+        if self._started:
+            raise SimulationError(
+                f"Machine.interpose({name!r}) after Machine.run started: "
+                "the fused paths were decided at the start of the run"
+            )
+        targets = (self.protocol, *self.memifaces)
+        if not any(target is t for t in targets) or name not in target.ENTRY_POINTS:
+            raise ValueError(
+                f"{type(target).__name__}.{name} is not an entry point "
+                "Machine.interpose can replace"
+            )
+        method = wrap(getattr(target, name))
+        setattr(target, name, method)
+        self._interposed[id(target), name] = method
+        for iface in self.memifaces:
+            iface._fused = False
+        return method
+
+    def _check_entry_points(self, when: str) -> None:
+        """Raise if the protocol or a memory interface holds an entry
+        point that :meth:`interpose` did not install: the fused paths
+        would bypass it silently."""
+        for target in (self.protocol, *self.memifaces):
+            attrs = vars(target)
+            for name in target.ENTRY_POINTS:
+                if attrs.get(name) is not self._interposed.get((id(target), name)):
+                    raise SimulationError(
+                        f"{type(target).__name__}.{name} {when} outside "
+                        "Machine.interpose, so the fused paths would "
+                        "bypass it — install observers through "
+                        "Machine.interpose before Machine.run"
+                    )
 
     # -- loading --------------------------------------------------------------
 
@@ -174,6 +229,8 @@ class Machine:
         """
         if self._program is None:
             raise RuntimeError("no program loaded")
+        self._check_entry_points("was replaced")
+        self._started = True
         for processor in self.processors:
             processor.start()
         if watchdog is not None:
@@ -192,20 +249,7 @@ class Machine:
             if watchdog is not None:
                 watchdog.detach(self.engine)
 
-        # The processors decided their inline probes once, on the entry
-        # points wrapped when they primed; a wrapper installed (or
-        # removed) later was bypassed by those probes for part of the
-        # run, so the run is rejected rather than silently misobserved.
-        for processor in self.processors:
-            primed_on = processor._primed_on
-            now = processor.memiface.wrapped_entry_points()
-            if primed_on is not None and primed_on != now:
-                raise SimulationError(
-                    f"node {processor.node_id}: wrapped entry points "
-                    f"changed mid-run (interface, protocol): primed on "
-                    f"{primed_on}, ended with {now} — install observers "
-                    "before Machine.run"
-                )
+        self._check_entry_points("changed mid-run")
         unfinished = [p.node_id for p in self.processors if not p.finished]
         if unfinished:
             raise DeadlockError(

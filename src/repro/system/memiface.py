@@ -47,10 +47,6 @@ _NEVER = TIME_INFINITY
 #: already served (a raw secondary state is never negative).
 _OWNED_HIT = -1
 
-#: Entry points an observer may rebind on a memory interface or on the
-#: protocol instance; either closes the fast paths that bypass them.
-_ENTRY_POINTS = ("read", "write", "prefetch")
-
 
 class ReadResult(NamedTuple):
     ready: int
@@ -84,6 +80,10 @@ _MK_PREFETCH = partial(tuple.__new__, PrefetchResult)
 
 class NodeMemoryInterface:
     """One node's processor-side memory port."""
+
+    #: Entry points an observer may wrap through
+    #: :meth:`~repro.system.machine.Machine.interpose`.
+    ENTRY_POINTS = ("read", "write", "prefetch", "release_point")
 
     def __init__(
         self,
@@ -154,15 +154,14 @@ class NodeMemoryInterface:
         # hit and discard checks run inline here — identical counters
         # and latencies, minus the protocol's call frames — and their
         # misses go straight to the protocol's post-probe helpers
-        # (``_read_fill``, ``_write_probed``).  The per-call gates
-        # disable a probe the moment anything wraps
-        # ``protocol.read``/``write``/``prefetch`` (the sanitizer, the
-        # litmus recorder, and the fault injector all install instance
-        # attributes) or installs a memory-event trace, so every
-        # observer sees the protocol's own entry points.  The aliased
-        # containers (``_node_arrays``, the stats dicts) are mutated in
-        # place and never rebound.
-        self._pdict = protocol.__dict__
+        # (``_read_fill``, ``_write_probed``).  ``_fused`` gates them
+        # all, and the processor's inline probes with them: the machine
+        # clears it on every node when an observer installs through
+        # ``Machine.interpose`` or a memory-event trace is installed, so
+        # every observer sees the protocol's own entry points.  The
+        # aliased containers (``_node_arrays``, the stats dicts) are
+        # mutated in place and never rebound.
+        self._fused = True
         self._arrays = protocol._node_arrays[node]
         self._pri_nsets = protocol._pri_nsets
         self._sec_nsets = protocol._sec_nsets
@@ -299,11 +298,7 @@ class NodeMemoryInterface:
             return _MK_READ((outcome.retire, outcome.access_class, False))
 
         proto = self.protocol
-        if (
-            self.trace is None
-            and proto.trace is None
-            and "read" not in self._pdict
-        ):
+        if self._fused:
             # Fused packed probe — bit-identical to protocol.read (same
             # counter bumps, same latencies, same table-sanity raise);
             # see the gate comment in __init__.
@@ -369,28 +364,13 @@ class NodeMemoryInterface:
             f"context's demand miss retires at t={self._demand_retire}"
         )
 
-    def wrapped_entry_points(self) -> tuple:
-        """``(interface names, protocol names)``: the entry points an
-        observer has rebound on this interface's or the protocol's
-        instance.  The processor's inline probes are decided on this
-        once per run; ``Machine.run`` compares it again at the end."""
-        return (
-            tuple(name for name in _ENTRY_POINTS if name in self.__dict__),
-            tuple(name for name in _ENTRY_POINTS if name in self._pdict),
-        )
-
     # -- writes --------------------------------------------------------------
 
     def write(self, addr: int, now: int) -> WriteResult:
         if now >= self._next_expiry:
             self._expire(now)
         proto = self.protocol
-        if (
-            self._cached
-            and self.trace is None
-            and proto.trace is None
-            and "write" not in self._pdict
-        ):
+        if self._cached and self._fused:
             # Fused write probe, serving SC and RC alike: the secondary
             # state as ``protocol.write`` probes it (a deeper-plane copy
             # moves to plane 0, as on the read path).  An owned hit (M,
@@ -562,7 +542,7 @@ class NodeMemoryInterface:
             self._next_expiry = issue
 
         proto = self.protocol
-        if proto.trace is None and "prefetch" not in self._pdict:
+        if self._fused:
             # Fused discard — protocol.prefetch's own test on the packed
             # secondary state: a line present in a write-hit state, or
             # present at all for a shared prefetch, is already

@@ -419,20 +419,22 @@ class TestCoherenceSanitizer:
         machine = _sanitized_machine()
         machine.load(_sharing_program())
         protocol = machine.protocol
-        wrapped_write = protocol.write
         count = [0]
 
-        def corrupting_write(node, addr, time, **kwargs):
-            outcome = wrapped_write(node, addr, time, **kwargs)
-            count[0] += 1
-            if count[0] == 10:
-                line = protocol.line_of(addr)
-                home = protocol.home_of(line)
-                entry = protocol.directories[home].entry(line)
-                entry.state = DirState.SHARED  # really dirty at owner
-            return outcome
+        def corrupting_write(wrapped_write):
+            def write(node, addr, time, **kwargs):
+                outcome = wrapped_write(node, addr, time, **kwargs)
+                count[0] += 1
+                if count[0] == 10:
+                    line = protocol.line_of(addr)
+                    home = protocol.home_of(line)
+                    entry = protocol.directories[home].entry(line)
+                    entry.state = DirState.SHARED  # really dirty at owner
+                return outcome
 
-        protocol.write = corrupting_write
+            return write
+
+        machine.interpose(protocol, "write", corrupting_write)
         with pytest.raises(SimulationError) as excinfo:
             machine.run()
         message = str(excinfo.value)
@@ -447,22 +449,24 @@ class TestCoherenceSanitizer:
         machine = _sanitized_machine()
         machine.load(_sharing_program())
         protocol = machine.protocol
-        wrapped_write = protocol.write
         count = [0]
 
-        def corrupting_write(node, addr, time, **kwargs):
-            outcome = wrapped_write(node, addr, time, **kwargs)
-            count[0] += 1
-            if count[0] == 10:
-                # Force a second dirty copy into another node's cache.
-                line = protocol.line_of(addr)
-                other = (node + 1) % len(protocol.caches)
-                protocol.caches[other].secondary.insert(
-                    line, LineState.DIRTY
-                )
-            return outcome
+        def corrupting_write(wrapped_write):
+            def write(node, addr, time, **kwargs):
+                outcome = wrapped_write(node, addr, time, **kwargs)
+                count[0] += 1
+                if count[0] == 10:
+                    # Force a second dirty copy into another node's cache.
+                    line = protocol.line_of(addr)
+                    other = (node + 1) % len(protocol.caches)
+                    protocol.caches[other].secondary.insert(
+                        line, LineState.DIRTY
+                    )
+                return outcome
 
-        protocol.write = corrupting_write
+            return write
+
+        machine.interpose(protocol, "write", corrupting_write)
         with pytest.raises(SimulationError, match="SWMR|imprecise"):
             machine.run()
 
@@ -506,14 +510,6 @@ class TestCoherenceSanitizer:
         corrupt(iface)
         with pytest.raises(SimulationError, match=message):
             machine.sanitizer.check_buffers(iface)
-
-    def test_uninstall_restores_methods(self):
-        machine = _sanitized_machine(num_processors=2)
-        wrapped = machine.protocol.read
-        machine.sanitizer.uninstall()
-        assert machine.protocol.read is not wrapped
-        machine.load(_sharing_program(iterations=4))
-        machine.run()  # runs clean without instrumentation
 
     def test_sanitized_and_plain_runs_agree_on_timing(self):
         plain = Machine(dash_scaled_config(num_processors=4))

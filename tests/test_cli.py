@@ -487,6 +487,7 @@ _DOCUMENTED_INVOCATIONS = [
     ("--model-check --mc-caches 3", ("model",)),
     ("--model-check --mc-fingerprint .ci-cache/model.fingerprint", ("model",)),
     ("--model-check --mc-mutate skip-invalidation", ("model",)),
+    ("--mc-mutate skip-invalidation", ("model",)),
     ("--proto-lint", ("protolint",)),
     ("--proto-lint --proto-fingerprint .ci-cache/proto.fingerprint",
      ("protolint",)),

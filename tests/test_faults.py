@@ -121,6 +121,41 @@ def test_seeded_faults_complete_and_pass_sanitizer(app):
     assert sum(d.nacks_sent for d in machine.directories) == stats.nacks_injected
 
 
+def test_sanitizer_sits_inside_the_fault_injector():
+    """The sanitizer installs first, so it records every transaction
+    with the protocol's own retire time; the injector's response delays
+    are added outside it, on the way back to the memory interface."""
+    from repro.analysis.invariants import TransitionTrace
+
+    plan = FaultPlan(seed=2, delay_rate=0.5)
+    machine = Machine(smoke_config(sanitize=True, fault_plan=plan))
+    machine.sanitizer.trace = TransitionTrace(depth=10**6)
+    returned = []
+
+    def outermost(original):
+        def wrapper(*args, **kwargs):
+            outcome = original(*args, **kwargs)
+            if outcome is not None:
+                returned.append(outcome.retire)
+            return outcome
+
+        return wrapper
+
+    for name in machine.protocol.ENTRY_POINTS:
+        machine.interpose(machine.protocol, name, outermost)
+    machine.load(smoke_program("LU"))
+    result = machine.run()
+
+    recorded = [
+        t.retire for t in machine.sanitizer.trace._entries
+        if not t.kind.endswith("-drop")
+    ]
+    assert len(recorded) == len(returned)
+    held = [out - seen for out, seen in zip(returned, recorded)]
+    assert min(held) == 0
+    assert sum(held) == result.faults.delay_cycles > 0
+
+
 def test_fault_schedule_is_reproducible_and_seed_sensitive():
     a = run_smoke("LU", fault_plan=FaultPlan.smoke(seed=5))
     b = run_smoke("LU", fault_plan=FaultPlan.smoke(seed=5))

@@ -2,17 +2,19 @@
 
 The memory interface and the processor loop serve read hits, owned
 write hits and prefetch discards inline, probing the packed cache
-arrays.  Installing a pass-through instance wrapper on
-``protocol.read``/``write``/``prefetch`` closes every one of those gates
-(the same mechanism the sanitizer, the litmus recorder and the fault
-injector rely on) and routes each access through the protocol's own
-entry points, so each configuration here runs twice — fused and classic
-(gates closed) — and must produce identical canonical results and
-identical protocol counters.  The associative legs cover the probes'
-fallback from plane 0 to the deeper planes.
+arrays.  Installing a pass-through wrapper on
+``protocol.read``/``write``/``prefetch`` through ``Machine.interpose``
+closes every one of those gates (the same mechanism the sanitizer, the
+litmus recorder and the fault injector rely on) and routes each access
+through the protocol's own entry points, so each configuration here
+runs twice — fused and classic (gates closed) — and must produce
+identical canonical results and identical protocol counters.  The
+associative legs cover the probes' fallback from plane 0 to the deeper
+planes.
 """
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -42,19 +44,20 @@ IFACE_COUNTERS = (
 
 
 def close_fused_gates(machine) -> dict:
-    """Wrap the protocol's transaction entry points on the instance;
-    returns per-entry-point call counts."""
-    protocol = machine.protocol
+    """Interpose counting pass-throughs on the protocol's transaction
+    entry points; returns per-entry-point call counts."""
     calls = {}
+
+    def passthrough(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
     for name in ("read", "write", "prefetch"):
-        original = getattr(protocol, name)
         calls[name] = 0
-
-        def passthrough(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        setattr(protocol, name, passthrough)
+        machine.interpose(machine.protocol, name, partial(passthrough, name))
     return calls
 
 

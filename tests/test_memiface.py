@@ -26,11 +26,13 @@ def make_machine(consistency=Consistency.RC, **changes):
 
 
 def close_gate(machine, name):
-    """Pass-through instance wrapper on ``protocol.<name>``: the
-    mechanism that routes the memory interface's reads or prefetches
-    through the protocol's own entry point instead of its fused probe."""
-    original = getattr(machine.protocol, name)
-    setattr(machine.protocol, name, lambda *args: original(*args))
+    """Pass-through wrapper on ``protocol.<name>``, installed through
+    ``Machine.interpose``: routes the memory interface's accesses
+    through the protocol's own entry points instead of its fused
+    probes."""
+    machine.interpose(
+        machine.protocol, name, lambda original: lambda *args: original(*args)
+    )
 
 
 class TestSCWrites:

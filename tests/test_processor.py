@@ -328,7 +328,8 @@ class TestTermination:
 
 class TestProbeGates:
     """The inline probes are decided once, when the processor primes;
-    an observer wrapped in later would be bypassed, so the run fails."""
+    observers install through ``Machine.interpose`` before the run, and
+    any other way of replacing an entry point fails the run."""
 
     def test_wrapper_installed_mid_run_is_rejected(self):
         from repro.experiments import SMOKE_PROCESSES, build_app
@@ -346,3 +347,50 @@ class TestProbeGates:
         machine.engine.set_heartbeat(install, every=1000)
         with pytest.raises(SimulationError, match="changed mid-run"):
             machine.run()
+
+    def test_interpose_mid_run_raises_immediately(self):
+        from repro.experiments import SMOKE_PROCESSES, build_app
+        from repro.sim.engine import SimulationError
+
+        machine = Machine(dash_scaled_config(num_processors=SMOKE_PROCESSES))
+        machine.load(build_app("MP3D", "smoke"))
+        heartbeats = []
+
+        def install(engine):
+            heartbeats.append(engine.events_processed)
+            machine.interpose(machine.protocol, "read", lambda original: original)
+
+        machine.engine.set_heartbeat(install, every=1000)
+        with pytest.raises(SimulationError, match="after Machine.run started"):
+            machine.run()
+        # The first attempt aborted the run and installed nothing.
+        assert heartbeats == [1000]
+        assert not machine._interposed
+
+    def test_unknown_entry_point_is_rejected(self):
+        machine = Machine(dash_scaled_config(num_processors=2))
+        for target, name in [
+            (machine.protocol, "_read_fill"),
+            (machine.memifaces[0], "read_uncached"),
+            (machine.processors[0], "read"),
+        ]:
+            with pytest.raises(ValueError, match="not an entry point"):
+                machine.interpose(target, name, lambda original: original)
+
+    @pytest.mark.parametrize(
+        "target,name", [("protocol", "read"), ("memiface", "release_point")]
+    )
+    def test_direct_rebind_before_run_is_rejected(self, target, name):
+        from repro.experiments import SMOKE_PROCESSES, build_app
+        from repro.sim.engine import SimulationError
+
+        machine = Machine(dash_scaled_config(num_processors=SMOKE_PROCESSES))
+        machine.load(build_app("MP3D", "smoke"))
+        obj = machine.protocol if target == "protocol" else machine.memifaces[1]
+        original = getattr(obj, name)
+        setattr(obj, name, lambda *args: original(*args))
+        with pytest.raises(
+            SimulationError, match="was replaced outside Machine.interpose"
+        ):
+            machine.run()
+        assert machine.engine.events_processed == 0
