@@ -38,8 +38,10 @@ accidental dicts and per-iteration containers dominate profiles):
   Python 3.9 CI floor and carry acknowledgements instead;
 * ``loop-allocation`` — no container literals, comprehensions, lambdas,
   or ``list()``/``dict()``/... constructor calls inside the loop bodies
-  of the event engine's ``run`` / ``run_until``: the dispatch loop runs
-  once per event and must not churn the allocator.
+  of the event engine's ``run`` / ``run_until`` and of the processor's
+  ``_loop``: these dispatch loops run once per event (the processor
+  loop takes nearly every event in place) and must not churn the
+  allocator.
 
 One rule guards the layering of the protocol spec registry:
 
@@ -116,8 +118,14 @@ _SLOTS_EXEMPT_BASES = {
     "Enum", "IntEnum", "IntFlag", "Flag", "NamedTuple", "Protocol",
 }
 
-#: Event-engine dispatch loops guarded by ``loop-allocation``.
-_EVENT_LOOP_FNS = {"run", "run_until"}
+#: Per-event dispatch loops guarded by ``loop-allocation``, by path
+#: prefix: the event engine's ``run`` / ``run_until``, and the processor
+#: loop, which fires nearly every event in place through
+#: ``EventEngine.take_next``.
+_EVENT_LOOP_FNS = {
+    "sim/": ("run", "run_until"),
+    "processor/processor.py": ("_loop",),
+}
 
 #: Scope of the ``spec-purity`` rule: the protocol spec registry.
 _SPEC_DIR = "coherence/specs/"
@@ -430,9 +438,9 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
-        if (
-            self.rel_path.startswith("sim/")
-            and node.name in _EVENT_LOOP_FNS
+        if any(
+            self.rel_path.startswith(prefix) and node.name in names
+            for prefix, names in _EVENT_LOOP_FNS.items()
         ):
             self._check_loop_allocations(node)
         self._func_depth += 1

@@ -62,15 +62,19 @@ class LUWorld:
         self.sync_region = allocator.alloc_round_robin(
             "lu.sync", 2 * self.page_bytes
         )
+        # Element (i, j) lives at ``col_base[j] + i * element_bytes``.
+        # Both ends of every column are bounds-checked here, once; the
+        # threads only ever emit row indices in ``range(n)``, so every
+        # address they form stays inside a checked extent.
+        element_bytes = config.element_bytes
+        self.col_base: List[int] = []
+        for j in range(n):
+            region = self.column_regions[j % num_processes]
+            offset = (j // num_processes) * n * element_bytes
+            region.addr(offset + (n - 1) * element_bytes)
+            self.col_base.append(region.addr(offset))
 
     # -- address helpers -----------------------------------------------------
-
-    def elem_addr(self, i: int, j: int) -> int:
-        """Address of matrix element (row i, column j)."""
-        owner = j % self.num_processes
-        local = j // self.num_processes
-        offset = (local * self.config.n + i) * self.config.element_bytes
-        return self.column_regions[owner].addr(offset)
 
     def flag_addr(self, k: int) -> int:
         return self.flag_region.addr(k * self.page_bytes)
@@ -84,22 +88,26 @@ def _lu_thread(world: LUWorld, env: ProcessEnv, mode: base.PrefetchMode):
     prefetch_local = mode is base.PrefetchMode.FULL
     config = world.config
     columns = world.columns
+    col_base = world.col_base
+    eb = config.element_bytes
     n = config.n
     me = env.process_id
     nproc = env.num_processes
     line = 16
-    per_line = max(1, line // config.element_bytes)
+    per_line = max(1, line // eb)
     distance = max(1, config.prefetch_distance_lines)
 
     yield (O.BARRIER, world.barrier_addr(0), nproc)
 
     for k in range(n):
+        # Column k's base; element (i, k) is at ``ck + i * eb``.
+        ck = col_base[k]
         if k % nproc == me:
             # Produce pivot column k: normalize its subdiagonal.
             normalize_column(columns, k)
-            yield (O.READ, world.elem_addr(k, k))
+            yield (O.READ, ck + k * eb)
             for i in range(k + 1, n):
-                addr = world.elem_addr(i, k)
+                addr = ck + i * eb
                 yield (O.READ, addr)
                 yield (O.WRITE, addr)
                 yield (O.BUSY, config.normalize_busy)
@@ -112,20 +120,21 @@ def _lu_thread(world: LUWorld, env: ProcessEnv, mode: base.PrefetchMode):
 
         targets = [j for j in world.owned[me] if j > k]
         for position, j in enumerate(targets):
+            cj = col_base[j]
             apply_pivot(columns, k, j)
             if prefetching and position == 0:
                 # Cold start for this pivot step: prime the pivot column
                 # and the first owned column.
                 for lead in range(0, distance * per_line, per_line):
                     if k + 1 + lead < n:
-                        yield (O.PREFETCH, world.elem_addr(k + 1 + lead, k), False)
+                        yield (O.PREFETCH, ck + (k + 1 + lead) * eb, False)
                         if prefetch_local:
-                            yield (O.PREFETCH, world.elem_addr(k + 1 + lead, j), True)
+                            yield (O.PREFETCH, cj + (k + 1 + lead) * eb, True)
             next_column = targets[position + 1] if position + 1 < len(targets) else None
             # Software-pipeline point: while finishing this column, fetch
             # the start of the next one so its first lines arrive in time.
             pipeline_i = max(k + 1, n - distance * per_line)
-            yield (O.READ, world.elem_addr(k, j))
+            yield (O.READ, cj + k * eb)
             for i in range(k + 1, n):
                 if prefetching and (i - k - 1) % per_line == 0:
                     # Evenly distributed, `distance` lines ahead: pivot
@@ -134,20 +143,19 @@ def _lu_thread(world: LUWorld, env: ProcessEnv, mode: base.PrefetchMode):
                     if ahead < n:
                         # The pivot column is remote; the owned column is
                         # node-local, so a context-aware annotation skips it.
-                        yield (O.PREFETCH, world.elem_addr(ahead, k), False)
+                        yield (O.PREFETCH, ck + ahead * eb, False)
                         if prefetch_local:
-                            yield (O.PREFETCH, world.elem_addr(ahead, j), True)
+                            yield (O.PREFETCH, cj + ahead * eb, True)
                 if prefetch_local and i == pipeline_i and next_column is not None:
+                    cn = col_base[next_column]
                     for lead in range(0, distance * per_line, per_line):
                         if k + 1 + lead < n:
-                            yield (
-                                O.PREFETCH,
-                                world.elem_addr(k + 1 + lead, next_column),
-                                True,
-                            )
-                yield (O.READ, world.elem_addr(i, k))
-                yield (O.READ, world.elem_addr(i, j))
-                yield (O.WRITE, world.elem_addr(i, j))
+                            yield (O.PREFETCH, cn + (k + 1 + lead) * eb, True)
+                offset = i * eb
+                addr = cj + offset
+                yield (O.READ, ck + offset)
+                yield (O.READ, addr)
+                yield (O.WRITE, addr)
                 yield (O.BUSY, config.update_busy)
 
     yield (O.BARRIER, world.barrier_addr(1), nproc)

@@ -87,6 +87,9 @@ class PTHORWorld:
             self.queue_regions.append(
                 allocator.alloc_local(f"pthor.queue.{p}", 64, node)
             )
+        #: Per-process queue lock word and head line, fixed for the run.
+        self.queue_locks: List[int] = [r.addr(0) for r in self.queue_regions]
+        self.queue_heads: List[int] = [r.addr(16) for r in self.queue_regions]
         self.net_region = allocator.alloc_round_robin(
             "pthor.nets", self.circuit.num_nets * config.net_bytes
         )
@@ -107,12 +110,6 @@ class PTHORWorld:
 
     def net_addr(self, net: int) -> int:
         return self.net_region.addr(net * self.config.net_bytes)
-
-    def queue_lock(self, process: int) -> int:
-        return self.queue_regions[process].addr(0)
-
-    def queue_head(self, process: int) -> int:
-        return self.queue_regions[process].addr(16)
 
     def pending_addr(self) -> int:
         return self.sync_region.addr(0)
@@ -149,12 +146,12 @@ class PTHORWorld:
 def _schedule_ops(world: PTHORWorld, gate: int):
     """Reference stream for scheduling ``gate`` onto its owner's queue."""
     owner = world.owner[gate]
-    yield (O.LOCK, world.queue_lock(owner))
-    yield (O.READ, world.queue_head(owner))
+    yield (O.LOCK, world.queue_locks[owner])
+    yield (O.READ, world.queue_heads[owner])
     queued = world.try_schedule(gate)
     if queued:
-        yield (O.WRITE, world.queue_head(owner))
-    yield (O.UNLOCK, world.queue_lock(owner))
+        yield (O.WRITE, world.queue_heads[owner])
+    yield (O.UNLOCK, world.queue_locks[owner])
     yield (O.BUSY, world.config.schedule_busy)
 
 
@@ -259,29 +256,29 @@ def _pthor_thread(world: PTHORWorld, env: ProcessEnv, mode: base.PrefetchMode):
             victim = me
             # Own queue first: the head line stays cached while empty and
             # is invalidated by a remote push.
-            yield (O.READ, world.queue_head(me))
+            yield (O.READ, world.queue_heads[me])
             if world.queues[me]:
-                yield (O.LOCK, world.queue_lock(me))
-                yield (O.READ, world.queue_head(me))
+                yield (O.LOCK, world.queue_locks[me])
+                yield (O.READ, world.queue_heads[me])
                 task = world.try_pop(me)
                 if task is not None:
-                    yield (O.WRITE, world.queue_head(me))
-                yield (O.UNLOCK, world.queue_lock(me))
+                    yield (O.WRITE, world.queue_heads[me])
+                yield (O.UNLOCK, world.queue_locks[me])
             elif spins >= 2:
                 # Still dry after spinning: steal from the other queues.
                 # The remote probes miss in the cache, which also gives a
                 # multiple-context processor its switch opportunities.
                 for probe in range(1, nproc):
                     victim = (me + probe) % nproc
-                    yield (O.READ, world.queue_head(victim))
+                    yield (O.READ, world.queue_heads[victim])
                     if not world.queues[victim]:
                         continue
-                    yield (O.LOCK, world.queue_lock(victim))
-                    yield (O.READ, world.queue_head(victim))
+                    yield (O.LOCK, world.queue_locks[victim])
+                    yield (O.READ, world.queue_heads[victim])
                     task = world.try_pop(victim)
                     if task is not None:
-                        yield (O.WRITE, world.queue_head(victim))
-                    yield (O.UNLOCK, world.queue_lock(victim))
+                        yield (O.WRITE, world.queue_heads[victim])
+                    yield (O.UNLOCK, world.queue_locks[victim])
                     if task is not None:
                         break
             if task is not None:

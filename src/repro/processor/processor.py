@@ -32,9 +32,15 @@ observer sees the same accounting as before.
 
 Continuation events schedule the bound ``_loop`` directly.  This is
 safe because at most one continuation is ever pending per processor:
-``_loop`` schedules one only as it returns, and a parked processor (the
+``_loop`` schedules one only as it yields, and a parked processor (the
 only state in which a grant schedules a continuation) has none pending
-by construction.
+by construction.  The bound callback also identifies its processor:
+when a yielding processor finds that the earliest event is another
+processor's continuation, ``EventEngine.take_next`` pops it with the
+dispatch loop's own bookkeeping and ``_loop`` carries on as that
+processor in the same frame, instead of returning into the engine for
+a fresh ``_loop`` call.  The event popped is the one the engine would
+have fired next, so the interleaving is unchanged.
 """
 
 from __future__ import annotations
@@ -104,6 +110,7 @@ class Processor:
         "_live_count",
         "_parked",
         "_loop_cb",
+        "_peers",
         "_hot",
         "_switch_cycles",
         "_switch_threshold",
@@ -160,6 +167,10 @@ class Processor:
         self._parked = False
         #: The continuation callback, bound once (see module docstring).
         self._loop_cb = self._loop
+        #: ``id(_loop_cb) -> processor`` for every processor of the
+        #: machine, handed over by :meth:`start`; what the loop may take
+        #: in place through ``EventEngine.take_next``.
+        self._peers: dict = {}
         #: Hot-loop state tuple, built by :meth:`_prime` on the first
         #: continuation (i.e. after every observer had its chance to
         #: install); one slot load + unpack per ``_loop`` entry instead
@@ -192,9 +203,13 @@ class Processor:
         self.contexts.append(context)
         self._live_count += 1
 
-    def start(self) -> None:
+    def start(self, peers: dict) -> None:
+        """Schedule the first continuation.  ``peers`` maps
+        ``id(p._loop_cb)`` to ``p`` for every processor of the machine,
+        this one included (see :meth:`_loop`)."""
         if not self.contexts:
             raise RuntimeError(f"processor {self.node_id} has no contexts")
+        self._peers = peers
         self._schedule_continue(0)
 
     # -- accounting ------------------------------------------------------
@@ -276,6 +291,8 @@ class Processor:
             self._switch_threshold,
             self.run_lengths,
             self.config.prefetch_issue_cycles,
+            self.engine.take_next,
+            self._peers,
         ) + probe + wprobe
         return self._hot
 
@@ -295,245 +312,258 @@ class Processor:
         # locals; every call that can observe or mutate them goes
         # through an explicit write-back/reload pair.  The stable state
         # comes in one precomputed tuple (see _prime).
-        hot = self._hot
-        if hot is None:
-            hot = self._prime()
-        (
-            engine,
-            memiface,
-            contexts,
-            cycles,
-            multi,
-            threshold,
-            run_lengths,
-            pf_issue,
-            # Inline primary-hit probe (``ptags`` None when off): the
-            # packed-cache read hit runs right here, same gates as the
-            # fused probe in ``memiface.read`` (decided in _prime).
-            ptags,
-            pstates,
-            pstats,
-            reads,
-            line_bytes,
-            pri_nsets,
-            lat_rph,
-            # Inline SC owned-write probe (``stags`` None when off).
-            stags,
-            sstates,
-            sstats,
-            writes,
-            pstats_all,
-            sec_nsets,
-            lat_wos,
-        ) = hot
-        trace = self.trace
-        time = self.time
-        run = self._current_run
-        ctx = contexts[self._active]
+        #
+        # One pass of the outer loop per processor: when this processor
+        # must yield to an earlier event and that event is another
+        # processor's continuation, ``take_next`` fires it in place and
+        # ``self`` is rebound to that processor, whose state the outer
+        # loop reloads — no return into the engine's dispatch loop.
         while True:
-            if ctx.state is not _RUNNING:
-                self.time = time
-                self._current_run = run
-                ctx = self._dispatch()
-                if ctx is None:
-                    return  # parked or finished
-                time = self.time
-            if engine.next_time < time:
-                self.time = time
-                self._current_run = run
-                engine.schedule(time, self._loop_cb)
-                return
-            # Fill lockout: the watermark is the earliest pending fill
-            # arrival, re-read each iteration because every noted fill
-            # lowers it.
-            if memiface._next_fill <= time:
-                fills = memiface.consume_fill_stalls(time)
-                slot = _SLOT_NO_SWITCH if multi else _SLOT_PREFETCH
-                charge = fills * self._fill_stall
-                cycles[slot] += charge
-                time += charge
-            try:
-                op = next(ctx.thread)
-            except StopIteration:
-                ctx.state = _DONE
-                self._live_count -= 1
-                if self._live_count == 0:
-                    self.finished = True
+            hot = self._hot
+            if hot is None:
+                hot = self._prime()
+            (
+                engine,
+                memiface,
+                contexts,
+                cycles,
+                multi,
+                threshold,
+                run_lengths,
+                pf_issue,
+                take_next,
+                peers,
+                # Inline primary-hit probe (``ptags`` None when off): the
+                # packed-cache read hit runs right here, same gates as
+                # the fused probe in ``memiface.read`` (decided in
+                # _prime).
+                ptags,
+                pstates,
+                pstats,
+                reads,
+                line_bytes,
+                pri_nsets,
+                lat_rph,
+                # Inline SC owned-write probe (``stags`` None when off).
+                stags,
+                sstates,
+                sstats,
+                writes,
+                pstats_all,
+                sec_nsets,
+                lat_wos,
+            ) = hot
+            trace = self.trace
+            time = self.time
+            run = self._current_run
+            ctx = contexts[self._active]
+            while True:
+                if ctx.state is not _RUNNING:
                     self.time = time
                     self._current_run = run
-                    self.finish_time = time
-                    return
-                continue
-            ctx.ops_executed += 1
-            code = op[0]
-            if code == _OP_READ:
-                self.shared_reads += 1
-                addr = op[1]
-                if ptags is not None:
-                    # A tag match is a primary hit, served with the
-                    # identical counter bumps and latency as the fused
-                    # probe — provided *this line* has no in-flight
-                    # miss to combine with and no buffered store to
-                    # forward from (other lines' entries are
-                    # irrelevant to a hit).  Pending retire/queue
-                    # timestamps don't affect a hit, and their expiry
-                    # is observation-independent, so the sweep can
-                    # wait for the next memiface access.
-                    line = addr - addr % line_bytes
-                    index = (line // line_bytes) % pri_nsets
-                    if (
-                        ptags[index] == line
-                        and pstates[index]
-                        and line not in memiface._misses
-                        and line not in memiface._wb_lines
-                    ):
-                        pstats.hits += 1
-                        reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
-                        ready = time + lat_rph
-                        cycles[_SLOT_BUSY] += 1
-                        time += 1
-                        run += 1
-                        if ready > time:
-                            stall = ready - time
-                            if stall >= threshold:
-                                run_lengths.append(run)
-                                run = 0
-                            if not multi:
-                                cycles[_SLOT_READ_STALL] += stall
-                                time = ready
-                            elif stall < threshold:
-                                cycles[_SLOT_NO_SWITCH] += stall
-                                time = ready
-                            else:
-                                self.time = time
-                                self._current_run = run
-                                ctx.block_until(ready, _READ_STALL, time)
-                                memiface.note_fill_arrival(ready)
-                        continue
-                if trace is not None:
-                    trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                result = memiface.read(addr, time)
-                if result[2]:
-                    self.prefetch_partial_hits += 1
-                cycles[_SLOT_BUSY] += 1
-                time += 1
-                run += 1
-                ready = result[0]
-                if ready > time:
-                    stall = ready - time
-                    if stall >= threshold:
-                        # A long-latency operation ends the current run.
-                        run_lengths.append(run)
-                        run = 0
-                    if not multi:
-                        cycles[_SLOT_READ_STALL] += stall
-                        time = ready
-                    elif stall < threshold:
-                        cycles[_SLOT_NO_SWITCH] += stall
-                        time = ready
-                    else:
+                    ctx = self._dispatch()
+                    if ctx is None:
+                        return  # parked or finished
+                    time = self.time
+                if engine.next_time < time:
+                    self.time = time
+                    self._current_run = run
+                    engine.schedule(time, self._loop_cb)
+                    self = take_next(peers)
+                    if self is None:
+                        return
+                    break
+                # Fill lockout: the watermark is the earliest pending fill
+                # arrival, re-read each iteration because every noted fill
+                # lowers it.
+                if memiface._next_fill <= time:
+                    fills = memiface.consume_fill_stalls(time)
+                    slot = _SLOT_NO_SWITCH if multi else _SLOT_PREFETCH
+                    charge = fills * self._fill_stall
+                    cycles[slot] += charge
+                    time += charge
+                try:
+                    op = next(ctx.thread)
+                except StopIteration:
+                    ctx.state = _DONE
+                    self._live_count -= 1
+                    if self._live_count == 0:
+                        self.finished = True
                         self.time = time
                         self._current_run = run
-                        ctx.block_until(ready, _READ_STALL, time)
-                        # The returning fill will lock the processor out
-                        # of the primary cache while another context runs.
-                        memiface.note_fill_arrival(ready)
-            elif code == _OP_BUSY:
-                work = op[1]
-                if work:
-                    cycles[_SLOT_BUSY] += work
-                    time += work
-                    run += work
-            elif code == _OP_WRITE:
-                self.shared_writes += 1
-                addr = op[1]
-                if stags is not None:
-                    # Inline SC owned-write hit: a DIRTY secondary line
-                    # never leaves the node, so the write retires with
-                    # the identical counter bumps and latency as
-                    # memiface.write's probe — the expiry sweep is
-                    # observation-independent (see the read probe) and
-                    # ``memiface.write`` consults no pending state on
-                    # this path.
-                    line = addr - addr % line_bytes
-                    sindex = (line // line_bytes) % sec_nsets
-                    if stags[sindex] == line and sstates[sindex] == 2:
-                        sstats.hits += 1
-                        pstats_all.writes_total += 1
-                        pstats_all.writes_line_present += 1
-                        pindex = (line // line_bytes) % pri_nsets
-                        if ptags[pindex] == line and pstates[pindex]:
-                            pstates[pindex] = 1  # refresh write-through copy
-                        writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-                        ready = time + lat_wos
-                        cycles[_SLOT_BUSY] += 1
-                        time += 1
-                        run += 1
-                        if ready > time:
-                            stall = ready - time
-                            if stall >= threshold:
-                                run_lengths.append(run)
-                                run = 0
-                            if not multi:
-                                cycles[_SLOT_WRITE_STALL] += stall
-                                time = ready
-                            elif stall < threshold:
-                                cycles[_SLOT_NO_SWITCH] += stall
-                                time = ready
-                            else:
-                                self.time = time
-                                self._current_run = run
-                                ctx.block_until(ready, _WRITE_STALL, time)
-                        continue
-                if trace is not None:
-                    trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                result = memiface.write(addr, time)
-                cycles[_SLOT_BUSY] += 1
-                time += 1
-                run += 1
-                ready = result[0]
-                if ready > time:
-                    stall = ready - time
-                    if stall >= threshold:
-                        run_lengths.append(run)
-                        run = 0
-                    if not multi:
-                        cycles[_SLOT_WRITE_STALL] += stall
-                        time = ready
-                    elif stall < threshold:
-                        cycles[_SLOT_NO_SWITCH] += stall
-                        time = ready
-                    else:
-                        self.time = time
-                        self._current_run = run
-                        ctx.block_until(ready, _WRITE_STALL, time)
-            elif code == _OP_PREFETCH:
-                self.prefetches += 1
-                charge = pf_issue + memiface.prefetch(op[1], op[2], time)[0]
-                if charge < 0:
-                    raise ValueError(
-                        f"negative time {charge} for "
-                        f"{BUCKET_LIST[_SLOT_PREFETCH]}"
-                    )
-                cycles[_SLOT_PREFETCH] += charge
-                time += charge
-            else:
-                self.time = time
-                self._current_run = run
-                if code == O.LOCK:
-                    self._op_lock(ctx, op[1])
-                elif code == O.UNLOCK:
-                    self._op_unlock(ctx, op[1])
-                elif code == O.FLAG_WAIT:
-                    self._op_flag_wait(ctx, op[1])
-                elif code == O.FLAG_SET:
-                    self._op_flag_set(ctx, op[1])
-                elif code == O.BARRIER:
-                    self._op_barrier(ctx, op[1], op[2])
+                        self.finish_time = time
+                        return
+                    continue
+                ctx.ops_executed += 1
+                code = op[0]
+                if code == _OP_READ:
+                    self.shared_reads += 1
+                    addr = op[1]
+                    if ptags is not None:
+                        # A tag match is a primary hit, served with the
+                        # identical counter bumps and latency as the fused
+                        # probe — provided *this line* has no in-flight
+                        # miss to combine with and no buffered store to
+                        # forward from (other lines' entries are
+                        # irrelevant to a hit).  Pending retire/queue
+                        # timestamps don't affect a hit, and their expiry
+                        # is observation-independent, so the sweep can
+                        # wait for the next memiface access.
+                        line = addr - addr % line_bytes
+                        index = (line // line_bytes) % pri_nsets
+                        if (
+                            ptags[index] == line
+                            and pstates[index]
+                            and line not in memiface._misses
+                            and line not in memiface._wb_lines
+                        ):
+                            pstats.hits += 1
+                            reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
+                            ready = time + lat_rph
+                            cycles[_SLOT_BUSY] += 1
+                            time += 1
+                            run += 1
+                            if ready > time:
+                                stall = ready - time
+                                if stall >= threshold:
+                                    run_lengths.append(run)
+                                    run = 0
+                                if not multi:
+                                    cycles[_SLOT_READ_STALL] += stall
+                                    time = ready
+                                elif stall < threshold:
+                                    cycles[_SLOT_NO_SWITCH] += stall
+                                    time = ready
+                                else:
+                                    self.time = time
+                                    self._current_run = run
+                                    ctx.block_until(ready, _READ_STALL, time)
+                                    memiface.note_fill_arrival(ready)
+                            continue
+                    if trace is not None:
+                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                    result = memiface.read(addr, time)
+                    if result[2]:
+                        self.prefetch_partial_hits += 1
+                    cycles[_SLOT_BUSY] += 1
+                    time += 1
+                    run += 1
+                    ready = result[0]
+                    if ready > time:
+                        stall = ready - time
+                        if stall >= threshold:
+                            # A long-latency operation ends the current run.
+                            run_lengths.append(run)
+                            run = 0
+                        if not multi:
+                            cycles[_SLOT_READ_STALL] += stall
+                            time = ready
+                        elif stall < threshold:
+                            cycles[_SLOT_NO_SWITCH] += stall
+                            time = ready
+                        else:
+                            self.time = time
+                            self._current_run = run
+                            ctx.block_until(ready, _READ_STALL, time)
+                            # The returning fill will lock the processor out
+                            # of the primary cache while another context runs.
+                            memiface.note_fill_arrival(ready)
+                elif code == _OP_BUSY:
+                    work = op[1]
+                    if work:
+                        cycles[_SLOT_BUSY] += work
+                        time += work
+                        run += work
+                elif code == _OP_WRITE:
+                    self.shared_writes += 1
+                    addr = op[1]
+                    if stags is not None:
+                        # Inline SC owned-write hit: a DIRTY secondary line
+                        # never leaves the node, so the write retires with
+                        # the identical counter bumps and latency as
+                        # memiface.write's probe — the expiry sweep is
+                        # observation-independent (see the read probe) and
+                        # ``memiface.write`` consults no pending state on
+                        # this path.
+                        line = addr - addr % line_bytes
+                        sindex = (line // line_bytes) % sec_nsets
+                        if stags[sindex] == line and sstates[sindex] == 2:
+                            sstats.hits += 1
+                            pstats_all.writes_total += 1
+                            pstats_all.writes_line_present += 1
+                            pindex = (line // line_bytes) % pri_nsets
+                            if ptags[pindex] == line and pstates[pindex]:
+                                pstates[pindex] = 1  # refresh write-through copy
+                            writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
+                            ready = time + lat_wos
+                            cycles[_SLOT_BUSY] += 1
+                            time += 1
+                            run += 1
+                            if ready > time:
+                                stall = ready - time
+                                if stall >= threshold:
+                                    run_lengths.append(run)
+                                    run = 0
+                                if not multi:
+                                    cycles[_SLOT_WRITE_STALL] += stall
+                                    time = ready
+                                elif stall < threshold:
+                                    cycles[_SLOT_NO_SWITCH] += stall
+                                    time = ready
+                                else:
+                                    self.time = time
+                                    self._current_run = run
+                                    ctx.block_until(ready, _WRITE_STALL, time)
+                            continue
+                    if trace is not None:
+                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                    result = memiface.write(addr, time)
+                    cycles[_SLOT_BUSY] += 1
+                    time += 1
+                    run += 1
+                    ready = result[0]
+                    if ready > time:
+                        stall = ready - time
+                        if stall >= threshold:
+                            run_lengths.append(run)
+                            run = 0
+                        if not multi:
+                            cycles[_SLOT_WRITE_STALL] += stall
+                            time = ready
+                        elif stall < threshold:
+                            cycles[_SLOT_NO_SWITCH] += stall
+                            time = ready
+                        else:
+                            self.time = time
+                            self._current_run = run
+                            ctx.block_until(ready, _WRITE_STALL, time)
+                elif code == _OP_PREFETCH:
+                    self.prefetches += 1
+                    charge = pf_issue + memiface.prefetch(op[1], op[2], time)[0]
+                    if charge < 0:
+                        raise ValueError(
+                            f"negative time {charge} for "
+                            f"{BUCKET_LIST[_SLOT_PREFETCH]}"
+                        )
+                    cycles[_SLOT_PREFETCH] += charge
+                    time += charge
                 else:
-                    raise ValueError(f"unknown opcode {code}")
-                time = self.time
-                run = self._current_run
+                    self.time = time
+                    self._current_run = run
+                    if code == O.LOCK:
+                        self._op_lock(ctx, op[1])
+                    elif code == O.UNLOCK:
+                        self._op_unlock(ctx, op[1])
+                    elif code == O.FLAG_WAIT:
+                        self._op_flag_wait(ctx, op[1])
+                    elif code == O.FLAG_SET:
+                        self._op_flag_set(ctx, op[1])
+                    elif code == O.BARRIER:
+                        self._op_barrier(ctx, op[1], op[2])
+                    else:
+                        raise ValueError(f"unknown opcode {code}")
+                    time = self.time
+                    run = self._current_run
 
     def _dispatch(self) -> Optional[Context]:
         """Dispatch a context at ``self.time``, idling and switching as

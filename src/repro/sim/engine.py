@@ -10,12 +10,17 @@ processor model decide whether it may keep executing *inline* (no event
 round-trip) because no other event in the system can fire before the
 processor's own local time.  This is the key fast path: streams of cache
 hits cost zero heap operations.
+
+:meth:`EventEngine.take_next` is the other half: a processor that must
+yield to an earlier event, and finds that event is another processor's
+continuation, pops it with the dispatch loop's own bookkeeping and runs
+that processor in its own frame, with no return into :meth:`run`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 #: Sentinel returned by :meth:`EventEngine.peek_time` when the calendar is
 #: empty — any local time compares as "not behind" this.  An integer (not
@@ -23,6 +28,8 @@ from typing import Callable, List, Optional, Tuple
 #: far beyond any reachable simulated time (the event limit bounds runs
 #: to ~2e9 events).
 TIME_INFINITY = 2**63
+
+_T = TypeVar("_T")
 
 #: Default event budget before a run is declared a livelock.
 DEFAULT_EVENT_LIMIT = 2_000_000_000
@@ -61,6 +68,7 @@ class EventEngine:
         "_heartbeat",
         "_heartbeat_every",
         "_next_heartbeat",
+        "_deadline",
     )
 
     def __init__(self, event_limit: int = DEFAULT_EVENT_LIMIT) -> None:
@@ -73,6 +81,9 @@ class EventEngine:
         self._heartbeat: Optional[Callable[["EventEngine"], None]] = None
         self._heartbeat_every = 0
         self._next_heartbeat = TIME_INFINITY
+        #: Latest time :meth:`take_next` may fire: the running dispatch
+        #: loop's deadline, -1 while none runs.
+        self._deadline = -1
 
     @property
     def now(self) -> int:
@@ -146,40 +157,88 @@ class EventEngine:
             "the simulated program"
         )
 
+    def _pop(self) -> Callable[[], None]:
+        """Pop the earliest event and do its per-event bookkeeping.
+
+        The dispatch step of :meth:`run` and :meth:`run_until`: advance
+        the clock, restore the ``next_time`` invariant, count the event,
+        enforce the event limit and beat the heartbeat.  Returns the
+        callback, not yet called.  :meth:`take_next` repeats these
+        steps inline (see there); tests pin the two as equal.
+        """
+        queue = self._queue
+        time, _seq, callback = heapq.heappop(queue)
+        self._now = time
+        if queue:
+            self.next_time = queue[0][0]
+        else:
+            self.next_time = TIME_INFINITY
+        self._events_processed += 1
+        if self._events_processed > self._limit:
+            raise self._limit_error(time)
+        if self._events_processed >= self._next_heartbeat:
+            self._fire_heartbeat()
+        return callback
+
+    def take_next(self, owners: Dict[int, _T]) -> Optional[_T]:
+        """Fire the earliest event in place, if it belongs to ``owners``.
+
+        ``owners`` maps ``id(callback)`` to the object that callback
+        resumes.  When the earliest pending event's callback is one of
+        them and the running :meth:`run` / :meth:`run_until` would fire
+        it next (it is within the deadline), pop it with the same
+        bookkeeping as :meth:`_pop` and return its owner *without*
+        calling the callback: the caller runs the owner itself, in its
+        own frame, as the callback would have.  Otherwise leave the
+        calendar untouched and return ``None``.  Outside a dispatch
+        loop nothing is taken.
+
+        The popped event is exactly the one the dispatch loop would pop
+        next, so firing order, event counts, the event limit and the
+        heartbeat are unchanged.  Nearly every event of a simulation
+        fires here, so the bookkeeping is inline rather than a call to
+        :meth:`_pop`: one Python call per event instead of two.
+        """
+        queue = self._queue
+        if not queue:
+            return None
+        time, _seq, callback = queue[0]
+        owner = owners.get(id(callback))
+        if owner is None or time > self._deadline:
+            return None
+        heapq.heappop(queue)
+        self._now = time
+        if queue:
+            self.next_time = queue[0][0]
+        else:
+            self.next_time = TIME_INFINITY
+        self._events_processed += 1
+        if self._events_processed > self._limit:
+            raise self._limit_error(time)
+        if self._events_processed >= self._next_heartbeat:
+            self._fire_heartbeat()
+        return owner
+
     def run(self) -> int:
         """Fire events until the calendar drains; return the final time."""
         queue = self._queue
-        while queue:
-            time, _seq, callback = heapq.heappop(queue)
-            self._now = time
-            if queue:
-                self.next_time = queue[0][0]
-            else:
-                self.next_time = TIME_INFINITY
-            self._events_processed += 1
-            if self._events_processed > self._limit:
-                raise self._limit_error(time)
-            if self._events_processed >= self._next_heartbeat:
-                self._fire_heartbeat()
-            callback()
+        self._deadline = TIME_INFINITY
+        try:
+            while queue:
+                self._pop()()
+        finally:
+            self._deadline = -1
         return self._now
 
     def run_until(self, deadline: int) -> int:
         """Fire events with time <= ``deadline``; return the final time."""
         queue = self._queue
-        while queue and queue[0][0] <= deadline:
-            time, _seq, callback = heapq.heappop(queue)
-            self._now = time
-            if queue:
-                self.next_time = queue[0][0]
-            else:
-                self.next_time = TIME_INFINITY
-            self._events_processed += 1
-            if self._events_processed > self._limit:
-                raise self._limit_error(time)
-            if self._events_processed >= self._next_heartbeat:
-                self._fire_heartbeat()
-            callback()
+        self._deadline = deadline
+        try:
+            while queue and queue[0][0] <= deadline:
+                self._pop()()
+        finally:
+            self._deadline = -1
         if self._now < deadline:
             self._now = deadline
         return self._now

@@ -139,6 +139,9 @@ class NodeMemoryInterface:
         self._single = config.contexts_per_processor == 1
         self._demand_retire = 0
         self._bypass = bool(config.write_buffer_bypass and policy.reads_bypass_writes)
+        #: SC: a write stalls the processor until it completes (the
+        #: policy is frozen, so its property is read once, here).
+        self._write_stalls = policy.write_stalls_processor
         self._cached = bool(config.caching_shared_data)
         #: Earliest time any tracked entry matures.  While ``now`` is
         #: before this watermark no entry can have expired, so callers
@@ -390,7 +393,7 @@ class NodeMemoryInterface:
                 state = info[5].touch(line)
             rule = self._whit_rules.get(state)
             if rule is None:
-                if self.policy.write_stalls_processor:
+                if self._write_stalls:
                     outcome = proto._write_probed(self.node, addr, line, state, now)
                     return _MK_WRITE((outcome[1], 0, outcome[2]))
                 return self._write_buffered(addr, now, state)
@@ -414,10 +417,10 @@ class NodeMemoryInterface:
                 info[1][pindex] = 1  # LineState.SHARED
             writes = self._writes
             writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-            if self.policy.write_stalls_processor:
+            if self._write_stalls:
                 return _MK_WRITE((now + self._lat_wos, 0, _SECONDARY_HIT))
             return self._write_buffered(addr, now, _OWNED_HIT)
-        if self.policy.write_stalls_processor:
+        if self._write_stalls:
             # SC: the processor stalls until the write completes with
             # respect to all processors — ownership plus invalidation
             # acknowledgements when other copies existed.

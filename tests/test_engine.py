@@ -1,7 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim import DeadlockError, EventEngine, SimulationError, TIME_INFINITY
 
@@ -401,3 +401,124 @@ def test_heartbeat_detach_accepts_nonpositive_interval():
     engine.set_heartbeat(None, every=0)
     engine.schedule(1, lambda: None)
     assert engine.run() == 1
+
+
+def _taking(engine, owners, seen):
+    """A callback that tries to take the next event in place."""
+
+    def take():
+        owner = engine.take_next(owners)
+        seen.append((owner, engine.now, engine.events_processed, engine.next_time))
+
+    return take
+
+
+def test_take_next_pops_an_owned_head_without_calling_it():
+    engine = EventEngine()
+    seen, fired = [], []
+
+    def owned():
+        fired.append("owned")
+
+    engine.schedule(1, _taking(engine, {id(owned): "peer"}, seen))
+    engine.schedule(2, owned)
+    engine.schedule(3, lambda: fired.append("last"))
+    assert engine.run() == 3
+    # Popped exactly as run would have: clock, count and next_time.
+    assert seen == [("peer", 2, 2, 3)]
+    assert fired == ["last"]
+    assert engine.events_processed == 3
+
+
+def test_take_next_leaves_a_foreign_head_alone():
+    engine = EventEngine()
+    seen, fired = [], []
+    engine.schedule(1, _taking(engine, {}, seen))
+    engine.schedule(2, lambda: fired.append(2))
+    engine.run()
+    assert seen == [(None, 1, 1, 2)]
+    assert fired == [2]
+
+
+def test_take_next_outside_a_dispatch_loop_takes_nothing():
+    engine = EventEngine()
+    callback = lambda: None  # noqa: E731
+    engine.schedule(5, callback)
+    assert engine.take_next({id(callback): "peer"}) is None
+    assert _snapshot(engine) == (0, 1, 0, 5, 5)
+
+
+def test_take_next_respects_the_run_until_deadline():
+    engine = EventEngine()
+    seen = []
+
+    def owned():
+        pass
+
+    engine.schedule(1, _taking(engine, {id(owned): "peer"}, seen))
+    engine.schedule(5, owned)
+    assert engine.run_until(4) == 4
+    assert seen == [(None, 1, 1, 5)]
+    assert (engine.pending, engine.next_time) == (1, 5)
+
+
+def test_take_next_event_limit_matches_run():
+    def overrun(take):
+        engine = EventEngine(event_limit=1)
+
+        def owned():
+            pass
+
+        engine.schedule(1, _taking(engine, {id(owned): "peer"}, []) if take else lambda: None)
+        engine.schedule(2, owned)
+        engine.schedule(3, lambda: None)
+        with pytest.raises(SimulationError) as excinfo:
+            engine.run()
+        return str(excinfo.value), engine.events_processed, engine.pending
+
+    assert overrun(take=True) == overrun(take=False)
+    assert overrun(take=True)[0].startswith("event limit 1 exceeded at t=2 with 1 events")
+
+
+@given(
+    times=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=30),
+    limit=st.integers(min_value=1, max_value=35),
+    every=st.integers(min_value=1, max_value=7),
+    deadline=st.integers(min_value=-1, max_value=12),
+)
+@example(times=[0, 1], limit=10, every=3, deadline=0)
+def test_take_next_bookkeeping_matches_the_dispatch_loop(times, limit, every, deadline):
+    """``take_next`` repeats ``_pop``'s bookkeeping inline: firing every
+    event in place must leave exactly the trail ``run_until`` + ``run``
+    leave — clock, count, ``next_time``, heartbeat beats, event-limit
+    error and the calendar it leaves behind."""
+
+    def drive(take):
+        engine = EventEngine(event_limit=limit)
+        log = []
+        engine.set_heartbeat(lambda e: log.append(("beat", e.now, e.events_processed)), every)
+
+        def recorder(i):
+            def fire():
+                log.append((i, *_snapshot(engine)))
+                while take:
+                    owner = engine.take_next(owners)
+                    if owner is None:
+                        return
+                    log.append((owner, *_snapshot(engine)))
+
+            return fire
+
+        callbacks = [recorder(i) for i in range(len(times))]
+        owners = {id(cb): i for i, cb in enumerate(callbacks)}
+        for time, callback in zip(times, callbacks):
+            engine.schedule(time, callback)
+        try:
+            engine.run_until(deadline)
+            log.append(("until", *_snapshot(engine)))
+            engine.run()
+        except SimulationError as exc:
+            log.append(("error", str(exc)))
+        return log, _snapshot(engine)
+
+    assert drive(take=True) == drive(take=False)

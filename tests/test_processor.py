@@ -394,3 +394,155 @@ class TestProbeGates:
         ):
             machine.run()
         assert machine.engine.events_processed == 0
+
+
+class TestInPlaceSwitch:
+    """A yielding processor whose next event is another processor's
+    continuation takes it in place (``EventEngine.take_next``); every
+    outcome must equal the one the engine's dispatch loop produces."""
+
+    @staticmethod
+    def _smoke_machine(**changes):
+        from repro.experiments import SMOKE_PROCESSES, build_app
+
+        machine = Machine(
+            dash_scaled_config(num_processors=SMOKE_PROCESSES, **changes)
+        )
+        machine.load(build_app("MP3D", "smoke"))
+        return machine
+
+    @staticmethod
+    def _no_switch(monkeypatch):
+        """Turn the in-place switch off: every event returns to ``run``."""
+        from repro.sim.engine import EventEngine
+
+        monkeypatch.setattr(EventEngine, "take_next", lambda self, owners: None)
+
+    @staticmethod
+    def _via_take_next(excinfo) -> bool:
+        return any(entry.name == "take_next" for entry in excinfo.traceback)
+
+    @staticmethod
+    def _start(machine):
+        """What ``Machine.run`` does before draining the calendar."""
+        peers = {id(p._loop_cb): p for p in machine.processors}
+        for processor in machine.processors:
+            processor.start(peers)
+
+    def test_event_limit_overrun_reached_in_place_matches_run(self, monkeypatch):
+        from repro.sim.engine import SimulationError
+
+        limit = 5000
+        with pytest.raises(SimulationError, match=f"event limit {limit} exceeded") as switched:
+            self._smoke_machine(max_events=limit).run()
+        assert self._via_take_next(switched)
+
+        self._no_switch(monkeypatch)
+        machine = self._smoke_machine(max_events=limit)
+        with pytest.raises(SimulationError) as plain:
+            machine.run()
+        assert not self._via_take_next(plain)
+        assert str(switched.value) == str(plain.value)
+        assert machine.engine.events_processed == limit + 1
+
+    def test_heartbeat_fires_at_exact_multiples(self):
+        import sys
+
+        machine = self._smoke_machine()
+        beats = []
+        in_place = []
+
+        def beat(engine):
+            beats.append(engine.events_processed)
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "take_next":
+                frame = frame.f_back
+            in_place.append(frame is not None)
+
+        machine.engine.set_heartbeat(beat, every=97)
+        result = machine.run()
+        assert beats == list(range(97, result.events_processed + 1, 97))
+        assert any(in_place)
+
+    def test_run_until_fires_nothing_past_the_deadline(self, monkeypatch):
+        from repro.sim.engine import TIME_INFINITY
+
+        def drive(deadline):
+            machine = self._smoke_machine()
+            fired = []
+            machine.engine.set_heartbeat(lambda e: fired.append(e.now), every=1)
+            self._start(machine)
+            machine.engine.run_until(deadline)
+            engine = machine.engine
+            queue = engine._queue
+            assert engine.next_time == (min(queue)[0] if queue else TIME_INFINITY)
+            state = (engine.now, engine.events_processed, engine.pending, engine.next_time)
+            engine.run()
+            finish = [p.finish_time for p in machine.processors]
+            return fired, state, finish
+
+        reference = self._smoke_machine().run()
+        deadline = reference.execution_time // 3
+        fired, state, finish = drive(deadline)
+        assert fired and max(fired[:state[1]]) <= deadline
+        assert state[3] > deadline
+        assert max(finish) == reference.execution_time
+        assert len(fired) == reference.events_processed
+
+        self._no_switch(monkeypatch)
+        assert drive(deadline) == (fired, state, finish)
+
+    def test_exception_in_a_switched_processor_leaves_other_events_pending(
+        self, monkeypatch
+    ):
+        from repro.processor.processor import Processor
+
+        def body(shared, env):
+            for i in range(40):
+                yield (O.READ, shared.addr(16 * ((i * 7 + env.process_id) % 64)))
+                yield (O.BUSY, 3)
+                if env.process_id == 2 and i == 25:
+                    raise RuntimeError("thread 2 failed")
+
+        def attempt():
+            """Run until thread 2 raises; return the nodes whose
+            ``_loop`` the engine entered, and the calendar left behind."""
+            entered = []
+            original = Processor._loop
+
+            def counting(self):
+                entered.append(self.node_id)
+                return original(self)
+
+            with monkeypatch.context() as patch:
+                # On the class, before the machine binds ``_loop_cb``.
+                patch.setattr(Processor, "_loop", counting)
+                machine = Machine(dash_scaled_config(num_processors=4))
+                machine.load(Program(
+                    "failing",
+                    lambda allocator, n: allocator.alloc_round_robin("shared", 4096),
+                    body,
+                ))
+                with pytest.raises(RuntimeError, match="thread 2 failed"):
+                    machine.run()
+            engine = machine.engine
+            owner = {id(p._loop_cb): p.node_id for p in machine.processors}
+            left = (
+                engine.now,
+                engine.events_processed,
+                engine.next_time,
+                sorted((t, seq, owner.get(id(cb))) for t, seq, cb in engine._queue),
+            )
+            return entered, left
+
+        entered, left = attempt()
+        # Node 2 was reached in place: the engine last entered another
+        # processor's loop.
+        assert entered[-1] != 2
+        # Its continuation is consumed; every other one is still pending.
+        assert sorted(node for _t, _s, node in left[3]) == [0, 1, 3]
+
+        self._no_switch(monkeypatch)
+        entered, plain = attempt()
+        assert entered[-1] == 2
+        assert plain == left

@@ -428,6 +428,23 @@ class TestLoopAllocation:
                     batch = []
         """, rel_path="experiments/runner.py") == []
 
+    def test_comprehension_in_processor_loop_flagged(self):
+        assert _rules("""
+            def _loop(self):
+                while True:
+                    pending = [ctx for ctx in self.contexts]
+        """, rel_path="processor/processor.py") == ["loop-allocation"]
+
+    def test_processor_loop_rule_is_scoped_to_its_function_and_file(self):
+        source = """
+            def _loop(self):
+                while True:
+                    batch = []
+        """
+        assert _rules(source, rel_path="processor/context.py") == []
+        assert _rules(source.replace("_loop", "_dispatch"),
+                      rel_path="processor/processor.py") == []
+
 
 class TestFloatDrift:
     def test_float_equality_flagged_in_sim(self):
