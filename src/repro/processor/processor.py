@@ -34,13 +34,14 @@ Continuation events schedule the bound ``_loop`` directly.  This is
 safe because at most one continuation is ever pending per processor:
 ``_loop`` schedules one only as it yields, and a parked processor (the
 only state in which a grant schedules a continuation) has none pending
-by construction.  The bound callback also identifies its processor:
-when a yielding processor finds that the earliest event is another
-processor's continuation, ``EventEngine.take_next`` pops it with the
-dispatch loop's own bookkeeping and ``_loop`` carries on as that
-processor in the same frame, instead of returning into the engine for
-a fresh ``_loop`` call.  The event popped is the one the engine would
-have fired next, so the interleaving is unchanged.
+by construction.  The bound callback also identifies its processor,
+as its ``__self__``: when a yielding processor finds that the earliest
+event is ``_loop`` bound to another processor,
+``EventEngine.take_next`` pops it with the dispatch loop's own
+bookkeeping and ``_loop`` carries on as that processor in the same
+frame, instead of returning into the engine for a fresh ``_loop``
+call.  The event popped is the one the engine would have fired next,
+so the interleaving is unchanged.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class Processor:
         "_live_count",
         "_parked",
         "_loop_cb",
-        "_peers",
         "_hot",
         "_switch_cycles",
         "_switch_threshold",
@@ -167,10 +167,6 @@ class Processor:
         self._parked = False
         #: The continuation callback, bound once (see module docstring).
         self._loop_cb = self._loop
-        #: ``id(_loop_cb) -> processor`` for every processor of the
-        #: machine, handed over by :meth:`start`; what the loop may take
-        #: in place through ``EventEngine.take_next``.
-        self._peers: dict = {}
         #: Hot-loop state tuple, built by :meth:`_prime` on the first
         #: continuation (i.e. after every observer had its chance to
         #: install); one slot load + unpack per ``_loop`` entry instead
@@ -203,13 +199,9 @@ class Processor:
         self.contexts.append(context)
         self._live_count += 1
 
-    def start(self, peers: dict) -> None:
-        """Schedule the first continuation.  ``peers`` maps
-        ``id(p._loop_cb)`` to ``p`` for every processor of the machine,
-        this one included (see :meth:`_loop`)."""
+    def start(self) -> None:
         if not self.contexts:
             raise RuntimeError(f"processor {self.node_id} has no contexts")
-        self._peers = peers
         self._schedule_continue(0)
 
     # -- accounting ------------------------------------------------------
@@ -292,7 +284,8 @@ class Processor:
             self.run_lengths,
             self.config.prefetch_issue_cycles,
             self.engine.take_next,
-            self._peers,
+            # Every processor's continuation is ``_loop`` bound to it.
+            self._loop_cb.__func__,
         ) + probe + wprobe
         return self._hot
 
@@ -332,7 +325,7 @@ class Processor:
                 run_lengths,
                 pf_issue,
                 take_next,
-                peers,
+                loop_func,
                 # Inline primary-hit probe (``ptags`` None when off): the
                 # packed-cache read hit runs right here, same gates as
                 # the fused probe in ``memiface.read`` (decided in
@@ -369,7 +362,7 @@ class Processor:
                     self.time = time
                     self._current_run = run
                     engine.schedule(time, self._loop_cb)
-                    self = take_next(peers)
+                    self = take_next(loop_func)
                     if self is None:
                         return
                     break

@@ -20,7 +20,7 @@ that processor in its own frame, with no return into :meth:`run`.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple
 
 #: Sentinel returned by :meth:`EventEngine.peek_time` when the calendar is
 #: empty — any local time compares as "not behind" this.  An integer (not
@@ -28,8 +28,6 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 #: far beyond any reachable simulated time (the event limit bounds runs
 #: to ~2e9 events).
 TIME_INFINITY = 2**63
-
-_T = TypeVar("_T")
 
 #: Default event budget before a run is declared a livelock.
 DEFAULT_EVENT_LIMIT = 2_000_000_000
@@ -163,8 +161,7 @@ class EventEngine:
         The dispatch step of :meth:`run` and :meth:`run_until`: advance
         the clock, restore the ``next_time`` invariant, count the event,
         enforce the event limit and beat the heartbeat.  Returns the
-        callback, not yet called.  :meth:`take_next` repeats these
-        steps inline (see there); tests pin the two as equal.
+        callback, not yet called.  :meth:`take_next` shares it.
         """
         queue = self._queue
         time, _seq, callback = heapq.heappop(queue)
@@ -180,44 +177,29 @@ class EventEngine:
             self._fire_heartbeat()
         return callback
 
-    def take_next(self, owners: Dict[int, _T]) -> Optional[_T]:
-        """Fire the earliest event in place, if it belongs to ``owners``.
+    def take_next(self, func: Callable[..., None]) -> Optional[object]:
+        """Fire the earliest event in place, if it is a bound ``func``.
 
-        ``owners`` maps ``id(callback)`` to the object that callback
-        resumes.  When the earliest pending event's callback is one of
-        them and the running :meth:`run` / :meth:`run_until` would fire
-        it next (it is within the deadline), pop it with the same
-        bookkeeping as :meth:`_pop` and return its owner *without*
-        calling the callback: the caller runs the owner itself, in its
-        own frame, as the callback would have.  Otherwise leave the
-        calendar untouched and return ``None``.  Outside a dispatch
-        loop nothing is taken.
+        When the earliest pending event's callback is ``func`` bound to
+        some object, and the running :meth:`run` / :meth:`run_until`
+        would fire it next (it is within the deadline), pop it through
+        :meth:`_pop` and return that object *without* calling the
+        callback: the caller runs it itself, in its own frame, as the
+        callback would have.  Otherwise leave the calendar untouched and
+        return ``None``.  Outside a dispatch loop nothing is taken.
 
         The popped event is exactly the one the dispatch loop would pop
-        next, so firing order, event counts, the event limit and the
-        heartbeat are unchanged.  Nearly every event of a simulation
-        fires here, so the bookkeeping is inline rather than a call to
-        :meth:`_pop`: one Python call per event instead of two.
+        next, with the same bookkeeping, so firing order, event counts,
+        the event limit and the heartbeat are unchanged.
         """
         queue = self._queue
         if not queue:
             return None
         time, _seq, callback = queue[0]
-        owner = owners.get(id(callback))
-        if owner is None or time > self._deadline:
+        if getattr(callback, "__func__", None) is not func or time > self._deadline:
             return None
-        heapq.heappop(queue)
-        self._now = time
-        if queue:
-            self.next_time = queue[0][0]
-        else:
-            self.next_time = TIME_INFINITY
-        self._events_processed += 1
-        if self._events_processed > self._limit:
-            raise self._limit_error(time)
-        if self._events_processed >= self._next_heartbeat:
-            self._fire_heartbeat()
-        return owner
+        self._pop()
+        return callback.__self__
 
     def run(self) -> int:
         """Fire events until the calendar drains; return the final time."""

@@ -231,11 +231,8 @@ class Machine:
             raise RuntimeError("no program loaded")
         self._check_entry_points("was replaced")
         self._started = True
-        # Every processor may take another's continuation in place
-        # (Processor._loop); the bound ``_loop_cb`` identifies it.
-        peers = {id(p._loop_cb): p for p in self.processors}
         for processor in self.processors:
-            processor.start(peers)
+            processor.start()
         if watchdog is not None:
             watchdog.attach(self.engine)
         # The event loop allocates only short-lived objects that die at

@@ -403,11 +403,26 @@ def test_heartbeat_detach_accepts_nonpositive_interval():
     assert engine.run() == 1
 
 
-def _taking(engine, owners, seen):
+class _Peer:
+    """An object resumed by a bound-method callback, as a processor is
+    by its ``_loop``."""
+
+    def __init__(self, name):
+        self.name = name
+        self.resumed = 0
+
+    def resume(self):
+        self.resumed += 1
+
+    def stop(self):
+        self.stopped = True
+
+
+def _taking(engine, seen):
     """A callback that tries to take the next event in place."""
 
     def take():
-        owner = engine.take_next(owners)
+        owner = engine.take_next(_Peer.resume)
         seen.append((owner, engine.now, engine.events_processed, engine.next_time))
 
     return take
@@ -416,16 +431,14 @@ def _taking(engine, owners, seen):
 def test_take_next_pops_an_owned_head_without_calling_it():
     engine = EventEngine()
     seen, fired = [], []
-
-    def owned():
-        fired.append("owned")
-
-    engine.schedule(1, _taking(engine, {id(owned): "peer"}, seen))
-    engine.schedule(2, owned)
+    peer = _Peer("peer")
+    engine.schedule(1, _taking(engine, seen))
+    engine.schedule(2, peer.resume)
     engine.schedule(3, lambda: fired.append("last"))
     assert engine.run() == 3
     # Popped exactly as run would have: clock, count and next_time.
-    assert seen == [("peer", 2, 2, 3)]
+    assert seen == [(peer, 2, 2, 3)]
+    assert peer.resumed == 0
     assert fired == ["last"]
     assert engine.events_processed == 3
 
@@ -433,30 +446,32 @@ def test_take_next_pops_an_owned_head_without_calling_it():
 def test_take_next_leaves_a_foreign_head_alone():
     engine = EventEngine()
     seen, fired = [], []
-    engine.schedule(1, _taking(engine, {}, seen))
+    other = _Peer("other")
+    engine.schedule(1, _taking(engine, seen))
     engine.schedule(2, lambda: fired.append(2))
+    engine.schedule(3, _taking(engine, seen))
+    # A bound method of another function is not taken either.
+    engine.schedule(4, other.stop)
     engine.run()
-    assert seen == [(None, 1, 1, 2)]
+    assert seen == [(None, 1, 1, 2), (None, 3, 3, 4)]
     assert fired == [2]
+    assert other.stopped
 
 
 def test_take_next_outside_a_dispatch_loop_takes_nothing():
     engine = EventEngine()
-    callback = lambda: None  # noqa: E731
-    engine.schedule(5, callback)
-    assert engine.take_next({id(callback): "peer"}) is None
+    peer = _Peer("peer")
+    engine.schedule(5, peer.resume)
+    assert engine.take_next(_Peer.resume) is None
     assert _snapshot(engine) == (0, 1, 0, 5, 5)
 
 
 def test_take_next_respects_the_run_until_deadline():
     engine = EventEngine()
     seen = []
-
-    def owned():
-        pass
-
-    engine.schedule(1, _taking(engine, {id(owned): "peer"}, seen))
-    engine.schedule(5, owned)
+    peer = _Peer("peer")
+    engine.schedule(1, _taking(engine, seen))
+    engine.schedule(5, peer.resume)
     assert engine.run_until(4) == 4
     assert seen == [(None, 1, 1, 5)]
     assert (engine.pending, engine.next_time) == (1, 5)
@@ -465,12 +480,8 @@ def test_take_next_respects_the_run_until_deadline():
 def test_take_next_event_limit_matches_run():
     def overrun(take):
         engine = EventEngine(event_limit=1)
-
-        def owned():
-            pass
-
-        engine.schedule(1, _taking(engine, {id(owned): "peer"}, []) if take else lambda: None)
-        engine.schedule(2, owned)
+        engine.schedule(1, _taking(engine, []) if take else lambda: None)
+        engine.schedule(2, _Peer("peer").resume)
         engine.schedule(3, lambda: None)
         with pytest.raises(SimulationError) as excinfo:
             engine.run()
@@ -487,38 +498,40 @@ def test_take_next_event_limit_matches_run():
     deadline=st.integers(min_value=-1, max_value=12),
 )
 @example(times=[0, 1], limit=10, every=3, deadline=0)
-def test_take_next_bookkeeping_matches_the_dispatch_loop(times, limit, every, deadline):
-    """``take_next`` repeats ``_pop``'s bookkeeping inline: firing every
-    event in place must leave exactly the trail ``run_until`` + ``run``
-    leave — clock, count, ``next_time``, heartbeat beats, event-limit
-    error and the calendar it leaves behind."""
+def test_take_next_leaves_the_dispatch_loop_trail(times, limit, every, deadline):
+    """Firing every event in place must leave exactly the trail
+    ``run_until`` + ``run`` leave — clock, count, ``next_time``,
+    heartbeat beats, event-limit error and the calendar it leaves
+    behind."""
 
-    def drive(take):
+    class Recorder:
+        def __init__(self, i):
+            self.i = i
+
+        def fire(self):
+            log.append((self.i, *_snapshot(engine)))
+            while take:
+                owner = engine.take_next(Recorder.fire)
+                if owner is None:
+                    return
+                log.append((owner.i, *_snapshot(engine)))
+
+    def drive():
         engine = EventEngine(event_limit=limit)
-        log = []
         engine.set_heartbeat(lambda e: log.append(("beat", e.now, e.events_processed)), every)
+        for i, time in enumerate(times):
+            engine.schedule(time, Recorder(i).fire)
+        return engine
 
-        def recorder(i):
-            def fire():
-                log.append((i, *_snapshot(engine)))
-                while take:
-                    owner = engine.take_next(owners)
-                    if owner is None:
-                        return
-                    log.append((owner, *_snapshot(engine)))
-
-            return fire
-
-        callbacks = [recorder(i) for i in range(len(times))]
-        owners = {id(cb): i for i, cb in enumerate(callbacks)}
-        for time, callback in zip(times, callbacks):
-            engine.schedule(time, callback)
+    trails = []
+    for take in (True, False):
+        log = []
+        engine = drive()
         try:
             engine.run_until(deadline)
             log.append(("until", *_snapshot(engine)))
             engine.run()
         except SimulationError as exc:
             log.append(("error", str(exc)))
-        return log, _snapshot(engine)
-
-    assert drive(take=True) == drive(take=False)
+        trails.append((log, _snapshot(engine)))
+    assert trails[0] == trails[1]

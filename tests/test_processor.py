@@ -416,7 +416,7 @@ class TestInPlaceSwitch:
         """Turn the in-place switch off: every event returns to ``run``."""
         from repro.sim.engine import EventEngine
 
-        monkeypatch.setattr(EventEngine, "take_next", lambda self, owners: None)
+        monkeypatch.setattr(EventEngine, "take_next", lambda self, func: None)
 
     @staticmethod
     def _via_take_next(excinfo) -> bool:
@@ -425,9 +425,8 @@ class TestInPlaceSwitch:
     @staticmethod
     def _start(machine):
         """What ``Machine.run`` does before draining the calendar."""
-        peers = {id(p._loop_cb): p for p in machine.processors}
         for processor in machine.processors:
-            processor.start(peers)
+            processor.start()
 
     def test_event_limit_overrun_reached_in_place_matches_run(self, monkeypatch):
         from repro.sim.engine import SimulationError
