@@ -268,7 +268,6 @@ class CoherenceSanitizer:
         maturities = [
             *iface._wb_retires,
             *iface._pf_queue,
-            *iface._wb_completions,
             *iface._wb_lines.values(),
             *(miss.complete_time for miss in iface._misses.values()),
         ]

@@ -19,7 +19,7 @@ only its retire time, and raises ``SimulationError`` on a ``read`` or
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 
 class OutstandingMiss:
@@ -32,7 +32,7 @@ class OutstandingMiss:
 
     __slots__ = (
         "line", "exclusive", "issue_time", "complete_time",
-        "is_prefetch", "waiters", "combined",
+        "is_prefetch", "combined",
     )
 
     def __init__(
@@ -42,7 +42,6 @@ class OutstandingMiss:
         issue_time: int,
         complete_time: int,
         is_prefetch: bool,
-        waiters: Optional[List[Callable[[int], None]]] = None,
         combined: bool = False,
     ) -> None:
         self.line = line
@@ -50,7 +49,6 @@ class OutstandingMiss:
         self.issue_time = issue_time
         self.complete_time = complete_time
         self.is_prefetch = is_prefetch
-        self.waiters = [] if waiters is None else waiters
         #: Set when a demand reference combined with this (prefetch) miss.
         self.combined = combined
 
@@ -80,23 +78,16 @@ class MSHRTable:
             raise ValueError(f"line {miss.line:#x} already outstanding")
         self._misses[miss.line] = miss
 
-    def combine(
-        self, line: int, waiter: Optional[Callable[[int], None]] = None
-    ) -> OutstandingMiss:
+    def combine(self, line: int) -> OutstandingMiss:
         """Attach a demand reference to an outstanding miss for ``line``."""
         miss = self._misses[line]
         miss.combined = True
         self.combines += 1
-        if waiter is not None:
-            miss.waiters.append(waiter)
         return miss
 
     def retire(self, line: int) -> OutstandingMiss:
         """Remove and return the completed transaction for ``line``."""
-        miss = self._misses.pop(line)
-        for waiter in miss.waiters:
-            waiter(miss.complete_time)
-        return miss
+        return self._misses.pop(line)
 
     def __len__(self) -> int:
         return len(self._misses)

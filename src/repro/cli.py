@@ -298,8 +298,12 @@ def run_fault_matrix(args) -> int:
     """The ``check --faults`` matrix: run each smoke app under a seeded
     fault plan with the coherence sanitizer armed and a wall-clock
     watchdog, supervised so one failing configuration does not take the
-    others down.  Returns nonzero if any configuration failed."""
-    from repro.config import dash_scaled_config
+    others down.  Each app runs three machine legs: SC with one context,
+    which exercises the protocol alone, and RC with prefetching and RC
+    with four contexts, which put buffered writes, prefetches and MSHR
+    entries in front of the sanitizer.  Returns nonzero if any
+    configuration failed."""
+    from repro.config import Consistency, dash_scaled_config
     from repro.experiments.registry import SMOKE_PROCESSES, smoke_program
     from repro.experiments.supervisor import ExperimentSupervisor
     from repro.faults import FaultPlan, Watchdog
@@ -314,18 +318,25 @@ def run_fault_matrix(args) -> int:
         max_events=args.max_events,
         fault_plan=plan,
     )
+    rc = config.replace(consistency=Consistency.RC)
+    legs = (
+        ("SC", False, config),
+        ("RC+pf", True, rc),
+        ("RC 4ctx", False, rc.replace(contexts_per_processor=4)),
+    )
     supervisor = ExperimentSupervisor(
         watchdog_factory=lambda: Watchdog(wall_clock_limit_s=90.0),
         verbose=args.verbose,
     )
     jobs = [
         (
-            name,
-            (lambda n: lambda watchdog=None: run_program(
-                smoke_program(n), config, watchdog=watchdog
-            ))(name),
+            f"{name} {label}",
+            (lambda n, pf, c: lambda watchdog=None: run_program(
+                smoke_program(n, prefetching=pf), c, watchdog=watchdog
+            ))(name, prefetching, leg_config),
         )
         for name in _app_names(args.app)
+        for label, prefetching, leg_config in legs
     ]
     report = supervisor.run_sweep(f"faults-{fault_level}", jobs)
     print(f"[faults] plan={fault_level} seed={args.seed}")

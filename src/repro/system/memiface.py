@@ -110,12 +110,16 @@ class NodeMemoryInterface:
         # Retire times of the last `max_outstanding` issued writes, for
         # the in-flight pipelining cap of the lockup-free cache.
         self._wb_inflight: Deque[int] = deque()
-        # Completion times (incl. invalidation acks) not yet reached.
-        self._wb_completions: list = []
+        # Latest completion time (incl. invalidation acks) of any
+        # buffered write.  A release waits only for the latest, and a
+        # completion already reached is no later than ``now``, so one
+        # maximum serves ``release_point`` and never expires.
+        self._wb_complete = 0
         # Buffered lines for read forwarding: line -> retire time.
         self._wb_lines: Dict[int, int] = {}
 
-        # Prefetch buffer: issue times of entries still occupying it.
+        # Prefetch buffer: issue times of entries still occupying it,
+        # newest last.  A prefetch that issues at once never occupies it.
         self._pf_queue: Deque[int] = deque()
         self._pf_last_issue: Optional[int] = None
 
@@ -217,15 +221,6 @@ class NodeMemoryInterface:
             pf.popleft()
         if pf and pf[0] < horizon:
             horizon = pf[0]
-        comps = self._wb_completions
-        if comps:
-            live = []
-            for t in comps:
-                if t > now:
-                    live.append(t)
-                    if t < horizon:
-                        horizon = t
-            self._wb_completions = live
         lines = self._wb_lines
         if lines:
             dead = []
@@ -245,8 +240,6 @@ class NodeMemoryInterface:
                     done.append(line)
                 elif t < horizon:
                     horizon = t
-            # Retired in insertion order, which is the order their
-            # waiters fire in.
             retire = self.mshr.retire
             for line in done:
                 retire(line)
@@ -482,8 +475,8 @@ class NodeMemoryInterface:
         inflight.append(retire)
         if complete < retire:
             complete = retire
-        if complete > now:
-            self._wb_completions.append(complete)
+        if complete > self._wb_complete:
+            self._wb_complete = complete
         self._wb_lines[line] = retire
         if retire < self._next_expiry:
             self._next_expiry = retire
@@ -501,13 +494,15 @@ class NodeMemoryInterface:
         if not self.policy.release_requires_completion:
             return now
         if now >= self._next_expiry:
+            # The answer needs no sweep.  It runs so that no matured
+            # entry outlives this call, as after every other access:
+            # the processor's inline read probe declines a line that
+            # still has one.
             self._expire(now)
-        horizon = now
-        if self._wb_completions:
-            horizon = max(horizon, max(self._wb_completions))
-        if self._wb_last_retire > horizon:
-            horizon = self._wb_last_retire
-        return horizon
+        # Every buffered write completes no earlier than it retires, so
+        # ``_wb_complete`` also covers ``_wb_last_retire``.
+        complete = self._wb_complete
+        return complete if complete > now else now
 
     # -- prefetches -------------------------------------------------------------
 
@@ -540,9 +535,11 @@ class NodeMemoryInterface:
         if last is not None and last + self._pf_gap > issue:
             issue = last + self._pf_gap
         self._pf_last_issue = issue
-        pf.append(issue)
-        if issue < self._next_expiry:
-            self._next_expiry = issue
+        if issue > now:
+            # Held back by the bus: occupies a slot until it issues.
+            pf.append(issue)
+            if issue < self._next_expiry:
+                self._next_expiry = issue
 
         proto = self.protocol
         if self._fused:

@@ -31,6 +31,10 @@ def test_fault_matrix_smoke_single_app(capsys):
     out = capsys.readouterr().out
     assert "plan=smoke seed=7" in out
     assert "retries" in out  # per-app fault summary line
+    # Buffered writes, prefetches and MSHR entries reach the sanitizer.
+    for leg in ("LU SC:", "LU RC+pf:", "LU RC 4ctx:"):
+        assert leg in out
+    assert "3 passed, 0 degraded, 0 failed of 3" in out
     assert "check: ok" in out
 
 

@@ -2,6 +2,7 @@
 MSHR combining, consistency behaviour)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.caches import LineState
 from repro.coherence import AccessClass
@@ -266,7 +267,6 @@ def pending_maturities(iface):
     return [
         *iface._wb_retires,
         *iface._pf_queue,
-        *iface._wb_completions,
         *iface._wb_lines.values(),
         *(miss.complete_time for miss in iface._misses.values()),
     ]
@@ -326,20 +326,76 @@ class TestWatermarks:
             assert all(t > now for t in survivors)
             assert iface._next_expiry == min(survivors, default=TIME_INFINITY)
 
-    def test_mshr_waiters_fire_in_insertion_order(self):
-        machine, regions = make_machine(Consistency.RC, contexts_per_processor=2)
+    def test_immediate_prefetch_occupies_no_slot(self):
+        machine, regions = make_machine(Consistency.RC)
         iface = machine.memifaces[0]
+        present = regions[0].addr(0)
+        machine.protocol.read(0, present, 0)
+        # Issued at once and then discarded: no trace in the buffer or
+        # the watermark.
+        assert iface.prefetch(present, False, 100).discarded
+        assert not iface._pf_queue
+        assert iface._next_expiry == TIME_INFINITY
+        # Issued at once and sent: only its MSHR entry is pending.
         remote = regions[1].addr(0)
-        local = regions[0].addr(0)
-        first = iface.read(remote, 0)  # slow: remote home
-        second = iface.read(local, 1)  # fast: completes first
-        assert second.ready < first.ready
-        fired = []
-        for addr in (remote, local):
-            line = machine.protocol.line_of(addr)
-            iface.mshr.combine(line, lambda t, line=line: fired.append((line, t)))
-        iface._expire(10_000)
-        assert fired == [
-            (machine.protocol.line_of(remote), first.ready),
-            (machine.protocol.line_of(local), second.ready),
-        ]
+        assert not iface.prefetch(remote, False, 200).discarded
+        assert not iface._pf_queue
+        miss = iface.mshr.lookup(machine.protocol.line_of(remote))
+        assert iface._next_expiry == miss.complete_time
+
+    def test_bus_delayed_prefetch_queues_and_fills_the_buffer(self):
+        machine, regions = make_machine(Consistency.RC, prefetch_buffer_depth=2)
+        iface = machine.memifaces[0]
+        gap = machine.config.contention.bus_occupancy_header
+        assert gap > 0
+        line_bytes = machine.config.line_bytes
+        stalls = []
+        for i in range(4):
+            addr = regions[1].addr(1024 + i * line_bytes)
+            stalls.append(iface.prefetch(addr, False, 0).buffer_full_stall)
+            if i == 1:
+                # The second waits one bus gap, in a buffer slot.
+                assert list(iface._pf_queue) == [gap]
+                assert iface._next_expiry == gap
+        # The fourth finds both slots taken and waits for the first.
+        assert stalls == [0, 0, 0, gap]
+        assert list(iface._pf_queue) == [2 * gap, 3 * gap]
+        assert iface.prefetch_buffer_full_stall_cycles == gap
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # home node of the written line
+                st.integers(0, 7),  # line within the region
+                st.booleans(),  # another node reads it first
+                st.integers(0, 60),  # cycles until the release
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_release_point_is_the_latest_completion(self, writes):
+        machine, regions = make_machine(
+            Consistency.RC, write_buffer_depth=3, max_outstanding_writes=2
+        )
+        completes = []
+
+        def recording(original):
+            def write(*args, **kwargs):
+                outcome = original(*args, **kwargs)
+                completes.append(outcome.complete)
+                return outcome
+
+            return write
+
+        machine.interpose(machine.protocol, "write", recording)
+        iface = machine.memifaces[0]
+        now = 0
+        for home, index, shared, gap in writes:
+            addr = regions[home].addr(index * 64)
+            if shared:
+                machine.protocol.read(1 + home % 3, addr, now)
+            now = iface.write(addr, now).proceed + gap
+            expected = max([now, *completes, iface._wb_last_retire])
+            assert iface.release_point(now) == expected
