@@ -40,9 +40,10 @@ definite finding with the executor's who-waits-on-what detail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.executor import LogicalExecutor, OpListener
+from repro.analysis.tracecheck import tarjan_sccs
 from repro.sim.engine import DeadlockError
 from repro.tango import ops as O
 from repro.tango.program import Program
@@ -178,58 +179,6 @@ class LockOrderAnalyzer(OpListener):
             self.hold_across.append((thread, index, what, tuple(held)))
 
 
-def _tarjan_sccs(edges: Dict[int, Set[int]]) -> List[List[int]]:
-    """Strongly connected components (iterative Tarjan)."""
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = [0]
-    nodes = set(edges)
-    for targets in edges.values():
-        nodes |= targets
-
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(edges.get(root, ()))))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(edges.get(succ, ())))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-    return sccs
-
-
 def _cycle_within(scc: Sequence[int], edges: Dict[int, Set[int]]) -> List[int]:
     """A short concrete cycle inside one cyclic SCC (BFS back to start)."""
     start = min(scc)
@@ -290,7 +239,10 @@ def analyze_program(
     report.barriers_seen = analyzer.barriers_seen
 
     # Lock-order cycles.
-    for scc in _tarjan_sccs(analyzer.edges):
+    nodes = set(analyzer.edges).union(*analyzer.edges.values())
+    for scc in tarjan_sccs(
+        {n: sorted(analyzer.edges.get(n, ())) for n in sorted(nodes)}
+    ):
         cyclic = len(scc) > 1 or (
             scc[0] in analyzer.edges.get(scc[0], ())
         )

@@ -82,6 +82,11 @@ latency, contention, and buffer occupancy are out of scope (the runtime
 sanitizer covers those), and exhaustiveness holds only up to the
 configured bounds (caches, lines, values, in-flight messages, retries).
 
+The enumeration is :func:`explore`, one breadth-first pass recording
+each state with its BFS parent link and every labelled edge; the model
+checker, ``protolint`` and ``protodiff`` all read its
+:class:`ReachableGraph`.
+
 ``mutation`` injects a deliberately broken transition (used by the unit
 tests and the README example to demonstrate counterexample extraction —
 never by the real checks).
@@ -92,7 +97,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.caches import LineState
 from repro.coherence.directory import DirState
@@ -124,8 +129,7 @@ def _default_spec():
 
 def reachable_fingerprint(states) -> str:
     """Stable digest of a reachable-state set (canonical renderings,
-    sorted).  Shared by the model checker and protolint's liveness pass
-    so "the two analyses agree" is checkable as string equality."""
+    sorted)."""
     digest = hashlib.sha256()
     for rendered in sorted(repr(state) for state in states):
         digest.update(rendered.encode())
@@ -266,6 +270,8 @@ class ModelCheckResult:
     #: the protocol's transition rules (or the bounds) changes it, so CI
     #: caches it to fail fast on unreviewed protocol diffs.
     fingerprint: str
+    #: The explored graph (up to the violating state, if one was found).
+    graph: ReachableGraph = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -285,13 +291,21 @@ class ModelCheckResult:
         )
 
 
+def format_trace(
+    trace: List[Tuple[str, State]], indent: str = "  "
+) -> List[str]:
+    """Render a trace: a numbered action line, then a state line, per step."""
+    lines: List[str] = []
+    for step, (action, state) in enumerate(trace):
+        lines.append(f"{indent}#{step:<3d} {action}")
+        lines.append(f"{indent}     {state.describe()}")
+    return lines
+
+
 def format_counterexample(violation: Violation) -> str:
     """Render a violation trace, one numbered step per line."""
-    lines = [f"counterexample ({violation.invariant}): {violation.message}"]
-    for step, (action, state) in enumerate(violation.trace):
-        lines.append(f"  #{step:<3d} {action}")
-        lines.append(f"       {state.describe()}")
-    return "\n".join(lines)
+    header = f"counterexample ({violation.invariant}): {violation.message}"
+    return "\n".join([header, *format_trace(violation.trace)])
 
 
 class ProtocolModel:
@@ -855,92 +869,110 @@ class ProtocolModel:
         return None
 
 
+@dataclass
+class ReachableGraph:
+    """What one breadth-first exploration of a :class:`ProtocolModel`
+    saw: the single enumeration the model checker, protolint and
+    protodiff all read."""
+
+    model: ProtocolModel
+    #: Every discovered state, in discovery order, mapped to its BFS
+    #: parent link ``(previous state, label)`` (``None`` for the initial
+    #: state) -- the links give BFS-minimal traces.
+    parent: Dict[State, Optional[Tuple[State, str]]]
+    #: Every labelled edge ``(src, label, dst)``, in exploration order.
+    edges: List[Tuple[State, str, State]]
+    #: ``(state, finding)`` for the state whose ``stop`` check failed,
+    #: when the exploration stopped right after discovering it.
+    stopped: Optional[Tuple[State, Any]] = None
+
+    def trace_to(self, state: State) -> List[Tuple[str, State]]:
+        """The BFS-minimal ``(action, state)`` steps from the initial
+        state to ``state``; the first entry is ``("initial", initial)``."""
+        steps: List[Tuple[str, State]] = []
+        link = self.parent[state]
+        while link is not None:
+            prev, label = link
+            steps.append((label, state))
+            state, link = prev, self.parent[prev]
+        steps.append(("initial", state))
+        steps.reverse()
+        return steps
+
+
+def explore(
+    model: ProtocolModel,
+    stop: Optional[Callable[[State], Any]] = None,
+) -> ReachableGraph:
+    """Breadth-first enumeration of every state ``model`` can reach.
+
+    ``stop`` is called on each newly discovered state; the first
+    non-``None`` result ends the exploration right there, recorded in
+    :attr:`ReachableGraph.stopped`.  Raises ``RuntimeError`` once more
+    than ``model.config.max_states`` states are discovered.
+    """
+    max_states = model.config.max_states
+    initial = model.initial_state()
+    graph = ReachableGraph(model, {initial: None}, [])
+    parent, edges = graph.parent, graph.edges
+    found = stop(initial) if stop is not None else None
+    if found is not None:
+        graph.stopped = (initial, found)
+        return graph
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        for label, succ in model.successors(state):
+            edges.append((state, label, succ))
+            if succ in parent:
+                continue
+            parent[succ] = (state, label)
+            if len(parent) > max_states:
+                raise RuntimeError(
+                    f"spec {model.spec.name!r}: state space exceeds "
+                    f"max_states={max_states}; tighten the model bounds"
+                )
+            found = stop(succ) if stop is not None else None
+            if found is not None:
+                graph.stopped = (succ, found)
+                return graph
+            queue.append(succ)
+    return graph
+
+
 class ModelChecker:
-    """BFS enumeration of every reachable state, with trace extraction."""
+    """Invariant checking over :func:`explore`, with trace extraction."""
 
     def __init__(self, model: Optional[ProtocolModel] = None) -> None:
         self.model = model or ProtocolModel()
 
     def run(self) -> ModelCheckResult:
-        model = self.model
-        cfg = model.config
-        initial = model.initial_state()
-        parent: Dict[State, Optional[Tuple[State, str]]] = {initial: None}
-        preds: Dict[State, List[State]] = {}
-        queue = deque([initial])
-        transitions = 0
-
-        violation = self._violation_at(initial, parent)
-        while queue and violation is None:
-            state = queue.popleft()
-            for label, succ in model.successors(state):
-                transitions += 1
-                preds.setdefault(succ, []).append(state)
-                if succ in parent:
-                    continue
-                parent[succ] = (state, label)
-                if len(parent) > cfg.max_states:
-                    raise RuntimeError(
-                        f"state space exceeded max_states="
-                        f"{cfg.max_states}; tighten the model bounds"
-                    )
-                violation = self._violation_at(succ, parent)
-                if violation is not None:
-                    break
-                queue.append(succ)
-
-        quiescent = sum(1 for s in parent if not s.msgs)
-        if violation is None:
-            violation = self._check_no_stuck(parent, preds)
+        graph = explore(self.model, stop=self.model.check_state)
+        if graph.stopped is not None:
+            state, (invariant, message) = graph.stopped
+            violation: Optional[Violation] = Violation(
+                invariant, message, graph.trace_to(state)
+            )
+        else:
+            violation = self._check_no_stuck(graph)
         return ModelCheckResult(
-            config=cfg,
-            states_explored=len(parent),
-            transitions_explored=transitions,
-            quiescent_states=quiescent,
+            config=self.model.config,
+            states_explored=len(graph.parent),
+            transitions_explored=len(graph.edges),
+            quiescent_states=sum(1 for s in graph.parent if not s.msgs),
             violation=violation,
-            fingerprint=self._fingerprint(parent),
+            fingerprint=reachable_fingerprint(graph.parent),
+            graph=graph,
         )
 
-    # -- helpers -----------------------------------------------------------
-
-    def _violation_at(
-        self,
-        state: State,
-        parent: Dict[State, Optional[Tuple[State, str]]],
-    ) -> Optional[Violation]:
-        found = self.model.check_state(state)
-        if found is None:
-            return None
-        invariant, message = found
-        return Violation(invariant, message, self._trace_to(state, parent))
-
     @staticmethod
-    def _trace_to(
-        state: State,
-        parent: Dict[State, Optional[Tuple[State, str]]],
-    ) -> List[Tuple[str, State]]:
-        steps: List[Tuple[str, State]] = []
-        cursor: Optional[State] = state
-        while cursor is not None:
-            link = parent[cursor]
-            if link is None:
-                steps.append(("initial", cursor))
-                cursor = None
-            else:
-                prev, label = link
-                steps.append((label, cursor))
-                cursor = prev
-        steps.reverse()
-        return steps
-
-    def _check_no_stuck(
-        self,
-        parent: Dict[State, Optional[Tuple[State, str]]],
-        preds: Dict[State, List[State]],
-    ) -> Optional[Violation]:
+    def _check_no_stuck(graph: ReachableGraph) -> Optional[Violation]:
         """Reverse reachability from the quiescent states: any state that
         cannot drain its in-flight messages is a livelock/stuck state."""
-        can_quiesce = {s for s in parent if not s.msgs}
+        preds: Dict[State, List[State]] = {}
+        for src, _label, dst in graph.edges:
+            preds.setdefault(dst, []).append(src)
+        can_quiesce = {s for s in graph.parent if not s.msgs}
         frontier = deque(can_quiesce)
         while frontier:
             state = frontier.popleft()
@@ -948,7 +980,7 @@ class ModelChecker:
                 if pred not in can_quiesce:
                     can_quiesce.add(pred)
                     frontier.append(pred)
-        stuck = [s for s in parent if s not in can_quiesce]
+        stuck = [s for s in graph.parent if s not in can_quiesce]
         if not stuck:
             return None
         # Report the stuck state with the shortest reaching trace (the
@@ -959,12 +991,8 @@ class ModelChecker:
             f"{len(stuck)} reachable state(s) can never drain their "
             f"in-flight messages; first witness has "
             f"{len(witness.msgs)} message(s) stuck",
-            self._trace_to(witness, parent),
+            graph.trace_to(witness),
         )
-
-    @staticmethod
-    def _fingerprint(parent: Dict[State, object]) -> str:
-        return reachable_fingerprint(parent)
 
 
 def check_protocol(

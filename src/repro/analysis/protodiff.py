@@ -14,8 +14,9 @@ Visible alphabet
 
 The abstract model (:mod:`repro.analysis.modelcheck`) already
 enumerates every serialization of issues, directory serves, NACKs, and
-evictions under a bounded configuration.  The differ relabels each edge
-as either *visible* or *internal* (tau):
+evictions under a bounded configuration.  The differ takes the labelled
+edges of one :func:`~repro.analysis.modelcheck.explore` run per spec and
+relabels each as either *visible* or *internal* (tau):
 
 * ``W(c,l,v)`` — a write by cache ``c`` to line ``l`` takes effect
   globally: the directory grants ownership (``serve WRITE``) or a
@@ -69,7 +70,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.modelcheck import ModelConfig, ProtocolModel
+from repro.analysis.modelcheck import ModelConfig, ProtocolModel, explore
 from repro.caches import LineState
 from repro.coherence.directory import DirState
 from repro.coherence.specs import ProtocolSpec
@@ -119,31 +120,18 @@ class _LTS:
     __slots__ = ("initial", "tau", "visible", "states")
 
     def __init__(self, spec: ProtocolSpec, config: ModelConfig) -> None:
-        model = ProtocolModel(config, spec=spec)
-        init = model.initial_state()
-        index: Dict[object, int] = {init: 0}
+        graph = explore(ProtocolModel(config, spec=spec))
+        index = {state: i for i, state in enumerate(graph.parent)}
         self.tau: Dict[int, List[int]] = {}
         self.visible: Dict[int, List[Tuple[VisAct, int]]] = {}
-        queue = deque([init])
-        while queue:
-            state = queue.popleft()
-            src = index[state]
-            for label, succ in model.successors(state):
-                if succ not in index:
-                    if len(index) >= config.max_states:
-                        raise RuntimeError(
-                            f"protodiff: spec {spec.name!r} exceeds "
-                            f"{config.max_states} states under the "
-                            f"given bounds"
-                        )
-                    index[succ] = len(index)
-                    queue.append(succ)
-                dst = index[succ]
-                act = _classify(label, succ)
-                if act is None:
-                    self.tau.setdefault(src, []).append(dst)
-                else:
-                    self.visible.setdefault(src, []).append((act, dst))
+        for src, label, succ in graph.edges:
+            act = _classify(label, succ)
+            if act is None:
+                self.tau.setdefault(index[src], []).append(index[succ])
+            else:
+                self.visible.setdefault(index[src], []).append(
+                    (act, index[succ])
+                )
         self.initial = 0
         self.states = len(index)
 

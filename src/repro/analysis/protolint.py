@@ -23,20 +23,21 @@ registered spec.  The passes:
   state, and no cycle of action-free rules exists: every transition
   makes progress;
 * **liveness / conformance** — the pass that keeps the table honest
-  against reality.  It re-enumerates the reachable states of the PR-3
-  model checker's abstraction (:class:`~repro.analysis.modelcheck.
-  ProtocolModel`), projects every *observation* — a resident line that
-  could be read, written, or evicted; an in-flight request about to be
-  served — onto the table, and demands a successful lookup (a failure
-  yields a **minimal witness trace**, BFS-shortest, in the model
-  checker's rendering).  Each fired rule's declared next states are
-  compared against what the model actually does (conformance); rules
-  that never fire are **dead transitions** (the ``orphan-state``
-  mutation); declared-impossible combinations that are nevertheless
-  observed are unsoundness findings.  The reachable-state fingerprint is
-  recomputed with :func:`~repro.analysis.modelcheck.
-  reachable_fingerprint` and must equal the model checker's own — the
-  two analyses agree on the state space or the run fails.
+  against reality.  It reads the reachable-state graph of the model
+  checker's own run over the same abstraction
+  (:class:`~repro.analysis.modelcheck.ProtocolModel`, enumerated once
+  by :func:`~repro.analysis.modelcheck.explore`), projects every
+  *observation* — a resident line that could be read, written, or
+  evicted; an in-flight request about to be served — onto the table,
+  and demands a successful lookup (a failure yields a **minimal witness
+  trace**, BFS-shortest, in the model checker's rendering).  Each fired
+  rule's declared next states are compared against what the model
+  actually does (conformance); rules that never fire are **dead
+  transitions** (the ``orphan-state`` mutation); declared-impossible
+  combinations that are nevertheless observed are unsoundness findings.
+  A model that violates an invariant is itself the finding, reported
+  with its counterexample; the table is not checked against a graph
+  that stops at the violating state.
 
 Soundness caveats are inherited from both sides: the table covers the
 secondary-cache + home-directory machine (not the write-through primary,
@@ -52,15 +53,17 @@ and the README can demonstrate each class of finding end to end.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.modelcheck import (
+    ModelCheckResult,
     ModelConfig,
     ProtocolModel,
+    ReachableGraph,
     State,
-    reachable_fingerprint,
+    check_protocol,
+    format_trace,
 )
 from repro.caches import LineState
 from repro.coherence.directory import DirState
@@ -141,23 +144,17 @@ class ProtoLintResult:
     impossible: int
     table_fingerprint: str
     findings: List[ProtoFinding]
-    #: Reachable states the liveness pass enumerated (0 when skipped).
+    #: Reachable states the model check explored (0 when skipped).
     states_explored: int
     #: Observations projected onto the table across those states.
     observations_checked: int
-    #: Fingerprint of the state set protolint itself reached.
+    #: The model check's reachable-state fingerprint (``None`` when the
+    #: liveness pass was skipped).
     reachable_fingerprint: Optional[str]
-    #: The model checker's fingerprint of the same bounds, for the
-    #: agreement check (``None`` when the liveness pass was skipped).
-    model_fingerprint: Optional[str]
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    @property
-    def fingerprints_agree(self) -> bool:
-        return self.reachable_fingerprint == self.model_fingerprint
 
     def summary(self) -> str:
         verdict = (
@@ -399,62 +396,33 @@ def _conformance_target(
     return (succ.caches[cache][line].state, succ.dirs[line].state)
 
 
-def _witness_to(
-    state: State,
-    parent: Dict[State, Optional[Tuple[State, str]]],
-) -> List[str]:
+def _witness_to(state: State, graph: ReachableGraph) -> List[str]:
     """Rendered BFS-minimal trace from the initial state to ``state``."""
-    steps: List[Tuple[str, State]] = []
-    cursor: Optional[State] = state
-    while cursor is not None:
-        link = parent[cursor]
-        if link is None:
-            steps.append(("initial", cursor))
-            cursor = None
-        else:
-            prev, label = link
-            steps.append((label, cursor))
-            cursor = prev
-    steps.reverse()
-    lines: List[str] = []
-    for index, (action, step_state) in enumerate(steps):
-        lines.append(f"#{index:<3d} {action}")
-        lines.append(f"     {step_state.describe()}")
-    return lines
+    return format_trace(graph.trace_to(state), indent="")
 
 
 def check_liveness(
-    table: TransitionTable,
-    config: Optional[ModelConfig] = None,
-    spec=None,
-) -> Tuple[List[ProtoFinding], int, int, str, Set[str]]:
-    """Enumerate the model's reachable states, project every observation
-    onto the table, and conform each fired rule against the model edge.
+    table: TransitionTable, graph: ReachableGraph
+) -> Tuple[List[ProtoFinding], int]:
+    """Project every observation of the explored model's reachable
+    states onto the table, and conform each fired rule against the model
+    edge.
 
-    ``spec`` selects the protocol the conforming model runs (default:
-    the registry's ``directory-msi``); ``table`` may differ from the
-    spec's own table when a seeded mutation is under test.
+    ``graph`` is a complete exploration (a violation-free
+    :func:`~repro.analysis.modelcheck.check_protocol` run's); its model
+    fixes the protocol and the bounds, and ``table`` may differ from the
+    model spec's own table when a seeded mutation is under test.
 
-    Returns ``(findings, states, observations, fingerprint, fired)``.
+    Returns ``(findings, observations)``.
     """
-    config = config or ModelConfig()
-    model = ProtocolModel(config, spec=spec)
-    initial = model.initial_state()
-    parent: Dict[State, Optional[Tuple[State, str]]] = {initial: None}
-    queue = deque([initial])
-    while queue:
-        state = queue.popleft()
-        for label, succ in model.successors(state):
-            if succ not in parent:
-                parent[succ] = (state, label)
-                queue.append(succ)
-
+    model = graph.model
+    config = model.config
     findings: List[ProtoFinding] = []
     reported: Set[Tuple] = set()
     fired: Set[str] = set()
     states_seen: Set[Tuple[LineState, DirState]] = set()
     observations = 0
-    for state in parent:
+    for state in graph.parent:
         for observation in _observations(state, config, model.spec):
             observations += 1
             states_seen.add(
@@ -484,7 +452,7 @@ def check_liveness(
                 findings.append(
                     ProtoFinding(
                         "liveness", message,
-                        witness=_witness_to(state, parent),
+                        witness=_witness_to(state, graph),
                     )
                 )
                 continue
@@ -505,7 +473,7 @@ def check_liveness(
                                 f"hit rule {rule.name!r} declares a state "
                                 f"change, but hits resolve inside the "
                                 f"cache: {rule.describe()}",
-                                witness=_witness_to(state, parent),
+                                witness=_witness_to(state, graph),
                             )
                         )
                 continue
@@ -523,7 +491,7 @@ def check_liveness(
                             f"transition yields ({target[0].name}, "
                             f"{target[1].name}) for "
                             f"{observation.describe()}",
-                            witness=_witness_to(state, parent),
+                            witness=_witness_to(state, graph),
                         )
                     )
 
@@ -533,7 +501,7 @@ def check_liveness(
                 ProtoFinding(
                     "liveness",
                     f"dead transition: rule {rule.name!r} never fires in "
-                    f"any of the {len(parent)} reachable states "
+                    f"any of the {len(graph.parent)} reachable states "
                     f"(bounds: {config.num_caches} caches, "
                     f"{config.num_lines} line(s)) — the combination "
                     f"({rule.cache_state.name}, {rule.dir_state.name}, "
@@ -559,10 +527,7 @@ def check_liveness(
                     f"{dir_state.name}) but no rule mentions it",
                 )
             )
-    return (
-        findings, len(parent), observations,
-        reachable_fingerprint(parent), fired,
-    )
+    return findings, observations
 
 
 # -- entry points -------------------------------------------------------------
@@ -572,12 +537,21 @@ def lint_table(
     config: Optional[ModelConfig] = None,
     with_model: bool = True,
     spec=None,
+    model_result: Optional[ModelCheckResult] = None,
 ) -> ProtoLintResult:
     """Run every pass over ``table`` (default: the directory protocol).
 
     Pass ``spec`` to lint a registered protocol spec: its table becomes
     the lint target (unless ``table`` overrides it with a mutated
     variant) and the conforming model runs that protocol's semantics.
+
+    The liveness pass reads the graph of a
+    :func:`~repro.analysis.modelcheck.check_protocol` run of ``spec``
+    under ``config``; pass that run as ``model_result`` when the caller
+    already has it, so the model is explored once.  A model that
+    violates an invariant is reported as one liveness finding with its
+    counterexample, and the observation pass is skipped: its graph stops
+    at the violating state.
 
     ``with_model=False`` skips the liveness/conformance pass (used by
     unit tests exercising the static passes on synthetic tables whose
@@ -591,28 +565,24 @@ def lint_table(
     findings.extend(check_stutter(table))
     states = observations = 0
     reach_fp: Optional[str] = None
-    model_fp: Optional[str] = None
     if with_model:
-        config = config or ModelConfig()
-        live, states, observations, reach_fp, _ = check_liveness(
-            table, config, spec=spec
-        )
-        findings.extend(live)
-        # Agreement check: the model checker enumerating the *same*
-        # bounds must see the same state set, or one of the two
-        # analyses is exploring a different protocol.
-        from repro.analysis.modelcheck import check_protocol
-
-        model_fp = check_protocol(config, spec=spec).fingerprint
-        if reach_fp != model_fp:
+        if model_result is None:
+            model_result = check_protocol(config, spec=spec)
+        states = model_result.states_explored
+        reach_fp = model_result.fingerprint
+        violation = model_result.violation
+        if violation is not None:
             findings.append(
                 ProtoFinding(
                     "liveness",
-                    f"reachable-state fingerprint {reach_fp[:16]} does "
-                    f"not match the model checker's {model_fp[:16]} "
-                    f"under the same bounds",
+                    f"the model violates {violation.invariant} after "
+                    f"{states} states: {violation.message}",
+                    witness=format_trace(violation.trace, indent=""),
                 )
             )
+        else:
+            live, observations = check_liveness(table, model_result.graph)
+            findings.extend(live)
     return ProtoLintResult(
         table_name=table.name,
         rules=len(table.rules),
@@ -622,7 +592,6 @@ def lint_table(
         states_explored=states,
         observations_checked=observations,
         reachable_fingerprint=reach_fp,
-        model_fingerprint=model_fp,
     )
 
 

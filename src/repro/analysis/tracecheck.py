@@ -56,6 +56,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Hashable,
     List,
     Mapping,
     NamedTuple,
@@ -63,6 +64,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from repro.config import Consistency, ContentionConfig, dash_scaled_config
@@ -566,7 +568,10 @@ def check_trace(trace: MemoryEventTrace, model: Consistency) -> ConformanceRepor
     _check_performance_order(trace, by_tid, model, policy, report)
 
     # -- cycle check --------------------------------------------------------
-    cyclic = [scc for scc in _tarjan_sccs(graph) if len(scc) > 1]
+    successors = {
+        node: [dst for dst, _label in succs] for node, succs in graph.items()
+    }
+    cyclic = [scc for scc in tarjan_sccs(successors) if len(scc) > 1]
 
     def scc_key(scc: List[int]) -> Tuple[int, int]:
         reals = [n for n in scc if n < num_events]
@@ -682,18 +687,23 @@ def _check_performance_order(
                 max_complete = e
 
 
-def _tarjan_sccs(graph: Mapping[int, List[Tuple[int, str]]]) -> List[List[int]]:
-    """Iterative Tarjan strongly-connected components."""
-    index_of: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    sccs: List[List[int]] = []
+Node = TypeVar("Node", bound=Hashable)
+
+
+def tarjan_sccs(graph: Mapping[Node, Sequence[Node]]) -> List[List[Node]]:
+    """Strongly connected components (iterative Tarjan).  Roots and
+    successors are visited in the mapping's and the lists' order, so the
+    component order is deterministic."""
+    index_of: Dict[Node, int] = {}
+    low: Dict[Node, int] = {}
+    on_stack: Set[Node] = set()
+    stack: List[Node] = []
+    sccs: List[List[Node]] = []
     counter = 0
     for root in graph:
         if root in index_of:
             continue
-        work: List[Tuple[int, int]] = [(root, 0)]
+        work: List[Tuple[Node, int]] = [(root, 0)]
         while work:
             node, edge_i = work.pop()
             if edge_i == 0:
@@ -701,10 +711,10 @@ def _tarjan_sccs(graph: Mapping[int, List[Tuple[int, str]]]) -> List[List[int]]:
                 counter += 1
                 stack.append(node)
                 on_stack.add(node)
-            succs = graph.get(node, [])
-            descend: Optional[int] = None
+            succs = graph.get(node, ())
+            descend: Optional[Node] = None
             while edge_i < len(succs):
-                dst = succs[edge_i][0]
+                dst = succs[edge_i]
                 edge_i += 1
                 if dst not in index_of:
                     descend = dst
@@ -716,7 +726,7 @@ def _tarjan_sccs(graph: Mapping[int, List[Tuple[int, str]]]) -> List[List[int]]:
                 work.append((descend, 0))
                 continue
             if low[node] == index_of[node]:
-                scc: List[int] = []
+                scc: List[Node] = []
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)

@@ -404,12 +404,10 @@ def run_proto_lint(args) -> int:
     print(f"[protolint] {result.summary()}")
     for finding in result.findings:
         print("  " + _indent(finding.format()))
-    if result.model_fingerprint is not None:
-        agreement = "agrees" if result.fingerprints_agree else "DISAGREES"
+    if result.reachable_fingerprint is not None:
         print(
-            f"[protolint] reachable-state fingerprint {agreement} with "
-            f"the model checker "
-            f"({(result.reachable_fingerprint or '')[:16]})"
+            f"[protolint] reachable-state fingerprint agrees with the "
+            f"model checker ({result.reachable_fingerprint[:16]})"
         )
     if not result.ok:
         return 1
@@ -443,7 +441,7 @@ def run_proto_matrix(args) -> int:
             print(format_counterexample(result.violation))
             status = 1
             continue
-        lint = lint_table(config=config, spec=spec)
+        lint = lint_table(config=config, spec=spec, model_result=result)
         print(f"[protomatrix] {name}: {lint.summary()}")
         for finding in lint.findings:
             print("  " + _indent(finding.format()))

@@ -263,6 +263,27 @@ def test_proto_matrix_verifies_every_registered_spec(capsys):
     assert "check: ok" in out
 
 
+def test_proto_matrix_explores_each_spec_once(monkeypatch, capsys):
+    from repro.analysis.modelcheck import ModelConfig, ProtocolModel, check_protocol
+    from repro.coherence.specs import get_spec, spec_names
+
+    states = sum(
+        check_protocol(ModelConfig(), spec=get_spec(name)).states_explored
+        for name in spec_names()
+    )
+    calls = []
+    original = ProtocolModel.successors
+
+    def counted(self, state):
+        calls.append(state)
+        return original(self, state)
+
+    monkeypatch.setattr(ProtocolModel, "successors", counted)
+    assert main(["check", "--proto-matrix"]) == 0
+    capsys.readouterr()
+    assert len(calls) == states == 3006
+
+
 def test_proto_matrix_fingerprints_roundtrip(tmp_path, capsys):
     from repro.coherence.specs import spec_names
 
@@ -492,10 +513,14 @@ _DOCUMENTED_INVOCATIONS = [
     ("--model-check --mc-fingerprint .ci-cache/model.fingerprint", ("model",)),
     ("--model-check --mc-mutate skip-invalidation", ("model",)),
     ("--mc-mutate skip-invalidation", ("model",)),
+    ("--mc-mutate lost-writeback", ("model",)),
+    ("--mc-mutate nack-forever", ("model",)),
     ("--proto-lint", ("protolint",)),
     ("--proto-lint --proto-fingerprint .ci-cache/proto.fingerprint",
      ("protolint",)),
     ("--proto-mutate drop-transition", ("protolint",)),
+    ("--proto-mutate overlap-rule", ("protolint",)),
+    ("--proto-mutate orphan-state", ("protolint",)),
     ("--proto-matrix", ("protomatrix",)),
     ("--proto-matrix --proto-matrix-fingerprints .ci-cache/proto-matrix",
      ("protomatrix",)),

@@ -6,6 +6,8 @@ exhaustively and must be violation-free; each deliberate protocol
 mutation must produce a minimal counterexample trace.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis.modelcheck import (
@@ -14,6 +16,7 @@ from repro.analysis.modelcheck import (
     ModelConfig,
     ProtocolModel,
     check_protocol,
+    explore,
     format_counterexample,
 )
 from repro.faults.plan import BackoffPolicy
@@ -77,6 +80,11 @@ class TestBaseline:
     def test_max_states_safety_valve(self):
         with pytest.raises(RuntimeError, match="max_states"):
             check_protocol(ModelConfig(max_states=10))
+        # The guard counts discovered states: exactly the reachable
+        # count passes, one fewer raises.
+        assert check_protocol(ModelConfig(max_states=658)).ok
+        with pytest.raises(RuntimeError, match="max_states=657"):
+            check_protocol(ModelConfig(max_states=657))
 
 
 # -- mutations: every seeded bug must be caught ------------------------------
@@ -113,6 +121,25 @@ class TestMutations:
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation"):
             ProtocolModel(mutation="unplug-the-directory")
+
+    #: sha256 of each mutation's summary line plus rendered
+    #: counterexample: the counts, fingerprint and trace are all pinned,
+    #: so a change to the BFS order or the early stop moves them.
+    PINNED = {
+        "skip-invalidation":
+            "8886cde180475d96aa74116b9ed19b0cf7eb01af9ed7105ba2ca3aad8aa40fce",
+        "lost-writeback":
+            "46fbe933deceaf5e16a491363dbd97bb4705adaac84add087818159d920a3675",
+        "nack-forever":
+            "3bf364d8fa95b2d85b984be74705fc1db2314fac33a9ef6a978a9dfffa918f80",
+    }
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_counterexample_text_is_pinned(self, mutation):
+        result = check_protocol(mutation=mutation)
+        text = result.summary() + "\n" + result.violation.format()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.PINNED[mutation], text
 
     def test_counterexample_rendering(self):
         result = check_protocol(mutation="skip-invalidation")
@@ -172,3 +199,66 @@ class TestEnumeration:
         result = check_protocol()
         assert result.ok
         assert result.quiescent_states >= 1
+
+
+# -- the shared explorer -------------------------------------------------------
+
+
+class TestExplore:
+    def test_graph_records_states_parents_and_edges(self):
+        model = ProtocolModel()
+        graph = explore(model)
+        states = list(graph.parent)
+        assert states[0] == model.initial_state()
+        assert graph.parent[states[0]] is None
+        assert graph.stopped is None
+        assert len(states) == 658 and len(graph.edges) == 2740
+        # Every non-initial state's parent link is one of the recorded
+        # edges, and exploration starts from the initial state.
+        edges = set(graph.edges)
+        for state in states[1:]:
+            prev, label = graph.parent[state]
+            assert (prev, label, state) in edges
+        assert graph.edges[0][0] == states[0]
+
+    def test_traces_are_bfs_minimal(self):
+        graph = explore(ProtocolModel())
+        depth = {}
+        for state, link in graph.parent.items():
+            depth[state] = 0 if link is None else depth[link[0]] + 1
+        for src, _label, dst in graph.edges:
+            assert depth[dst] <= depth[src] + 1
+        deepest = max(graph.parent, key=depth.__getitem__)
+        trace = graph.trace_to(deepest)
+        assert trace[0][0] == "initial"
+        assert len(trace) == depth[deepest] + 1
+        assert trace[-1][1] == deepest
+
+    def test_stop_ends_right_after_the_failing_state(self):
+        model = ProtocolModel(mutation="lost-writeback")
+        graph = explore(model, stop=model.check_state)
+        state, (invariant, _message) = graph.stopped
+        assert invariant == "data-value"
+        assert list(graph.parent)[-1] == state
+        assert graph.edges[-1][2] == state
+        result = check_protocol(mutation="lost-writeback")
+        assert result.states_explored == len(graph.parent) == 69
+        assert result.transitions_explored == len(graph.edges) == 96
+
+    def test_stop_can_fire_on_the_initial_state(self):
+        model = ProtocolModel()
+        graph = explore(model, stop=lambda state: "halt")
+        assert graph.stopped == (model.initial_state(), "halt")
+        assert len(graph.parent) == 1 and graph.edges == []
+
+    def test_successors_run_once_per_state(self, monkeypatch):
+        calls = []
+        original = ProtocolModel.successors
+
+        def counted(self, state):
+            calls.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(ProtocolModel, "successors", counted)
+        result = check_protocol()
+        assert len(calls) == len(set(calls)) == result.states_explored

@@ -9,6 +9,7 @@ mutation's refutation including the exact minimal witness, and the
 witness formatting the CLI prints.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -95,6 +96,16 @@ class TestMutation:
             "possible in mesi[mesi-without-e-writeback], "
             "impossible in directory-msi" in text
         )
+
+    def test_divergence_text_is_pinned(self):
+        result = diff_specs(
+            get_spec("directory-msi"),
+            mutated_spec("mesi-without-e-writeback"),
+        )
+        text = result.format()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ad3513645c97b389ae274c3cc917fca816b694176c5ead4a5547225e4140c9c6"
+        ), text
 
     def test_every_published_mutation_is_refuted(self):
         msi = get_spec("directory-msi")

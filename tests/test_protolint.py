@@ -1,8 +1,11 @@
 """Tests for the declarative transition table and its static analyzer."""
 
+import hashlib
+
 import pytest
 
-from repro.analysis.modelcheck import ModelConfig, check_protocol
+from repro.analysis.modelcheck import ModelConfig, ProtocolModel, check_protocol
+from repro.analysis.protodiff import mutated_spec
 from repro.analysis.protolint import (
     PROTO_MUTATIONS,
     check_completeness,
@@ -91,8 +94,31 @@ class TestCleanTable:
     def test_fingerprints_agree_with_model_checker(self):
         config = ModelConfig()
         result = lint_table(config=config)
-        assert result.fingerprints_agree
         assert result.reachable_fingerprint == check_protocol(config).fingerprint
+
+    def test_model_is_explored_once(self, monkeypatch):
+        calls = []
+        original = ProtocolModel.successors
+
+        def counted(self, state):
+            calls.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(ProtocolModel, "successors", counted)
+        result = lint_table()
+        assert result.states_explored == 658
+        assert len(calls) == result.states_explored
+
+    def test_reuses_a_given_model_check(self, monkeypatch):
+        model_result = check_protocol()
+        monkeypatch.setattr(ProtocolModel, "successors", None)
+        result = lint_table(model_result=model_result)
+        assert result.ok, result.format()
+        assert result.reachable_fingerprint == model_result.fingerprint
+
+    def test_max_states_guard(self):
+        with pytest.raises(RuntimeError, match="max_states"):
+            lint_table(config=ModelConfig(max_states=10))
 
     def test_static_passes_individually_clean(self):
         table = DIRECTORY_PROTOCOL_TABLE
@@ -149,6 +175,41 @@ class TestMutations:
         for mutation in PROTO_MUTATIONS:
             result = lint_table(mutated_table(mutation))
             assert not result.ok, mutation
+
+    #: sha256 of each mutation's full ``format()`` text (summary and
+    #: every finding with its witness).
+    PINNED = {
+        "drop-transition":
+            "a1507b1a65b34fd1f37f0000f241a875e945a5de01b13b14a1fd10c32d4856f0",
+        "overlap-rule":
+            "8f44d3a8a8dc4bdf1cf4498942d9421f6eb7cb4d238002eb7ae0c9e3c2319787",
+        "orphan-state":
+            "5b3f0577d96d0079925ee93cb11ff9eac8d088fa4fbd305ba5e050a4ff42f428",
+    }
+
+    @pytest.mark.parametrize("mutation", PROTO_MUTATIONS)
+    def test_findings_text_is_pinned(self, mutation):
+        text = lint_table(mutated_table(mutation)).format()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.PINNED[mutation], text
+
+    def test_model_violation_is_reported_not_masked(self):
+        """A spec whose model breaks an invariant yields that violation
+        and its counterexample, not a partial-graph observation pass."""
+        spec = mutated_spec("mesi-without-e-writeback")
+        result = lint_table(spec=spec)
+        model = check_protocol(spec=spec)
+        assert model.violation.invariant == "directory-sharer-set"
+        assert result.states_explored == model.states_explored == 41
+        assert result.observations_checked == 0
+        assert result.reachable_fingerprint == model.fingerprint
+        assert [f.check for f in result.findings] == ["liveness"]
+        finding = result.findings[0]
+        assert "directory-sharer-set" in finding.message
+        assert model.violation.message in finding.message
+        assert finding.witness[0] == "#0   initial"
+        assert finding.witness[-2].endswith("c0: evict line0 clean")
+        assert len(finding.witness) == 2 * len(model.violation.trace)
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation"):
