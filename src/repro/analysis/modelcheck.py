@@ -513,9 +513,12 @@ class ProtocolModel:
             # arise from the issue guards, but a mutated rule may create
             # it); completing with no state change keeps the model total.
             return (label + " [already-owner]", new)
-        rule = self.table.lookup(
-            LineState.INVALID, entry.state, ProtoEvent.READ_MISS
-        )
+        try:
+            rule = self.table.lookup(
+                LineState.INVALID, entry.state, ProtoEvent.READ_MISS
+            )
+        except ProtocolTableError:
+            return None  # mutated/broken state: no such edge
         acts = rule.action_set
         sharers = set(entry.sharers)
         owner = entry.owner
@@ -580,7 +583,10 @@ class ProtocolModel:
             if requester.state == LineState.INVALID
             else ProtoEvent.WRITE_UPGRADE
         )
-        rule = self.table.lookup(requester.state, entry.state, event)
+        try:
+            rule = self.table.lookup(requester.state, entry.state, event)
+        except ProtocolTableError:
+            return None  # mutated/broken state: no such edge
         acts = rule.action_set
         label = f"dir: serve WRITE(c{msg.cache},l{line},v{msg.value})"
         new = self._without_msg(state, msg)

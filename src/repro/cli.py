@@ -404,11 +404,6 @@ def run_proto_lint(args) -> int:
     print(f"[protolint] {result.summary()}")
     for finding in result.findings:
         print("  " + _indent(finding.format()))
-    if result.reachable_fingerprint is not None:
-        print(
-            f"[protolint] reachable-state fingerprint agrees with the "
-            f"model checker ({result.reachable_fingerprint[:16]})"
-        )
     if not result.ok:
         return 1
     if args.proto_fingerprint:

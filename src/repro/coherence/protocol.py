@@ -11,14 +11,15 @@ home node (what DASH's directory controllers do).
 
 The *state machine* itself — which (cache-state, directory-state, event)
 combinations are legal and what each does to the caches and the home
-entry — is not hard-wired here: it lives in the declarative
-:data:`~repro.coherence.table.DIRECTORY_PROTOCOL_TABLE`.  Each handler
-classifies its situation into a :class:`~repro.coherence.table.
-ProtoEvent`, looks up the unique :class:`~repro.coherence.table.Rule`,
-branches on the rule's action set, and applies the rule's declared next
-states.  ``repro-1991 check --proto-lint`` statically verifies the table
-(complete, deterministic, live, stutter-free); this module contributes
-only the latency arithmetic and the action sequencing.
+entry — is not hard-wired here: it lives in the active spec's
+declarative :class:`~repro.coherence.table.TransitionTable`.  Each
+handler classifies its situation into a :class:`~repro.coherence.table.
+ProtoEvent`, indexes the rule's row in the table's one compiled form
+(:class:`~repro.coherence.table.CompiledTable`), branches on the row's
+action flags, and applies its declared next states.  ``repro-1991 check
+--proto-lint`` statically verifies the table (complete, deterministic,
+live, stutter-free); this module contributes only the latency
+arithmetic and the action sequencing.
 
 Latency classification follows Table 1:
 
@@ -34,17 +35,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from repro.caches import DirectMappedCache, LineState
 from repro.coherence.directory import Directory, DirectoryEntry, DirState
 from repro.coherence.specs import get_spec, spec_names
-from repro.coherence.table import (
-    Action,
-    ProtocolTableError,
-    ProtoEvent,
-    Rule,
-)
+from repro.coherence.table import ProtoEvent, situation
 from repro.config import MachineConfig
 from repro.interconnect import Interconnect
 from repro.memlayout import SharedMemoryAllocator
@@ -73,6 +69,12 @@ _SECONDARY_HIT = AccessClass.SECONDARY_HIT
 _DIR_UNOWNED = DirState.UNOWNED
 _DIR_SHARED = DirState.SHARED
 _DIR_DIRTY = DirState.DIRTY
+
+#: Situation slots of the miss transitions, less the directory state
+#: (see :func:`~repro.coherence.table.situation`).
+_READ_MISS = situation(ProtoEvent.READ_MISS, LineState.INVALID)
+_WRITE_MISS = situation(ProtoEvent.WRITE_MISS, LineState.INVALID)
+_WRITE_UPGRADE = situation(ProtoEvent.WRITE_UPGRADE, LineState.SHARED)
 
 
 class AccessOutcome(NamedTuple):
@@ -212,108 +214,17 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
                 )
             )
         self.spec = spec
-        #: The declarative state machine the handlers are driven off.
+        #: The declarative state machine the handlers are driven off,
+        #: and its compiled form, which they read: one slot index per
+        #: miss or eviction, one state-byte index per hit.
         self.table = spec.table
-        #: Hit rules resolved once per instance: by directory precision
-        #: a resident state pins the home entry (SHARED copies pin
-        #: SHARED; owner states pin DIRTY), so the handlers need not
-        #: consult the directory on a hit.  The views are keyed by the
-        #: raw state byte the packed cache arrays hold.  Read hits are
-        #: state-preserving in every registered spec (protolint's
-        #: stutter pass), so only write hits carry a next-state map
-        #: (MESI's silent E -> M upgrade).
-        self._read_hit_rule_by_int = {
-            int(r.cache_state): r
-            for r in self.table.rules
-            if r.event is ProtoEvent.READ_HIT
-        }
-        self._read_hit_fills = {
-            s: Action.FILL_FROM_CACHE in r.action_set
-            for s, r in self._read_hit_rule_by_int.items()
-        }
-        self._write_hit_by_int = {
-            int(r.cache_state): r
-            for r in self.table.rules
-            if r.event is ProtoEvent.WRITE_HIT
-        }
-        self._write_hit_fills = {
-            s: Action.FILL_FROM_CACHE in r.action_set
-            for s, r in self._write_hit_by_int.items()
-        }
-        self._write_hit_next_by_int = {
-            s: int(r.next_cache_state)
-            for s, r in self._write_hit_by_int.items()
-        }
-        #: Gate for the processors' inline SC write probe: the M-state
-        #: write hit must exist, fill from cache, and preserve M for the
-        #: probe's fixed ``state == 2`` fast path to be faithful.
-        _m = int(LineState.DIRTY)
-        self._write_hit_inline_ok = bool(
-            self._write_hit_fills.get(_m)
-            and self._write_hit_next_by_int.get(_m) == _m
-        )
+        self.compiled = spec.table.compile()
+        self._situations = self.compiled.situations
         #: States a remote read demotes in place (the owner-capable
-        #: states) and what they demote to; local-write-complete states
-        #: for the prefetch/fault-exposure probes.
+        #: states) and what they demote to.
         self._owner_line_states = spec.owner_states
         self._owner_state_ints = frozenset(int(s) for s in spec.owner_states)
         self._downgrade_int = int(spec.downgrade_state)
-        self._write_hit_states = spec.write_hit_states()
-        #: Replacement event per resident state (MESI adds the
-        #: clean-exclusive notification, ``EVICT_EXCLUSIVE``).
-        self._eviction_events = {
-            r.cache_state: r.event
-            for r in self.table.rules
-            if r.event in (
-                ProtoEvent.EVICT_CLEAN,
-                ProtoEvent.EVICT_DIRTY,
-                ProtoEvent.EVICT_EXCLUSIVE,
-            )
-        }
-        #: Eviction dispatch, ``(victim_state, dir_state, others_cached)
-        #: -> (rule, writes_back)``, filled lazily by
-        #: :meth:`_eviction_rule` from ``table.lookup`` alone.
-        self._eviction_rules = {}
-        #: Precomputed unguarded dispatch over the table: read/write
-        #: transitions resolve with one tuple-keyed dict probe; a miss
-        #: falls back to ``table.lookup`` for the full error surface.
-        self._dispatch = self.table.dispatch_index()
-        #: Miss rules re-indexed by directory state (the only varying
-        #: key coordinate once the event is known): ``(rule, fetches,
-        #: sets_owner)`` triples pre-resolving the ``FETCH_FROM_OWNER``
-        #: and ``SET_OWNER`` membership tests (the latter distinguishes
-        #: MESI's exclusive read fill from a shared one).  ``None``
-        #: marks a combination the dispatch index does not cover — the
-        #: handlers fall back to ``table.lookup`` there for the full
-        #: error surface.  Replaces a 3-tuple construction plus three
-        #: enum hashes per miss with one list index.
-        dispatch = self._dispatch
-
-        def _rule_pair(key):
-            rule = dispatch.get(key)
-            if rule is None:
-                return None
-            return (
-                rule,
-                Action.FETCH_FROM_OWNER in rule.action_set,
-                Action.SET_OWNER in rule.action_set,
-            )
-
-        _DIR_STATES = (DirState.UNOWNED, DirState.SHARED, DirState.DIRTY)
-        self._read_miss_rules = [
-            _rule_pair((LineState.INVALID, ds, ProtoEvent.READ_MISS))
-            for ds in _DIR_STATES
-        ]
-        self._write_rules = [
-            [
-                _rule_pair((LineState.INVALID, ds, ProtoEvent.WRITE_MISS))
-                for ds in _DIR_STATES
-            ],
-            [
-                _rule_pair((LineState.SHARED, ds, ProtoEvent.WRITE_UPGRADE))
-                for ds in _DIR_STATES
-            ],
-        ]
         self.stats = ProtocolStats()
         self._line_bytes = config.line_bytes
         #: Miss-path aliases: ``home_of`` and ``Directory.entry`` are
@@ -379,10 +290,10 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
                 and caches.secondary.probe(line) == LineState.INVALID
             )
         if kind == "write":
-            return caches.secondary.probe(line) not in self._write_hit_states
+            return self.compiled.write_hit[caches.secondary.probe(line)] is None
         if kind == "prefetch":
             state = caches.secondary.probe(line)
-            if state in self._write_hit_states:
+            if self.compiled.write_hit[state] is not None:
                 return False  # discarded, no traffic
             if state != LineState.INVALID and not exclusive:
                 return False  # discarded, no traffic
@@ -415,10 +326,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             entry = DirectoryEntry()
             entries[victim_line] = entry
         others = (entry.mask & ~(1 << node)) != 0
-        resolved = self._eviction_rules.get((victim_state, entry.state, others))
-        if resolved is None:
-            resolved = self._eviction_rule(victim_state, entry.state, others)
-        if resolved[1]:
+        slot = self.compiled.eviction_slots[victim_state][others] + entry.state
+        row = self._situations[slot]
+        if row is None:
+            self.compiled.unresolved(slot)
+        if row.writes_back:
             # WRITEBACK_MEMORY: write the dirty line back to home memory
             # (fire-and-forget: the write-back buffer hides its latency
             # from the evicting access, but the bandwidth is charged),
@@ -438,32 +350,6 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             entry.mask &= ~(1 << node)
             if entry.state == _DIR_SHARED and not entry.mask:
                 entry.state = _DIR_UNOWNED
-
-    def _eviction_rule(
-        self, victim_state: int, dir_state: DirState, others: bool
-    ) -> Tuple[Rule, bool]:
-        """Resolve and cache ``(rule, writes_back)`` for an eviction
-        situation.  Only a successful ``table.lookup`` is cached, so an
-        uncovered or declared-impossible situation raises
-        :class:`ProtocolTableError` on every call."""
-        state = LineState(victim_state)
-        event = self._eviction_events[state]
-        # Dirty and clean-exclusive victims notify the home
-        # unconditionally; only a clean eviction's rule key carries the
-        # other-sharers guard.
-        rule = self.table.lookup(
-            state, dir_state, event,
-            others if event is ProtoEvent.EVICT_CLEAN else None,
-        )
-        writes_back = Action.WRITEBACK_MEMORY in rule.action_set
-        if not writes_back and Action.DROP_SHARER not in rule.action_set:
-            raise SimulationError(
-                f"eviction rule {rule.name!r} names no directory action"
-            )
-        resolved = self._eviction_rules[(victim_state, dir_state, others)] = (
-            rule, writes_back,
-        )
-        return resolved
 
     def _fill_secondary(
         self, node: int, line: int, state: int, sidx: int, time: int
@@ -548,12 +434,6 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             state = info[5].touch(line)
         if state:
             info[5].hits += 1
-            if not self._read_hit_fills[state]:
-                rule = self._read_hit_rule_by_int[state]
-                raise ProtocolTableError(
-                    f"read-hit rule does not fill from cache: "
-                    f"{rule.describe()}"
-                )
             self._fill_primary(node, line, index)
             arrival = time + self._lat_read_fill_secondary
             reads = self.stats.reads_by_class
@@ -575,20 +455,13 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         if entry is None:
             entry = DirectoryEntry()
             entries[line] = entry
-        pair = self._read_miss_rules[entry.state]
-        if pair is None:  # uncovered/impossible: full lookup error surface
-            rule = self.table.lookup(
-                LineState.INVALID, entry.state, ProtoEvent.READ_MISS
-            )
-            pair = (
-                rule,
-                Action.FETCH_FROM_OWNER in rule.action_set,
-                Action.SET_OWNER in rule.action_set,
-            )
-        rule, fetches, sets_owner = pair
+        slot = _READ_MISS + entry.state
+        row = self._situations[slot]
+        if row is None:
+            self.compiled.unresolved(slot)
 
         net = self.net
-        if fetches:
+        if row.fetches:
             owner = entry.owner
             if home == node:
                 # Local home, dirty at a remote owner: two traversals.
@@ -623,7 +496,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             net.charge_memory(home, time + delay)
             self.stats.sharing_writebacks += 1
             # ADD_SHARER: old owner and requester now share the line.
-            entry.state = rule.next_dir_state
+            entry.state = row.next_dir
             entry.mask = (1 << owner) | (1 << node)
             entry.owner = None
         else:
@@ -639,8 +512,8 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             # ADD_SHARER: the entry becomes (or stays) SHARED — or,
             # when the fill is exclusive (MESI's read miss to an
             # UNOWNED line), SET_OWNER names the reader as owner.
-            entry.state = rule.next_dir_state
-            if sets_owner:
+            entry.state = row.next_dir
+            if row.sets_owner:
                 entry.owner = node
                 entry.mask = 0
             else:
@@ -648,7 +521,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
 
         word = line // self._line_bytes
         self._fill_secondary(
-            node, line, rule.next_cache_state, word % self._sec_nsets, time
+            node, line, row.next_cache, word % self._sec_nsets, time
         )
         self._fill_primary(node, line, word % self._pri_nsets)
         arrival = time + base + delay
@@ -695,16 +568,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         else:
             info[5].misses += 1
         stats.writes_total += 1
-        whit = self._write_hit_by_int.get(state)
-        if whit is not None:  # secondary-owned write hit (M, or E)
-            if not self._write_hit_fills[state]:
-                raise ProtocolTableError(
-                    "write-hit rule does not fill from cache: "
-                    f"{whit.describe()}"
-                )
+        hit = self.compiled.write_hit[state]
+        if hit is not None:  # secondary-owned write hit (M, or E)
             # MESI's silent upgrade: an E copy becomes M with no
             # message (a no-op store for M itself).
-            info[4][word % self._sec_nsets] = self._write_hit_next_by_int[state]
+            info[4][word % self._sec_nsets] = hit.next_cache
             retire = time + self._lat_write_owned_secondary
             writes = stats.writes_by_class
             writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
@@ -745,27 +613,17 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         if entry is None:
             entry = DirectoryEntry()
             entries[line] = entry
-        pair = self._write_rules[1 if had_shared else 0][entry.state]
-        if pair is None:  # uncovered/impossible: full lookup error surface
-            event = (
-                ProtoEvent.WRITE_MISS
-                if had_shared == LineState.INVALID
-                else ProtoEvent.WRITE_UPGRADE
-            )
-            rule = self.table.lookup(had_shared, entry.state, event)
-            pair = (
-                rule,
-                Action.FETCH_FROM_OWNER in rule.action_set,
-                Action.SET_OWNER in rule.action_set,
-            )
-        rule, fetches, _sets_owner = pair
+        slot = (_WRITE_UPGRADE if had_shared else _WRITE_MISS) + entry.state
+        row = self._situations[slot]
+        if row is None:
+            self.compiled.unresolved(slot)
         ack_extra = 0
 
         net = self.net
         word = line // self._line_bytes
         sidx = word % self._sec_nsets
         pindex = word % self._pri_nsets
-        if fetches:
+        if row.fetches:
             owner = entry.owner
             self.stats.ownership_transfers += 1
             if owner == home or home == node:
@@ -820,19 +678,19 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
                 ack_extra = max(ack_extra, ack_time)
 
         # SET_OWNER: the requester becomes the exclusive owner.
-        entry.state = rule.next_dir_state
+        entry.state = row.next_dir
         entry.owner = node
         entry.mask = 0
 
         info = self._node_arrays[node]
         if not had_shared:
-            self._fill_secondary(node, line, rule.next_cache_state, sidx, time)
+            self._fill_secondary(node, line, row.next_cache, sidx, time)
         elif info[3][sidx] == line and info[4][sidx]:
             # Upgrade in place, keeping LRU order (packed ``set_state``).
-            info[4][sidx] = rule.next_cache_state
+            info[4][sidx] = row.next_cache
         else:
             # A deeper plane — or ``set_state``'s not-resident KeyError.
-            info[5].set_state(line, rule.next_cache_state)
+            info[5].set_state(line, row.next_cache)
 
         retire = time + base + delay
         return _OUTCOME((retire, retire + ack_extra, access_class))
@@ -850,7 +708,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         """
         line = self.line_of(addr)
         state = self.caches[node].secondary.probe(line)
-        if state in self._write_hit_states or (
+        if self.compiled.write_hit[state] is not None or (
             state != LineState.INVALID and not exclusive
         ):
             return None

@@ -23,18 +23,12 @@ from typing import List, Mapping, Optional, Tuple
 from repro.caches import LineState
 from repro.coherence.directory import DirState
 from repro.coherence.table import (
+    EVICTION_EVENTS,
     Impossible,
     ProtoEvent,
     Rule,
     TransitionTable,
     spec_impossibility_reason,
-)
-
-#: The three replacement events, in the order evict rules usually appear.
-EVICTION_EVENTS = (
-    ProtoEvent.EVICT_CLEAN,
-    ProtoEvent.EVICT_DIRTY,
-    ProtoEvent.EVICT_EXCLUSIVE,
 )
 
 

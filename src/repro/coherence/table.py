@@ -13,11 +13,14 @@ imperative code.  This module lifts the state machine into data:
   the combination cannot arise (directory precision, hit/miss
   definitions);
 * the imperative handlers in :class:`~repro.coherence.protocol.
-  CoherenceProtocol` and :class:`~repro.coherence.directory.Directory`
-  are *driven off* this table: they look the rule up, branch on its
-  action set, and apply its declared next states.  The golden payload
-  digests, the litmus matrix, and the trace-conformance oracle prove
-  the lifted table is bit-identical to the old branches;
+  CoherenceProtocol` and the fused probes of the memory interface and
+  processor are *driven off* this table through its one compiled form,
+  :class:`CompiledTable` (built and checked once by
+  :meth:`TransitionTable.compile`): they index a situation's rule row,
+  branch on its action flags, and apply its declared next states.  Only
+  this module knows how a situation resolves to a rule.  The golden
+  payload digests, the litmus matrix, and the trace-conformance oracle
+  prove the lifted table is bit-identical to the old branches;
 * :mod:`repro.analysis.protolint` statically checks the table —
   complete, deterministic, live (cross-checked against the model
   checker's reachable states), and stutter-free — and fingerprints it
@@ -44,7 +47,7 @@ import enum
 import hashlib
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NoReturn, Optional, Tuple
 
 from repro.caches import LineState
 from repro.coherence.directory import DirState
@@ -64,8 +67,8 @@ class ProtoEvent(enum.Enum):
     EVICT_EXCLUSIVE = "evict_exclusive"  # replacement of a MESI E line
 
     # Members are singletons, so the identity hash agrees with equality;
-    # it keeps the per-miss dispatch-key hashing at C speed instead of
-    # the pure-Python ``Enum.__hash__``.
+    # it keeps the analyzers' rule-key hashing at C speed instead of the
+    # pure-Python ``Enum.__hash__``.
     __hash__ = object.__hash__
 
 
@@ -86,7 +89,7 @@ class Action(enum.Enum):
     DROP_SHARER = "drop_sharer"              # replacement hint
 
     # Identity hash (consistent with equality — members are singletons):
-    # ``action in rule.action_set`` runs once or more per protocol miss.
+    # the analyzers test ``action in rule.action_set`` per explored state.
     # Code that needs a deterministic ordering over actions must sort,
     # as ``repro.analysis.latbound`` does.
     __hash__ = object.__hash__
@@ -135,9 +138,9 @@ class Rule:  # srclint: ok(missing-slots) — a dozen static table rows, not per
 
     @functools.cached_property
     def action_set(self) -> frozenset:
-        # Cached: the protocol drivers test membership on every miss
-        # and eviction, and rebuilding the frozenset would hash every
-        # member each time.  (``cached_property`` writes the instance
+        # Cached: the analyzers test membership per explored state,
+        # and rebuilding the frozenset would hash every member each
+        # time.  (``cached_property`` writes the instance
         # ``__dict__`` directly, so it works on a frozen dataclass.)
         return frozenset(self.actions)
 
@@ -199,7 +202,7 @@ class Impossible:  # srclint: ok(missing-slots) — static table rows, not per-e
 
 class TransitionTable:
     """An introspectable set of :class:`Rule` and :class:`Impossible`
-    entries with O(1) lookup for the imperative drivers.
+    entries with O(1) lookup, compiled once for the runtime drivers.
 
     Construction never validates beyond indexing — broken tables (the
     seeded protolint mutations) must be constructible so the analyzer
@@ -209,7 +212,7 @@ class TransitionTable:
 
     __slots__ = (
         "name", "rules", "impossible", "_index", "_impossible_keys",
-        "cache_states", "dir_states", "events",
+        "cache_states", "dir_states", "events", "_compiled",
     )
 
     def __init__(
@@ -236,6 +239,7 @@ class TransitionTable:
             for guard in guards:
                 index.setdefault(rule.key + (guard,), rule)
         self._index = index
+        self._compiled: Optional[CompiledTable] = None
 
     # -- runtime lookup ----------------------------------------------------
 
@@ -266,6 +270,38 @@ class TransitionTable:
             f"{event.value}, others={others}) in table {self.name!r}"
         )
 
+    def compile(self) -> "CompiledTable":
+        """The int-indexed form the runtime drives, built and checked
+        once per table (see :class:`CompiledTable`).
+
+        Raises :class:`ProtocolTableError` when a rule breaks a fact the
+        runtime relies on instead of testing per access: every read and
+        write hit fills from the cache, and every eviction names its
+        directory action.  A table that fails is not cached, so each
+        call raises again.
+        """
+        if self._compiled is None:
+            for rule in self.rules:
+                acts = rule.action_set
+                if (
+                    rule.event in _HIT_EVENTS
+                    and Action.FILL_FROM_CACHE not in acts
+                ):
+                    raise ProtocolTableError(
+                        f"{rule.event.value.replace('_', '-')} rule does not "
+                        f"fill from cache: {rule.describe()}"
+                    )
+                if (
+                    rule.event in EVICTION_EVENTS
+                    and Action.WRITEBACK_MEMORY not in acts
+                    and Action.DROP_SHARER not in acts
+                ):
+                    raise ProtocolTableError(
+                        f"eviction rule {rule.name!r} names no directory action"
+                    )
+            self._compiled = CompiledTable(self)
+        return self._compiled
+
     def rule_named(self, name: str) -> Rule:
         for rule in self.rules:
             if rule.name == name:
@@ -287,24 +323,6 @@ class TransitionTable:
         self, key: Tuple[LineState, DirState, ProtoEvent]
     ) -> List[Rule]:
         return [rule for rule in self.rules if rule.key == key]
-
-    def dispatch_index(self) -> Dict[Tuple, "Rule"]:
-        """Unguarded dispatch map ``(cache, dir, event) -> rule`` for the
-        protocol's hot read/write transitions.
-
-        Contains exactly the rules an ``others=None`` :meth:`lookup`
-        would return, so ``index.get(key)`` + a ``lookup`` fallback on
-        ``None`` preserves every :class:`ProtocolTableError` surface
-        while making the common case a single dict probe (keys hash as
-        plain ints thanks to the IntEnum states).  Guarded rules
-        (``others_cached`` set) are deliberately absent — eviction
-        handlers must keep consulting :meth:`lookup`.
-        """
-        index: Dict[Tuple, Rule] = {}
-        for rule in self.rules:
-            if rule.others_cached is None:
-                index.setdefault(rule.key, rule)
-        return index
 
     def declared_impossible(
         self, key: Tuple[LineState, DirState, ProtoEvent]
@@ -331,6 +349,132 @@ class TransitionTable:
                  f"rule(s), {len(self.impossible)} impossible combo(s)"]
         lines.extend(f"  {rule.describe()}" for rule in self.rules)
         return "\n".join(lines)
+
+
+_HIT_EVENTS = (ProtoEvent.READ_HIT, ProtoEvent.WRITE_HIT)
+#: The three replacement events.
+EVICTION_EVENTS = (
+    ProtoEvent.EVICT_CLEAN, ProtoEvent.EVICT_DIRTY, ProtoEvent.EVICT_EXCLUSIVE,
+)
+
+#: The coordinates of :func:`situation`: every member of each enum, so
+#: a slot means the same situation in every table.
+_EVENTS: Tuple[ProtoEvent, ...] = tuple(ProtoEvent)
+_EVENT_ORD = {event: i for i, event in enumerate(_EVENTS)}
+_OTHERS: Tuple[Optional[bool], ...] = (False, True, None)
+_N_CACHE = len(LineState)
+_N_DIR = len(DirState)
+
+
+def situation(
+    event: ProtoEvent,
+    cache_state: LineState,
+    others: Optional[bool] = None,
+    dir_state: int = 0,
+) -> int:
+    """The slot of a situation in :attr:`CompiledTable.situations`.
+
+    The directory state is innermost, so a handler that knows the other
+    three coordinates adds the raw directory state to
+    ``situation(event, cache_state, others)``.
+    """
+    return (
+        (_EVENT_ORD[event] * _N_CACHE + cache_state) * len(_OTHERS)
+        + _OTHERS.index(others)
+    ) * _N_DIR + dir_state
+
+
+class Row:
+    """One rule as the runtime reads it: plain slots, so each field is
+    one attribute load on the hot paths."""
+
+    __slots__ = (
+        "rule_id", "next_cache", "next_dir", "fills", "fetches",
+        "sets_owner", "writes_back",
+    )
+
+    def __init__(self, rule_id: int, rule: Rule) -> None:
+        acts = rule.action_set
+        self.rule_id = rule_id  # index in ``TransitionTable.rules``
+        self.next_cache = int(rule.next_cache_state)  # the raw state byte
+        self.next_dir = rule.next_dir_state
+        self.fills = Action.FILL_FROM_CACHE in acts
+        self.fetches = Action.FETCH_FROM_OWNER in acts
+        self.sets_owner = Action.SET_OWNER in acts
+        self.writes_back = Action.WRITEBACK_MEMORY in acts
+
+
+class CompiledTable:
+    """A :class:`TransitionTable` as int-indexed tuples, what the runtime
+    handlers read instead of calling ``lookup`` per access.  Build it
+    through :meth:`TransitionTable.compile`, which also checks it.
+
+    * ``rows[rule_id]`` is the :class:`Row` of ``table.rules[rule_id]``;
+    * ``situations[situation(event, cache, others, dir)]`` is the row of
+      the rule ``lookup`` returns there, or ``None`` where it raises;
+    * ``read_hit[state]`` and ``write_hit[state]`` are the hit rows by
+      raw state byte (``None`` for no such hit): by directory precision
+      a resident state pins the home entry;
+    * ``eviction_slots[state][others]`` is the slot, less the directory
+      state, of evicting a ``state`` line while other caches do (or do
+      not) hold it.  Only a clean eviction's rule key carries that
+      guard; the other evictions notify the home unconditionally.
+    """
+
+    __slots__ = (
+        "table", "rows", "situations", "read_hit", "write_hit",
+        "eviction_slots",
+    )
+
+    def __init__(self, table: TransitionTable) -> None:
+        self.table = table
+        self.rows = tuple(Row(i, rule) for i, rule in enumerate(table.rules))
+        row_of = {id(rule): row for rule, row in zip(table.rules, self.rows)}
+        situations: List[Optional[Row]] = [None] * (
+            len(_EVENTS) * _N_CACHE * len(_OTHERS) * _N_DIR
+        )
+        for (cache, dir_state, event, others), rule in table._index.items():
+            situations[situation(event, cache, others, dir_state)] = (
+                row_of[id(rule)]
+            )
+        self.situations = tuple(situations)
+
+        def first(events, state):
+            return next((
+                (rule, row) for rule, row in zip(table.rules, self.rows)
+                if rule.event in events and rule.cache_state == state
+            ), (None, None))
+
+        self.read_hit = tuple(
+            first((ProtoEvent.READ_HIT,), s)[1] for s in LineState
+        )
+        self.write_hit = tuple(
+            first((ProtoEvent.WRITE_HIT,), s)[1] for s in LineState
+        )
+        slots = []
+        for state in LineState:
+            # A state no eviction rule names resolves as an uncovered
+            # clean eviction.
+            rule = first(EVICTION_EVENTS, state)[0]
+            event = ProtoEvent.EVICT_CLEAN if rule is None else rule.event
+            guarded = event is ProtoEvent.EVICT_CLEAN
+            slots.append(tuple(
+                situation(event, state, others if guarded else None)
+                for others in (False, True)
+            ))
+        self.eviction_slots = tuple(slots)
+
+    def unresolved(self, slot: int) -> NoReturn:
+        """The one "no rule" path: raise ``lookup``'s own
+        :class:`ProtocolTableError` for the situation at ``slot``."""
+        rest, dir_state = divmod(slot, _N_DIR)
+        rest, others = divmod(rest, len(_OTHERS))
+        event, cache = divmod(rest, _N_CACHE)
+        self.table.lookup(
+            LineState(cache), DirState(dir_state), _EVENTS[event],
+            _OTHERS[others],
+        )
+        raise ProtocolTableError(f"{self.table.name!r}: slot {slot} lost its rule")
 
 
 # -- the invalidating directory protocol ------------------------------------

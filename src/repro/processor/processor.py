@@ -248,9 +248,11 @@ class Processor:
                 memiface._pri_nsets,
                 memiface._lat_rph,
             )
+            m_hit = memiface.protocol.compiled.write_hit[2]  # DIRTY
             if (
                 memiface.policy.write_stalls_processor
-                and memiface.protocol._write_hit_inline_ok
+                and m_hit is not None
+                and m_hit.next_cache == 2
                 and not memiface._pri_deep
             ):
                 # SC write probe: a DIRTY secondary line is an owned
@@ -258,13 +260,12 @@ class Processor:
                 # served inline exactly like memiface.write's probe.
                 # Only built under SC (RC writes go through the write
                 # buffer's occupancy bookkeeping unconditionally) and
-                # only when the active spec's M write hit fills from
-                # cache and stays M (the probe's fixed ``state == 2``
-                # test serves exactly that rule; MESI's E hit falls
-                # through to the memiface path) — a table that says
-                # otherwise must keep raising through the memiface path.
-                # An associative primary skips the probe: its refresh
-                # would have to move a deeper-plane copy to plane 0.
+                # only when the active spec's M write hit stays M (the
+                # probe's fixed ``state == 2`` test serves exactly that
+                # rule; MESI's E hit falls through to the memiface
+                # path).  An associative primary skips the probe: its
+                # refresh would have to move a deeper-plane copy to
+                # plane 0.
                 wprobe = (
                     arrays[3],
                     arrays[4],

@@ -32,7 +32,6 @@ from typing import Deque, Dict, NamedTuple, Optional
 
 from repro.caches import MSHRTable, OutstandingMiss
 from repro.coherence import AccessClass, CoherenceProtocol
-from repro.coherence.table import ProtocolTableError
 from repro.config import MachineConfig
 from repro.consistency import ConsistencyPolicy
 from repro.sim.engine import TIME_INFINITY, EventEngine, SimulationError
@@ -161,11 +160,14 @@ class NodeMemoryInterface:
         # hit and discard checks run inline here — identical counters
         # and latencies, minus the protocol's call frames — and their
         # misses go straight to the protocol's post-probe helpers
-        # (``_read_fill``, ``_write_probed``).  ``_fused`` gates them
-        # all, and the processor's inline probes with them: the machine
-        # clears it on every node when an observer installs through
-        # ``Machine.interpose`` or a memory-event trace is installed, so
-        # every observer sees the protocol's own entry points.  The
+        # (``_read_fill``, ``_write_probed``).  Like the protocol, they
+        # read only its compiled table, whose compile step has checked
+        # that every hit rule fills from the cache.  ``_fused`` gates
+        # them all, and the processor's inline probes with them: the
+        # machine clears it on every node when an observer installs
+        # through ``Machine.interpose`` or a memory-event trace is
+        # installed, so every observer sees the protocol's own entry
+        # points.  The
         # aliased containers (``_node_arrays``, the stats dicts) are
         # mutated in place and never rebound.
         self._fused = True
@@ -180,15 +182,10 @@ class NodeMemoryInterface:
         self._lat_rph = protocol._lat_read_primary_hit
         self._lat_rfs = protocol._lat_read_fill_secondary
         self._lat_wos = protocol._lat_write_owned_secondary
-        # Spec-derived hit-rule views (see CoherenceProtocol): the
-        # fused probes must serve exactly the states the active
-        # protocol calls hits (MESI adds E) with the rule's declared
-        # next state.
-        self._rhit_fills = protocol._read_hit_fills
-        self._rhit_rules = protocol._read_hit_rule_by_int
-        self._whit_rules = protocol._write_hit_by_int
-        self._whit_fills = protocol._write_hit_fills
-        self._whit_next = protocol._write_hit_next_by_int
+        # The compiled table's write-hit rows by raw state byte: the
+        # fused probes serve exactly the states the active protocol
+        # calls write hits (MESI adds E), with the rule's next state.
+        self._write_hit = protocol.compiled.write_hit
 
         # Counters
         self.write_buffer_full_stall_cycles = 0
@@ -296,8 +293,8 @@ class NodeMemoryInterface:
         proto = self.protocol
         if self._fused:
             # Fused packed probe — bit-identical to protocol.read (same
-            # counter bumps, same latencies, same table-sanity raise);
-            # see the gate comment in __init__.
+            # counter bumps, same latencies); see the gate comment in
+            # __init__.
             info = self._arrays
             word = line // self._line_bytes
             index = word % self._pri_nsets
@@ -315,12 +312,6 @@ class NodeMemoryInterface:
                 state = info[5].touch(line)
             if state:
                 info[5].hits += 1
-                if not self._rhit_fills[state]:
-                    rule = self._rhit_rules[state]
-                    raise ProtocolTableError(
-                        f"read-hit rule does not fill from cache: "
-                        f"{rule.describe()}"
-                    )
                 proto._fill_primary(self.node, line, index)
                 reads = self._reads
                 reads[_SECONDARY_HIT] = reads.get(_SECONDARY_HIT, 0) + 1
@@ -372,11 +363,11 @@ class NodeMemoryInterface:
             # moves to plane 0, as on the read path).  An owned hit (M,
             # or E under MESI) is served here, bit-identical to
             # protocol.write's — same counter bumps, same primary
-            # refresh, same table-sanity raise; see the gate comment in
-            # __init__.  Anything else is handed to ``_write_probed``
-            # with the state already in hand.  An owned hit never leaves
-            # the node, so its effect does not depend on when it issues:
-            # SC retires it now, RC at the buffered issue time.
+            # refresh; see the gate comment in __init__.  Anything else
+            # is handed to ``_write_probed`` with the state already in
+            # hand.  An owned hit never leaves the node, so its effect
+            # does not depend on when it issues: SC retires it now, RC
+            # at the buffered issue time.
             line = addr - addr % self._line_bytes
             info = self._arrays
             word = line // self._line_bytes
@@ -384,20 +375,15 @@ class NodeMemoryInterface:
             state = info[4][sindex] if info[3][sindex] == line else 0
             if not state and self._sec_deep:
                 state = info[5].touch(line)
-            rule = self._whit_rules.get(state)
-            if rule is None:
+            hit = self._write_hit[state]
+            if hit is None:
                 if self._write_stalls:
                     outcome = proto._write_probed(self.node, addr, line, state, now)
                     return _MK_WRITE((outcome[1], 0, outcome[2]))
                 return self._write_buffered(addr, now, state)
-            if not self._whit_fills[state]:
-                raise ProtocolTableError(
-                    "write-hit rule does not fill from cache: "
-                    f"{rule.describe()}"
-                )
             # MESI's silent upgrade: an E copy becomes M with no
             # message (a no-op store for M itself).
-            info[4][sindex] = self._whit_next[state]
+            info[4][sindex] = hit.next_cache
             info[5].hits += 1
             stats = self._stats
             stats.writes_total += 1
@@ -552,7 +538,7 @@ class NodeMemoryInterface:
             sindex = (line // self._line_bytes) % self._sec_nsets
             info = self._arrays
             state = info[4][sindex] if info[3][sindex] == line else 0
-            if state and (not exclusive or state in self._whit_rules):
+            if state and (not exclusive or self._write_hit[state] is not None):
                 self.prefetches_discarded += 1
                 return _MK_PREFETCH((full_stall, True))
         outcome = proto.prefetch(self.node, addr, exclusive, issue)

@@ -338,7 +338,10 @@ class TestEvictionDifferential:
         for _ in range(2):
             with pytest.raises(ProtocolTableError, match="impossible"):
                 protocol._evict(1, line, int(LineState.SHARED), 5)
-        assert not protocol._eviction_rules
+        # Neither raise touched the home entry.
+        assert entry.state == DirState.DIRTY
+        assert entry.owner == 2
+        assert entry.sharers == set()
 
 
 class TestPrefetch:

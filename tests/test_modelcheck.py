@@ -262,3 +262,17 @@ class TestExplore:
         monkeypatch.setattr(ProtocolModel, "successors", counted)
         result = check_protocol()
         assert len(calls) == len(set(calls)) == result.states_explored
+
+    @pytest.mark.parametrize("mutation, states, edges", [
+        ("skip-invalidation", 1722, 7236),
+        ("lost-writeback", 1236, 5256),
+        ("nack-forever", 658, 2012),
+    ])
+    def test_mutated_models_explore_to_completion(
+        self, mutation, states, edges
+    ):
+        # With no ``stop``, exploration runs past every violation; a
+        # request the mutated table cannot serve is no edge, not a crash.
+        graph = explore(ProtocolModel(mutation=mutation))
+        assert graph.stopped is None
+        assert (len(graph.parent), len(graph.edges)) == (states, edges)
