@@ -19,6 +19,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.experiments import (
     ExperimentRunner,
+    JobsError,
     figure2,
     figure3,
     figure4,
@@ -26,7 +27,9 @@ from repro.experiments import (
     figure6,
     format_bars,
     format_table,
+    resolve_jobs,
     summary_speedups,
+    sweep_points_for,
     table1,
     table2,
 )
@@ -620,6 +623,57 @@ def _run_chaos(args) -> int:
     return run_chaos_check(verbose=args.verbose)
 
 
+def _prewarm(runner: ExperimentRunner, points) -> bool:
+    """Fan ``points`` out over the worker pool and the result cache, when
+    either is on, and print the sweep report; False if a point failed.
+    Later :meth:`ExperimentRunner.run` calls for the points are memo hits."""
+    if not points or (runner.jobs == 1 and runner.result_cache is None):
+        return True
+    report = runner.prewarm(points)
+    print(report.format())
+    if runner.result_cache is not None:
+        print(runner.result_cache.stats_line())
+    print()
+    return report.ok
+
+
+def _run_claims(args) -> int:
+    from repro.experiments import claims
+
+    runner = ExperimentRunner(
+        scale=args.scale or claims.SCALES[0],
+        verbose=args.verbose,
+        seed=args.seed,
+        max_events=args.max_events,
+        cache_dir=args.cache_dir,
+        jobs=args.jobs,
+    )
+    table = claims.CLAIMS
+    if not _prewarm(runner, claims.points(runner, table)):
+        return 1
+    outcomes = claims.evaluate(runner, table)
+    print(f"[claims] the paper's shape claims at scale={runner.scale!r}:")
+    for outcome in outcomes:
+        print(outcome.format())
+    failed = list(dict.fromkeys(o.claim.id for o in outcomes if not o.holds))
+    print(f"[claims] {len(table) - len(failed)} of {len(table)} claims hold"
+          + (f"; FAILED: {', '.join(failed)}" if failed else ""))
+    return 1 if failed else 0
+
+
+def _validate_claims(args) -> Optional[str]:
+    from repro.experiments.claims import SCALES
+
+    if args.scale is not None and args.scale not in SCALES:
+        return (f"the claims check has thresholds at --scale "
+                f"{', '.join(SCALES)} only, none at {args.scale!r}")
+    try:
+        resolve_jobs(args.jobs)
+    except JobsError as exc:
+        return str(exc)
+    return None
+
+
 # -- the check registry ------------------------------------------------------
 
 
@@ -835,6 +889,9 @@ CHECKS: Tuple[Check, ...] = (
                       "payload digests are bit-identical to an uninterrupted "
                       "serial run (the poison point must end up quarantined)"),
           )),
+    Check("claims", "the paper's shape claims (Tables 1-2, Figures 2-6, Section 7, "
+                    "ablations) at bench scale",
+          _run_claims, validate=_validate_claims),
 )
 
 _BY_NAME = {check.name: check for check in CHECKS}
@@ -912,7 +969,6 @@ def run_sweep_command(args, parser) -> int:
     ``--resume`` command.  Exit status: 0 all points ok, 1 any point
     failed or quarantined, 130 interrupted (resumable)."""
     from repro.experiments.journal import resolve_journal_dir
-    from repro.experiments.parallel import sweep_points_for
     from repro.experiments.resultcache import ResultCache, resolve_cache_dir
     from repro.experiments.supervisor import ExperimentSupervisor
     from repro.experiments.sweepservice import (
@@ -1005,9 +1061,11 @@ def build_parser() -> argparse.ArgumentParser:
              "analysis suite (" + ", ".join(_DEFAULT_CHECKS) + ", plus "
              + ", ".join(others) + "), or 'sweep' to run a journaled, "
              "crash-tolerant, resumable sweep of the targets' simulation points")
-    add("--scale", choices=["bench", "default", "paper", "smoke"], default="default",
+    add("--scale", choices=["bench", "default", "paper", "smoke"], default=None,
         help="workload scale (paper = the full data sets; slow; "
-             "smoke = the seconds-scale CI data sets)")
+             "smoke = the seconds-scale CI data sets; default: default, "
+             "and bench for the claims check, the one scale with "
+             "recorded thresholds)")
     add("--jobs", type=int, default=None, metavar="N",
         help="run independent sweep points over N worker processes "
              "(default: $REPRO_JOBS or 1 = serial; results are "
@@ -1085,8 +1143,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parser.error(error)
         return run_check(args, names)
 
-    from repro.experiments.parallel import JobsError
-
+    # Unset, --scale means "default" everywhere but the claims check.
+    args.scale = args.scale or "default"
     if args.what == "sweep":
         try:
             return run_sweep_command(args, parser)
@@ -1106,22 +1164,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(exc))
     targets = list(_ARTIFACTS) if args.what == "all" else [args.what]
 
-    if runner.jobs > 1 or runner.result_cache is not None:
-        # Fast-sweep path: fan the union of the targets' sweep points
-        # out over the pool / the result cache, then render from the
-        # warmed memo.  The report makes per-entry wall time and cache
-        # hit/miss behaviour visible.
-        from repro.experiments.parallel import sweep_points_for
-
-        points = sweep_points_for(targets, runner)
-        if points:
-            report = runner.prewarm(points)
-            print(report.format())
-            if runner.result_cache is not None:
-                print(runner.result_cache.stats_line())
-            print()
-            if not report.ok:
-                return 1
+    if not _prewarm(runner, sweep_points_for(targets, runner)):
+        return 1
 
     def render(target: str) -> None:
         _ARTIFACTS[target](runner)

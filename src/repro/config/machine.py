@@ -44,8 +44,8 @@ class Consistency(enum.Enum):
     The paper evaluates SC and RC and notes that processor consistency,
     weak consistency, and DRF0 "fall between sequential and release
     consistency models in terms of flexibility"; PC and WC are provided
-    here so that claim can be measured (see
-    ``benchmarks/bench_consistency_models.py``).
+    here so that claim can be measured (the ``consistency.*`` claims in
+    :mod:`repro.experiments.claims`).
     """
 
     SC = "sc"   # sequential consistency: stall on every access

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, dash_scaled_config
+from repro.experiments.figures import FIGURE_VARIANTS, Variant, summary_variants
 from repro.experiments.registry import APP_NAMES, build_app
 from repro.experiments.resultcache import (
     ResultCache,
@@ -366,33 +367,45 @@ def _run_point_serial(
     return entry
 
 
-# -- sweep-point enumeration for the CLI and benchmarks -----------------------
+# -- sweep-point enumeration for the CLI and the claims check -----------------
+
+
+def target_variants(target: str) -> List[Variant]:
+    """The runs one figure/table target makes for every app (none for
+    ``table1``: latency probes, not program runs)."""
+    if target == "table1":
+        return []
+    if target == "table2":
+        return [("cached-SC", dash_scaled_config(), False)]
+    if target == "summary":
+        return summary_variants()
+    if target in FIGURE_VARIANTS:
+        return FIGURE_VARIANTS[target]()
+    raise KeyError(f"unknown sweep target {target!r}")
 
 
 def sweep_points_for(targets: Sequence[str], runner) -> List[SweepPoint]:
     """Enumerate the unique sweep points the given figure/table targets
-    will request from ``runner``, deduplicated across targets (the
-    cached-SC baseline is shared by Figures 3-6 and Table 2), with the
-    runner's scale and seed/max-events defaults applied so the points'
-    fingerprints match what :meth:`ExperimentRunner.run` computes."""
-    from repro.experiments.figures import FIGURE_VARIANTS, summary_variants
+    will request from ``runner`` (see :func:`variant_points`)."""
+    return variant_points(
+        [(APP_NAMES, target_variants(target)) for target in targets], runner
+    )
 
+
+def variant_points(
+    groups: Iterable[Tuple[Sequence[str], Sequence[Variant]]], runner
+) -> List[SweepPoint]:
+    """The sweep points of ``(apps, variants)`` groups, deduplicated
+    across groups (the cached-SC baseline is shared by Figures 3-6 and
+    Table 2), with the runner's scale and seed/max-events defaults
+    applied so the points' fingerprints match what
+    :meth:`ExperimentRunner.run` computes."""
     seen: Dict[Tuple[str, bool, MachineConfig], None] = {}
     points: List[SweepPoint] = []
-    for target in targets:
-        if target == "table1":
-            continue  # latency probes, not program runs
-        if target == "table2":
-            variants = [("cached-SC", dash_scaled_config(), False)]
-        elif target == "summary":
-            variants = summary_variants()
-        elif target in FIGURE_VARIANTS:
-            variants = FIGURE_VARIANTS[target]()
-        else:
-            raise KeyError(f"unknown sweep target {target!r}")
+    for apps, variants in groups:
         for label, config, prefetching in variants:
             config = runner.effective_config(config)
-            for app in APP_NAMES:
+            for app in apps:
                 dedupe = (app, prefetching, config)
                 if dedupe in seen:
                     continue

@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Type, Union
 
 from repro import __version__
+from repro.apps.base import PrefetchMode
 from repro.coherence import AccessClass
 from repro.coherence.protocol import ProtocolStats
 from repro.config import (
@@ -183,11 +184,16 @@ def run_fingerprint(
     config: MachineConfig,
     version: str = __version__,
 ) -> str:
-    """The content address of one sweep point."""
+    """The content address of one sweep point.  A :class:`PrefetchMode`
+    is keyed by its value: every member is truthy, so ``bool`` would
+    give ``REMOTE_ONLY`` the key of full prefetching."""
     doc = {
         "app": app,
         "scale": scale,
-        "prefetching": bool(prefetching),
+        "prefetching": (
+            prefetching.value if isinstance(prefetching, PrefetchMode)
+            else bool(prefetching)
+        ),
         "config": encode(config),
         "version": version,
     }

@@ -2,9 +2,9 @@
 
 A figure sweep runs many machine configurations; one pathological
 configuration (a deadlocked program variant, a hostile fault plan, a
-watchdog timeout) must not take the whole ``bench_figure*`` run down
-with it.  :class:`ExperimentSupervisor` runs each configuration of a
-sweep in isolation:
+watchdog timeout) must not take the whole sweep down with it.
+:class:`ExperimentSupervisor` runs each configuration of a sweep in
+isolation:
 
 * every job runs inside its own try/except — a crash in one
   configuration cannot unwind the others (each job builds a fresh

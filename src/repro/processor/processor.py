@@ -399,10 +399,11 @@ class Processor:
                         # probe — provided *this line* has no in-flight
                         # miss to combine with and no buffered store to
                         # forward from (other lines' entries are
-                        # irrelevant to a hit).  Pending retire/queue
-                        # timestamps don't affect a hit, and their expiry
-                        # is observation-independent, so the sweep can
-                        # wait for the next memiface access.
+                        # irrelevant to a hit).  Matured entries are swept
+                        # first, as ``memiface.read`` would, so the answer
+                        # does not depend on when the last sweep ran.
+                        if time >= memiface._next_expiry:
+                            memiface._expire(time)
                         line = addr - addr % line_bytes
                         index = (line // line_bytes) % pri_nsets
                         if (
@@ -475,10 +476,9 @@ class Processor:
                         # Inline SC owned-write hit: a DIRTY secondary line
                         # never leaves the node, so the write retires with
                         # the identical counter bumps and latency as
-                        # memiface.write's probe — the expiry sweep is
-                        # observation-independent (see the read probe) and
-                        # ``memiface.write`` consults no pending state on
-                        # this path.
+                        # memiface.write's probe.  ``memiface.write``
+                        # consults no pending state on this path, so its
+                        # answer needs no sweep first.
                         line = addr - addr % line_bytes
                         sindex = (line // line_bytes) % sec_nsets
                         if stags[sindex] == line and sstates[sindex] == 2:

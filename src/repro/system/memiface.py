@@ -479,12 +479,6 @@ class NodeMemoryInterface:
         complete, including invalidation acknowledgements (RC)."""
         if not self.policy.release_requires_completion:
             return now
-        if now >= self._next_expiry:
-            # The answer needs no sweep.  It runs so that no matured
-            # entry outlives this call, as after every other access:
-            # the processor's inline read probe declines a line that
-            # still has one.
-            self._expire(now)
         # Every buffered write completes no earlier than it retires, so
         # ``_wb_complete`` also covers ``_wb_last_retire``.
         complete = self._wb_complete

@@ -479,6 +479,8 @@ available checks (run order):
     default: no; flags: --layout-lint
     chaos       crash-tolerance drill: SIGKILL pool workers mid-sweep, corrupt the journal tail, resume, verify bit-identity
     default: no; flags: --chaos
+    claims      the paper's shape claims (Tables 1-2, Figures 2-6, Section 7, ablations) at bench scale
+    default: no; flags: --checks claims
 checks marked * run by default; --all runs every check; --checks a,b or a dedicated flag runs just those
 """
 
@@ -491,7 +493,7 @@ def test_list_checks_output_is_pinned(capsys):
 _EVERY_CHECK = (
     "lint", "races", "litmus", "invariants", "faults", "model", "lockorder",
     "srclint", "protolint", "protomatrix", "protodiff", "latbound", "trace",
-    "layout", "chaos",
+    "layout", "chaos", "claims",
 )
 
 #: Every ``repro-1991 check`` flag combination in .github/workflows/ci.yml
@@ -540,6 +542,9 @@ _DOCUMENTED_INVOCATIONS = [
     ("--lat-mutate uncharged-hop", ("latbound",)),
     ("--lat-mutate double-charged-directory-occupancy", ("latbound",)),
     ("--lat-mutate envelope-too-tight", ("latbound",)),
+    ("--checks claims", ("claims",)),
+    ("--checks claims --jobs 2 --cache-dir .ci-cache/results", ("claims",)),
+    ("--checks claims --jobs 4 --cache-dir ~/.cache/repro", ("claims",)),
 ]
 
 

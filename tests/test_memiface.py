@@ -399,3 +399,50 @@ class TestWatermarks:
             now = iface.write(addr, now).proceed + gap
             expected = max([now, *completes, iface._wb_last_retire])
             assert iface.release_point(now) == expected
+
+
+class TestSweepIndependence:
+    """Sweeping matured write-buffer and MSHR entries early changes
+    neither the result nor the path a read takes."""
+
+    @staticmethod
+    def observe(monkeypatch, extra_sweeps):
+        from repro.experiments import SMOKE_PROCESSES, build_app
+        from repro.experiments.resultcache import canonical_result_bytes
+        from repro.system.memiface import NodeMemoryInterface
+
+        calls = 0
+        original = NodeMemoryInterface.read
+
+        def counted(self, addr, now):
+            nonlocal calls
+            calls += 1
+            return original(self, addr, now)
+
+        # On the class, before the machine is built, so every fused and
+        # inline path stays open.
+        monkeypatch.setattr(NodeMemoryInterface, "read", counted)
+        machine = Machine(dash_scaled_config(
+            num_processors=SMOKE_PROCESSES // 4,
+            contexts_per_processor=4,
+            context_switch_cycles=4,
+            consistency=Consistency.RC,
+        ))
+        machine.load(build_app("PTHOR", "smoke"))
+
+        def sweep_every_interface(engine):
+            for iface in machine.memifaces:
+                if engine.now >= iface._next_expiry:
+                    iface._expire(engine.now)
+
+        if extra_sweeps:
+            machine.engine.set_heartbeat(sweep_every_interface, every=3)
+        result = machine.run()
+        monkeypatch.undo()
+        return canonical_result_bytes(result), calls
+
+    def test_extra_sweeps_leave_read_calls_unchanged(self, monkeypatch):
+        plain = self.observe(monkeypatch, extra_sweeps=False)
+        swept = self.observe(monkeypatch, extra_sweeps=True)
+        assert swept[0] == plain[0], "canonical result bytes differ"
+        assert swept[1] == plain[1], "NodeMemoryInterface.read call counts differ"

@@ -174,6 +174,17 @@ def test_key_covers_app_scale_prefetching_and_version():
     assert run_fingerprint("LU", "smoke", False, config, version="0.0.0") != base
 
 
+def test_key_tells_prefetch_modes_apart():
+    from repro.apps.base import PrefetchMode
+
+    config = dash_scaled_config()
+    keys = {
+        run_fingerprint("MP3D", "bench", mode, config)
+        for mode in (False, True, *PrefetchMode)
+    }
+    assert len(keys) == 2 + len(PrefetchMode)
+
+
 def test_config_roundtrips_through_canonical_encoding():
     config = dash_scaled_config(
         num_processors=4,
