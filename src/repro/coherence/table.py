@@ -3,8 +3,7 @@
 Historically the directory protocol lived as hard-wired branches inside
 :mod:`repro.coherence.protocol` — correct, but opaque: no analyzer could
 enumerate the transitions, so checking completeness or adding a second
-protocol (MESI/MOESI, ROADMAP item 2) meant reading ~600 lines of
-imperative code.  This module lifts the state machine into data:
+protocol (MESI, MOESI) meant reading ~600 lines of imperative code.  This module lifts the state machine into data:
 
 * every ``(cache-state, directory-state, event)`` combination the
   protocol can encounter maps to exactly one :class:`Rule` — the

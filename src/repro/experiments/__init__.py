@@ -21,10 +21,8 @@ from repro.experiments.figures import (
 from repro.experiments.journal import RunJournal, new_run_id, resolve_journal_dir
 from repro.experiments.parallel import (
     JobsError,
-    SweepPoint,
     execute_sweep_points,
     resolve_jobs,
-    run_point,
     sweep_points_for,
 )
 from repro.experiments.registry import (
@@ -32,8 +30,10 @@ from repro.experiments.registry import (
     SCALE_NAMES,
     SMOKE_PROCESSES,
     ExperimentRunner,
+    SweepPoint,
     app_config,
     build_app,
+    run_point,
     smoke_program,
 )
 from repro.experiments.report import format_bars, format_table

@@ -34,6 +34,7 @@ than the sweep aborted.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import signal
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.config import dash_scaled_config
-from repro.experiments.parallel import SweepPoint
+from repro.experiments.registry import SweepPoint, app_config
 from repro.experiments.resultcache import canonical_result_bytes
 from repro.experiments.supervisor import ConfigStatus, ExperimentSupervisor
 from repro.experiments.sweepservice import (
@@ -93,11 +94,12 @@ def _drill_points(workdir: Path) -> List[SweepPoint]:
     """Three tiny innocent points plus one kill-once and one poison
     point, all at seconds scale (distinct seeds keep fingerprints
     distinct)."""
+    lu = app_config("LU", "smoke")
     innocent = [
         SweepPoint(
             name=f"LU/innocent-{seed}",
             app="LU",
-            scale="smoke",
+            dataset=lu,
             config=dash_scaled_config(num_processors=2, seed=seed),
         )
         for seed in (1, 2, 3)
@@ -105,14 +107,14 @@ def _drill_points(workdir: Path) -> List[SweepPoint]:
     kill_once = SweepPoint(
         name="LU/kill-once",
         app="LU",
-        scale="smoke",
+        dataset=lu,
         config=dash_scaled_config(num_processors=2, seed=11),
         chaos=f"sigkill-once:{workdir / 'kill-once.marker'}",
     )
     poison = SweepPoint(
         name="LU/poison",
         app="LU",
-        scale="smoke",
+        dataset=lu,
         config=dash_scaled_config(num_processors=2, seed=13),
         chaos="sigkill",
     )
@@ -123,13 +125,7 @@ def _serial_digests(points: List[SweepPoint]) -> Dict[str, str]:
     """Reference payload digests from an uninterrupted serial run of the
     clean variants of every point (chaos stripped: same measurements)."""
     supervisor = ExperimentSupervisor()
-    clean = [
-        SweepPoint(
-            name=p.name, app=p.app, scale=p.scale,
-            prefetching=p.prefetching, config=p.config,
-        )
-        for p in points
-    ]
+    clean = [dataclasses.replace(p, chaos=None) for p in points]
     report = supervisor.run_sweep_points("chaos-reference", clean, jobs=1)
     return {
         entry.name: hashlib.sha256(

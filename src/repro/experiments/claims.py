@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.base import PrefetchMode
-from repro.apps.lu import lu_program
 from repro.config import CacheGeometry, Consistency, ContentionConfig, dash_scaled_config
 from repro.experiments.figures import (
     Variant,
@@ -34,10 +33,9 @@ from repro.experiments.figures import (
     figure6,
     summary_speedups,
 )
-from repro.experiments.parallel import SweepPoint, target_variants, variant_points
-from repro.experiments.registry import APP_NAMES, ExperimentRunner, app_config
+from repro.experiments.parallel import target_variants, variant_points
+from repro.experiments.registry import APP_NAMES, ExperimentRunner, SweepPoint
 from repro.experiments.tables import table1, table2
-from repro.system import run_program
 
 #: The scales at which thresholds are recorded.
 SCALES = ("bench",)
@@ -93,19 +91,26 @@ def _cache_sizes():
         yield (f"{label} RC", base.replace(consistency=Consistency.RC), False)
 
 
-def _prefetch_distance(runner: ExperimentRunner) -> Dict[str, Dict[str, int]]:
-    """LU under RC, prefetching 1, 3 and 6 lines ahead.  The distance is
-    an app parameter, not a machine config, so these runs bypass the
-    runner's memo and result cache."""
-    config = runner.effective_config(_rc())
-    times = {}
-    for distance in (1, 3, 6):
-        lu = dataclasses.replace(
-            app_config("LU", runner.scale), prefetch_distance_lines=distance
+def _distance_points(runner: ExperimentRunner) -> List[SweepPoint]:
+    """LU under RC, prefetching 1, 3 and 6 lines ahead (never LU's
+    default of 4, so no other input makes these points)."""
+    base = runner.point("LU", _rc(), True)
+    return [
+        dataclasses.replace(
+            base,
+            name=f"LU/distance {distance}",
+            dataset=dataclasses.replace(base.dataset, prefetch_distance_lines=distance),
         )
-        result = run_program(lu_program(lu, prefetching=True), config)
-        times[f"distance {distance}"] = result.execution_time
-    return {"LU": times}
+        for distance in (1, 3, 6)
+    ]
+
+
+def _prefetch_distance(runner: ExperimentRunner) -> Dict[str, Dict[str, int]]:
+    return {"LU": {
+        f"distance {point.dataset.prefetch_distance_lines}":
+            runner.run_point(point).execution_time
+        for point in _distance_points(runner)
+    }}
 
 
 #: Figure, table and Section 7 inputs: name -> value(runner).  Each name
@@ -372,7 +377,8 @@ def points(runner: ExperimentRunner, claims: Sequence[Claim] = CLAIMS) -> List[S
     groups += [
         (sweep.apps, sweep.variants) for name, sweep in _SWEEPS.items() if name in used
     ]
-    return variant_points(groups, runner)
+    distances = _distance_points(runner) if "prefetch-distance" in used else []
+    return variant_points(groups, runner) + distances
 
 
 def evaluate(runner: ExperimentRunner, claims: Sequence[Claim] = CLAIMS) -> List[Outcome]:

@@ -6,8 +6,9 @@ the durable half of that story — one JSONL file per *run* under a
 journal directory, written strictly append-only, with every record
 
 * **self-describing**: a ``meta`` record at the head carries the full
-  declarative :class:`~repro.experiments.parallel.SweepPoint` specs
-  (config serialized through the result cache's canonical encoding), so
+  declarative :class:`~repro.experiments.registry.SweepPoint` specs
+  (data set and config serialized through the result cache's canonical
+  encoding), so
   ``repro-1991 sweep --resume <run-id>`` needs *nothing* but the
   journal directory to rebuild the exact sweep;
 * **self-checking**: each line embeds the SHA-256 of its own record, so
@@ -19,10 +20,12 @@ journal directory, written strictly append-only, with every record
   creation, so a record the caller saw acknowledged survives a crash
   immediately after (within the filesystem's own guarantees — see
   DESIGN.md for the caveats);
-* **keyed by content**: each ``point`` record carries the PR-4 config
-  fingerprint of its sweep point and, on completion, the SHA-256 of the
-  canonical result payload, so resume can verify that a restored result
-  is bit-identical to what the original run produced.
+* **keyed by content**: each ``point`` record carries the
+  :func:`~repro.experiments.resultcache.run_fingerprint` of its sweep
+  point and, on completion, the SHA-256 of the canonical result
+  payload, so resume can verify that the current source still gives
+  the point that key and that a restored result is bit-identical to
+  what the original run produced.
 
 The journal stores *outcomes and digests*, not payloads; the payload
 bytes themselves live in the content-addressed
@@ -45,7 +48,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro import __version__
 
 #: On-disk journal format version; bump on any incompatible change.
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 #: Environment variable consulted when no explicit journal dir is given.
 JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
@@ -122,8 +125,8 @@ class RunJournal:
         """Start a new journal and durably write its ``meta`` record.
 
         ``point_specs`` is the full declarative sweep (one dict per
-        point, including the canonical-encoded config and the config
-        fingerprint) — everything resume needs to rebuild the run.
+        point, including its canonical-encoded data set and config and
+        its cache key) — everything resume needs to rebuild the run.
         """
         journal_dir = Path(journal_dir)
         journal_dir.mkdir(parents=True, exist_ok=True)

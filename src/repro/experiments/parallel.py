@@ -28,10 +28,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, dash_scaled_config
 from repro.experiments.figures import FIGURE_VARIANTS, Variant, summary_variants
-from repro.experiments.registry import APP_NAMES, build_app
+from repro.experiments.registry import APP_NAMES, SweepPoint, run_point
 from repro.experiments.resultcache import (
     ResultCache,
     canonical_result_bytes,
+    run_fingerprint,
     timed,
 )
 from repro.experiments.supervisor import (
@@ -42,7 +43,7 @@ from repro.experiments.supervisor import (
     SweepReport,
 )
 from repro.faults.watchdog import Watchdog
-from repro.system import SimulationResult, run_program
+from repro.system import SimulationResult
 
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV = "REPRO_JOBS"
@@ -79,34 +80,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs <= 0:
         raise JobsError(f"{source} must be >= 1, got {jobs}")
     return jobs
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One independent point of a sweep: everything a worker process
-    needs to rebuild and run the simulation (picklable by design —
-    closures cannot cross the process boundary, specs can)."""
-
-    name: str
-    app: str
-    scale: str = "default"
-    prefetching: bool = False
-    config: Optional[MachineConfig] = None
-    #: Test-only misbehaviour spec executed *in the worker* before the
-    #: simulation runs (``"sigkill"``, ``"hang:<s>"``, ...; see
-    #: :mod:`repro.experiments.chaos`).  ``None`` in production.  Not
-    #: part of the cache/journal fingerprint: chaos changes how a point
-    #: executes, never what it measures.
-    chaos: Optional[str] = None
-
-    def resolved_config(self) -> MachineConfig:
-        return self.config if self.config is not None else dash_scaled_config()
-
-
-def run_point(point: SweepPoint, watchdog: Optional[Watchdog] = None) -> SimulationResult:
-    """Build and run one sweep point (in whichever process calls it)."""
-    program = build_app(point.app, point.scale, point.prefetching)
-    return run_program(program, point.resolved_config(), watchdog=watchdog)
 
 
 @dataclass(frozen=True)
@@ -277,9 +250,7 @@ def execute_sweep_points(
     for index, point in enumerate(points):
         key = None
         if cache is not None:
-            key = cache.key(
-                point.app, point.scale, point.prefetching, point.resolved_config()
-            )
+            key = run_fingerprint(point)
             start = timed()
             cached = cache.load(key)
             if cached is not None:
@@ -293,6 +264,7 @@ def execute_sweep_points(
                         wall_seconds=timed() - start,
                         result=cached.result,
                         cache_hit=True,
+                        payload=cached.payload,
                     ),
                 )
                 continue
@@ -316,8 +288,8 @@ def execute_sweep_points(
             if cache is not None:
                 if entry.cache_hit is None:
                     entry.cache_hit = False
-                if entry.ok and isinstance(entry.result, SimulationResult):
-                    cache.store(keys[index], entry.result, entry.wall_seconds)
+                if entry.ok and entry.payload is not None:
+                    cache.store_bytes(keys[index], entry.payload, entry.wall_seconds)
             emit(index, point, entry)
 
         PoolSupervisor(
@@ -363,7 +335,7 @@ def _run_point_serial(
     if cache is not None:
         entry.cache_hit = False
         if entry.ok and isinstance(entry.result, SimulationResult):
-            cache.store(key, entry.result, entry.wall_seconds)
+            entry.payload = cache.store(key, entry.result, entry.wall_seconds)
     return entry
 
 
@@ -395,28 +367,17 @@ def sweep_points_for(targets: Sequence[str], runner) -> List[SweepPoint]:
 def variant_points(
     groups: Iterable[Tuple[Sequence[str], Sequence[Variant]]], runner
 ) -> List[SweepPoint]:
-    """The sweep points of ``(apps, variants)`` groups, deduplicated
-    across groups (the cached-SC baseline is shared by Figures 3-6 and
-    Table 2), with the runner's scale and seed/max-events defaults
-    applied so the points' fingerprints match what
-    :meth:`ExperimentRunner.run` computes."""
-    seen: Dict[Tuple[str, bool, MachineConfig], None] = {}
-    points: List[SweepPoint] = []
+    """The points :meth:`ExperimentRunner.run` simulates for ``(apps,
+    variants)`` groups, deduplicated across groups (the cached-SC
+    baseline is shared by Figures 3-6 and Table 2); the runner gives an
+    app one data set, so ``(app, prefetching, config)`` is the point."""
+    seen: Dict[Tuple[str, bool, MachineConfig], str] = {}
     for apps, variants in groups:
         for label, config, prefetching in variants:
             config = runner.effective_config(config)
             for app in apps:
-                dedupe = (app, prefetching, config)
-                if dedupe in seen:
-                    continue
-                seen[dedupe] = None
-                points.append(
-                    SweepPoint(
-                        name=f"{app}/{label}",
-                        app=app,
-                        scale=runner.scale,
-                        prefetching=prefetching,
-                        config=config,
-                    )
-                )
-    return points
+                seen.setdefault((app, prefetching, config), label)
+    return [
+        runner.point(app, config, prefetching, label)
+        for (app, prefetching, config), label in seen.items()
+    ]

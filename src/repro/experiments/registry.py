@@ -1,21 +1,21 @@
-"""Application registry and cached experiment runner.
+"""Application registry, sweep points and the cached experiment runner.
 
-The figure regenerators share many machine configurations (e.g. the
-cached-SC single-context run is the baseline of Figures 3-6), so runs
-are memoized per (app, scale, prefetching, machine-config) within a
-:class:`ExperimentRunner`.  On top of the in-memory memo the runner can
-persist runs to a content-addressed on-disk
-:class:`~repro.experiments.resultcache.ResultCache` (``cache_dir=`` /
-``REPRO_CACHE_DIR``) and pre-warm its memo by fanning sweep points out
-over a process pool (``jobs=`` / ``REPRO_JOBS``, see
-:mod:`repro.experiments.parallel`).
+A :class:`SweepPoint` is one simulated point: app, data-set config,
+prefetching and machine config.  :func:`run_point` is the one place a
+point is simulated, and
+:func:`~repro.experiments.resultcache.run_fingerprint` is the one key
+of every layer that remembers its result: the runner's in-memory memo,
+the on-disk :class:`~repro.experiments.resultcache.ResultCache`
+(``cache_dir=`` / ``REPRO_CACHE_DIR``) and the sweep journal.  The
+runner can pre-warm its memo over a process pool (``jobs=`` /
+``REPRO_JOBS``, see :mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations
 
-import time
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.apps.lu import LUConfig, lu_program
 from repro.apps.lu import bench_scale as lu_bench, paper_scale as lu_paper
@@ -24,8 +24,18 @@ from repro.apps.mp3d import bench_scale as mp3d_bench, paper_scale as mp3d_paper
 from repro.apps.pthor import PTHORConfig, pthor_program
 from repro.apps.pthor import bench_scale as pthor_bench, paper_scale as pthor_paper
 from repro.config import MachineConfig, dash_scaled_config
+from repro.experiments.resultcache import (
+    ResultCache,
+    resolve_cache_dir,
+    run_fingerprint,
+    timed,
+)
+from repro.faults.watchdog import Watchdog
 from repro.system import SimulationResult, run_program
 from repro.tango import Program
+
+#: An application's data-set config.
+AppConfig = Union[LUConfig, MP3DConfig, PTHORConfig]
 
 APP_NAMES = ("MP3D", "LU", "PTHOR")
 
@@ -33,9 +43,9 @@ APP_NAMES = ("MP3D", "LU", "PTHOR")
 SMOKE_PROCESSES = 8
 
 _BUILDERS: Dict[str, Callable[..., Program]] = {
-    "MP3D": lambda config, prefetching: mp3d_program(config, prefetching=prefetching),
-    "LU": lambda config, prefetching: lu_program(config, prefetching=prefetching),
-    "PTHOR": lambda config, prefetching: pthor_program(config, prefetching=prefetching),
+    "MP3D": mp3d_program,
+    "LU": lu_program,
+    "PTHOR": pthor_program,
 }
 
 _SCALES: Dict[str, Dict[str, Callable[[], object]]] = {
@@ -69,7 +79,7 @@ _SCALES: Dict[str, Dict[str, Callable[[], object]]] = {
 SCALE_NAMES = ("bench", "default", "medium", "paper", "smoke")
 
 
-def app_config(app: str, scale: str = "default"):
+def app_config(app: str, scale: str = "default") -> AppConfig:
     """The application config object for a named scale."""
     try:
         return _SCALES[app][scale]()
@@ -88,6 +98,31 @@ def build_app(app: str, scale: str = "default", prefetching: bool = False) -> Pr
     return _BUILDERS[app](app_config(app, scale), prefetching)
 
 
+@dataclass(frozen=True)
+class SweepPoint:
+    """One simulated point: everything a worker process needs to
+    rebuild and run it (picklable, unlike a closure).  Points are equal
+    when they simulate the same thing: ``name`` and ``chaos`` are
+    labels, outside equality and the cache key."""
+
+    name: str = dataclasses.field(compare=False)
+    app: str
+    #: The data set itself, e.g. ``app_config(app, scale)``.
+    dataset: AppConfig
+    prefetching: bool = False
+    config: MachineConfig = dataclasses.field(default_factory=dash_scaled_config)
+    #: Test-only misbehaviour spec executed *in the worker* before the
+    #: simulation runs (``"sigkill"``, ``"hang:<s>"``, ...; see
+    #: :mod:`repro.experiments.chaos`).  ``None`` in production.
+    chaos: Optional[str] = dataclasses.field(default=None, compare=False)
+
+
+def run_point(point: SweepPoint, watchdog: Optional[Watchdog] = None) -> SimulationResult:
+    """Build and run one sweep point (in whichever process calls it)."""
+    program = _BUILDERS[point.app](point.dataset, point.prefetching)
+    return run_program(program, point.config, watchdog=watchdog)
+
+
 @dataclass
 class RunRecord:
     result: SimulationResult
@@ -95,11 +130,12 @@ class RunRecord:
 
 
 class ExperimentRunner:
-    """Runs (app, machine-config) pairs with memoization.
+    """Runs sweep points at one scale with memoization.
 
     Lookup order: in-memory memo, then (when ``cache_dir`` is set) the
     content-addressed on-disk result cache, then a real simulation run
-    — which is stored back to both layers.
+    — which is stored back to both layers.  All three are keyed by
+    :func:`~repro.experiments.resultcache.run_fingerprint`.
     """
 
     def __init__(
@@ -112,7 +148,6 @@ class ExperimentRunner:
         jobs: Optional[int] = None,
     ) -> None:
         from repro.experiments.parallel import resolve_jobs
-        from repro.experiments.resultcache import ResultCache, resolve_cache_dir
 
         self.scale = scale
         self.verbose = verbose
@@ -128,18 +163,16 @@ class ExperimentRunner:
         self.result_cache = (
             ResultCache(cache_root) if cache_root is not None else None
         )
-        self._cache: Dict[Tuple, RunRecord] = {}
-
-    def _key(self, app: str, prefetching: bool, config: MachineConfig) -> Tuple:
-        return (app, self.scale, prefetching, config)
+        self._memo: Dict[str, RunRecord] = {}
+        #: Each app's data set at ``scale``, resolved on first use.
+        self._datasets: Dict[str, AppConfig] = {}
 
     def effective_config(
         self, config: Optional[MachineConfig] = None
     ) -> MachineConfig:
         """The config a run will actually use: the scaled default when
         none is given, with the runner's seed/max-events defaults filled
-        into unset fields.  Sweep-point fingerprints are computed over
-        this, so pre-warmed and directly-run points share cache keys."""
+        into unset fields."""
         config = config or dash_scaled_config()
         if self.seed and not config.seed:
             config = config.replace(seed=self.seed)
@@ -147,58 +180,69 @@ class ExperimentRunner:
             config = config.replace(max_events=self.max_events)
         return config
 
+    def point(
+        self,
+        app: str,
+        config: Optional[MachineConfig] = None,
+        prefetching: bool = False,
+        label: Optional[str] = None,
+    ) -> SweepPoint:
+        """The sweep point ``run(app, config, prefetching)`` simulates:
+        the runner's scale resolved to ``app``'s data set, and its
+        defaults applied to ``config``."""
+        dataset = self._datasets.get(app)
+        if dataset is None:
+            dataset = self._datasets[app] = app_config(app, self.scale)
+        return SweepPoint(
+            name=f"{app}/{label}" if label else app,
+            app=app,
+            dataset=dataset,
+            prefetching=prefetching,
+            config=self.effective_config(config),
+        )
+
     def run(
         self,
         app: str,
         config: Optional[MachineConfig] = None,
         prefetching: bool = False,
     ) -> SimulationResult:
-        config = self.effective_config(config)
-        key = self._key(app, prefetching, config)
-        record = self._cache.get(key)
-        if record is None and self.result_cache is not None:
-            fingerprint = self.result_cache.key(app, self.scale, prefetching, config)
-            cached = self.result_cache.load(fingerprint)
-            if cached is not None:
-                record = RunRecord(cached.result, cached.wall_seconds)
-                self._cache[key] = record
-                if self.verbose:
-                    print(f"  [hit] {app} pf={prefetching} <- {fingerprint[:12]}")
-        if record is None:
-            program = build_app(app, self.scale, prefetching)
-            start = time.perf_counter()  # srclint: ok(wall-clock) — harness timing only
-            result = run_program(program, config)
-            record = RunRecord(result, time.perf_counter() - start)  # srclint: ok(wall-clock)
-            self._cache[key] = record
-            if self.result_cache is not None:
-                self.result_cache.store(fingerprint, result, record.wall_seconds)
-            if self.verbose:
-                print(
-                    f"  [run] {app} pf={prefetching} "
-                    f"ctx={config.contexts_per_processor} "
-                    f"{config.consistency.value} cache={config.caching_shared_data} "
-                    f"-> T={result.execution_time} ({record.wall_seconds:.1f}s)"
-                )
+        return self.run_point(self.point(app, config, prefetching))
+
+    def run_point(self, point: SweepPoint) -> SimulationResult:
+        """``point``'s result: from the memo, else the result cache,
+        else a simulation, which is stored to both."""
+        key = run_fingerprint(point)
+        record = self._memo.get(key)
+        if record is not None:
+            return record.result
+        cache = self.result_cache
+        cached = cache.load(key) if cache is not None else None
+        if cached is not None:
+            record = RunRecord(cached.result, cached.wall_seconds)
+        else:
+            start = timed()
+            result = run_point(point)
+            record = RunRecord(result, timed() - start)
+            if cache is not None:
+                cache.store(key, result, record.wall_seconds)
+        self._memo[key] = record
+        if self.verbose:
+            config = point.config
+            print(
+                f"  [{'hit' if cached is not None else 'run'}] {point.name} "
+                f"pf={point.prefetching} ctx={config.contexts_per_processor} "
+                f"{config.consistency.value} cache={config.caching_shared_data} "
+                f"-> T={record.result.execution_time} ({record.wall_seconds:.1f}s)"
+            )
         return record.result
 
-    def prime(
-        self,
-        app: str,
-        config: MachineConfig,
-        prefetching: bool,
-        result: SimulationResult,
-        wall_seconds: float = 0.0,
-    ) -> None:
-        """Insert an externally produced result into the in-memory memo
-        (used by :meth:`prewarm` to publish pool-run results)."""
-        key = self._key(app, prefetching, self.effective_config(config))
-        self._cache[key] = RunRecord(result, wall_seconds)
-
-    def prewarm(self, points: Sequence, supervisor=None):
+    def prewarm(self, points: Sequence[SweepPoint], supervisor=None):
         """Execute sweep points — in parallel when ``jobs>1``, through
-        the on-disk cache when one is configured — and prime the memo so
-        subsequent :meth:`run` calls for those points are hits.  Returns
-        the :class:`~repro.experiments.supervisor.SweepReport` (per-entry
+        the on-disk cache when one is configured — and put their results
+        in the memo, so later :meth:`run_point` calls for those points
+        are hits.  Returns the
+        :class:`~repro.experiments.supervisor.SweepReport` (per-entry
         wall time, pass/degraded/fail status, cache hit/miss counters).
         """
         from repro.experiments.supervisor import ExperimentSupervisor
@@ -212,15 +256,11 @@ class ExperimentRunner:
         )
         for point, entry in zip(points, report.entries):
             if entry.ok and isinstance(entry.result, SimulationResult):
-                self.prime(
-                    point.app,
-                    point.resolved_config(),
-                    point.prefetching,
-                    entry.result,
-                    entry.wall_seconds,
+                self._memo[run_fingerprint(point)] = RunRecord(
+                    entry.result, entry.wall_seconds
                 )
         return report
 
     @property
     def runs_performed(self) -> int:
-        return len(self._cache)
+        return len(self._memo)

@@ -1,15 +1,17 @@
 """Content-addressed on-disk cache of simulation results.
 
 A sweep point is identified by a *fingerprint*: the SHA-256 of a
-canonical encoding of ``(app, scale, prefetching, MachineConfig,
-package version)``.  The encoding recurses through the config's frozen
-dataclasses (including the :class:`~repro.faults.plan.FaultPlan` and its
+canonical encoding of ``(app, data-set config, prefetching,
+MachineConfig, source digest)``.  The encoding recurses through the
+configs' frozen dataclasses (including the
+:class:`~repro.faults.plan.FaultPlan` and its
 :class:`~repro.faults.plan.BackoffPolicy`), tags enums by class and
 value, and sorts every mapping, so two configs with equal field values
 hash equal no matter how they were built, and *any* field change —
-latency table, cache geometry, fault rates, seed — changes the key.
-Bumping ``repro.__version__`` invalidates every entry wholesale, which
-is the coarse-but-safe answer to "the simulator itself changed".
+matrix size, latency table, cache geometry, fault rates, seed — changes
+the key.  The :func:`source_digest` covers every source file of the
+package, so a persisted cache never replays a result that other code
+produced.
 
 Cached payloads are the same canonical encoding applied to the
 :class:`~repro.system.results.SimulationResult` (minus the application
@@ -41,10 +43,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Type, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Type, Union
 
+import repro
 from repro import __version__
 from repro.apps.base import PrefetchMode
+from repro.apps.lu import LUConfig
+from repro.apps.mp3d import MP3DConfig
+from repro.apps.pthor import PTHORConfig
 from repro.coherence import AccessClass
 from repro.coherence.protocol import ProtocolStats
 from repro.config import (
@@ -59,6 +65,9 @@ from repro.faults.injector import FaultStats
 from repro.faults.plan import BackoffPolicy, FaultPlan
 from repro.processor.accounting import Bucket, TimeBreakdown
 from repro.system.results import PrefetchSummary, SimulationResult, SyncSummary
+
+if TYPE_CHECKING:
+    from repro.experiments.registry import SweepPoint
 
 #: On-disk format version; bump on any incompatible layout change.
 CACHE_FORMAT = 2
@@ -75,8 +84,11 @@ _DATACLASSES: Dict[str, type] = {
         FaultPlan,
         FaultStats,
         LatencyTable,
+        LUConfig,
         MachineConfig,
+        MP3DConfig,
         PrefetchSummary,
+        PTHORConfig,
         ProtocolStats,
         SimulationResult,
         SyncSummary,
@@ -86,7 +98,7 @@ _DATACLASSES: Dict[str, type] = {
 
 _ENUMS: Dict[str, Type[enum.Enum]] = {
     cls.__name__: cls
-    for cls in (AccessClass, Bucket, Consistency, PlacementPolicy)
+    for cls in (AccessClass, Bucket, Consistency, PlacementPolicy, PrefetchMode)
 }
 
 #: Fields excluded from the canonical encoding, per dataclass: the
@@ -177,25 +189,42 @@ def config_fingerprint(config: MachineConfig) -> str:
     return hashlib.sha256(payload_bytes(encode(config))).hexdigest()
 
 
-def run_fingerprint(
-    app: str,
-    scale: str,
-    prefetching: bool,
-    config: MachineConfig,
-    version: str = __version__,
-) -> str:
-    """The content address of one sweep point.  A :class:`PrefetchMode`
-    is keyed by its value: every member is truthy, so ``bool`` would
-    give ``REMOTE_ONLY`` the key of full prefetching."""
+_SOURCE_DIGEST: Optional[str] = None
+
+
+def source_digest() -> str:
+    """SHA-256 over every ``*.py`` file of the ``repro`` package, by
+    relative path and bytes: the simulator's part of every cache key.
+    Computed on first use and kept for the life of the process."""
+    global _SOURCE_DIGEST
+    if _SOURCE_DIGEST is None:
+        root = Path(repro.__file__).parent
+        digest = hashlib.sha256()
+        for relative, path in sorted(
+            (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+        ):
+            body = path.read_bytes()
+            digest.update(f"{relative}\0{len(body)}\0".encode("utf-8"))
+            digest.update(body)
+        _SOURCE_DIGEST = digest.hexdigest()
+    return _SOURCE_DIGEST
+
+
+def run_fingerprint(point: "SweepPoint") -> str:
+    """The content address of one sweep point: what it simulates and
+    the source that simulates it.  A :class:`PrefetchMode` is keyed by
+    its value: every member is truthy, so ``bool`` would give
+    ``REMOTE_ONLY`` the key of full prefetching."""
+    prefetching = point.prefetching
     doc = {
-        "app": app,
-        "scale": scale,
+        "app": point.app,
+        "dataset": encode(point.dataset),
         "prefetching": (
             prefetching.value if isinstance(prefetching, PrefetchMode)
             else bool(prefetching)
         ),
-        "config": encode(config),
-        "version": version,
+        "config": encode(point.config),
+        "source": source_digest(),
     }
     return hashlib.sha256(payload_bytes(doc)).hexdigest()
 
@@ -233,11 +262,6 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
 
-    def key(
-        self, app: str, scale: str, prefetching: bool, config: MachineConfig
-    ) -> str:
-        return run_fingerprint(app, scale, prefetching, config)
-
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
@@ -271,7 +295,10 @@ class ResultCache:
         self, key: str, result: SimulationResult, wall_seconds: float
     ) -> bytes:
         """Persist one run; returns its canonical payload bytes."""
-        blob = canonical_result_bytes(result)
+        return self.store_bytes(key, canonical_result_bytes(result), wall_seconds)
+
+    def store_bytes(self, key: str, blob: bytes, wall_seconds: float) -> bytes:
+        """Persist one run's canonical payload bytes; returns them."""
         header = {
             "format": CACHE_FORMAT,
             "key": key,

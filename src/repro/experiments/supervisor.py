@@ -69,6 +69,9 @@ class SweepEntry:
     #: ``True``: restored from a run journal by ``--resume`` instead of
     #: (re-)executing the point in this invocation.
     restored: bool = False
+    #: The result's canonical payload bytes, when a cache or a worker
+    #: process already produced them (``None`` otherwise).
+    payload: Optional[bytes] = None
 
     @property
     def ok(self) -> bool:

@@ -57,18 +57,18 @@ from repro.experiments.journal import (
     resolve_journal_dir,
 )
 from repro.experiments.parallel import (
-    SweepPoint,
     WorkerTask,
     _execute_point_in_worker,
     _interrupted_entry,
     execute_sweep_points,
 )
+from repro.experiments.registry import SweepPoint
 from repro.experiments.resultcache import (
     ResultCache,
-    canonical_result_bytes,
     decode,
     encode,
     result_from_bytes,
+    run_fingerprint,
 )
 from repro.experiments.supervisor import (
     ConfigStatus,
@@ -433,6 +433,7 @@ class PoolSupervisor:
             wall_seconds=outcome.wall_seconds,
             result=result,
             error=error,
+            payload=outcome.payload,
         )
 
     @staticmethod
@@ -478,9 +479,9 @@ def point_spec(index: int, point: SweepPoint, key: str) -> Dict:
         "key": key,
         "name": point.name,
         "app": point.app,
-        "scale": point.scale,
-        "prefetching": point.prefetching,
-        "config": encode(point.resolved_config()),
+        "dataset": encode(point.dataset),
+        "prefetching": encode(point.prefetching),
+        "config": encode(point.config),
         "chaos": point.chaos,
     }
 
@@ -490,8 +491,8 @@ def point_from_spec(spec: Dict) -> SweepPoint:
     return SweepPoint(
         name=spec["name"],
         app=spec["app"],
-        scale=spec["scale"],
-        prefetching=bool(spec["prefetching"]),
+        dataset=decode(spec["dataset"]),
+        prefetching=decode(spec["prefetching"]),
         config=decode(spec["config"]),
         chaos=spec.get("chaos"),
     )
@@ -542,7 +543,7 @@ class SweepService:
         """Run a fresh journaled sweep; returns ``(run_id, report)``."""
         run_id = new_run_id()
         specs = [
-            point_spec(index, point, self._key(point))
+            point_spec(index, point, run_fingerprint(point))
             for index, point in enumerate(points)
         ]
         journal = RunJournal.create(self.journal_dir, run_id, name, specs)
@@ -564,7 +565,8 @@ class SweepService:
         if state.meta is None:
             raise ValueError(
                 f"journal {journal.path} has no readable meta record "
-                "(corrupted beyond resume)"
+                "(corrupted beyond resume, or written in an older journal "
+                "format)"
             )
         specs = sorted(state.meta["points"], key=lambda s: s["index"])
         points = [point_from_spec(spec) for spec in specs]
@@ -582,11 +584,6 @@ class SweepService:
 
     # -- internals ---------------------------------------------------------
 
-    def _key(self, point: SweepPoint) -> str:
-        return self.cache.key(
-            point.app, point.scale, point.prefetching, point.resolved_config()
-        )
-
     def _restore(
         self,
         state: JournalState,
@@ -595,43 +592,38 @@ class SweepService:
     ) -> Dict[int, SweepEntry]:
         """Entries recoverable from the journal without re-execution.
 
-        A ``pass``/``degraded`` record is only restored when the cached
-        payload still exists *and* hashes to the digest the journal
-        recorded — anything less re-runs the point.  ``quarantined``
-        restores as-is (no payload to verify).
+        A point journaled under a key the current source no longer gives
+        it re-runs.  A ``pass``/``degraded`` record is only restored when
+        the cached payload still exists *and* hashes to the digest the
+        journal recorded — anything less re-runs the point.
+        ``quarantined`` restores as-is (no payload to verify).
         """
         restored: Dict[int, SweepEntry] = {}
         for index in state.completed_indices():
             if index >= len(points):
                 continue
+            key = run_fingerprint(points[index])
+            if key != specs[index]["key"]:
+                continue  # measured by other source: re-run
             record = state.points[index]
             status = ConfigStatus(record["status"])
-            if status is ConfigStatus.QUARANTINED:
-                restored[index] = SweepEntry(
-                    name=record.get("name", points[index].name),
-                    status=status,
-                    attempts=int(record.get("attempts", 0)),
-                    wall_seconds=float(record.get("wall_seconds", 0.0)),
-                    error=record.get("error"),
-                    restored=True,
-                )
-                continue
-            key = specs[index]["key"]
-            cached = self.cache.load(key)
-            if cached is None:
-                continue  # payload lost/corrupt: re-run the point
-            digest = hashlib.sha256(cached.payload).hexdigest()
-            if digest != record.get("payload_sha256"):
-                continue  # journal and cache disagree: re-run
+            cached = None
+            if status is not ConfigStatus.QUARANTINED:
+                cached = self.cache.load(key)
+                if cached is None or hashlib.sha256(
+                    cached.payload
+                ).hexdigest() != record.get("payload_sha256"):
+                    continue  # payload lost, corrupt or not the journaled one: re-run
             restored[index] = SweepEntry(
                 name=record.get("name", points[index].name),
                 status=status,
                 attempts=int(record.get("attempts", 0)),
                 wall_seconds=float(record.get("wall_seconds", 0.0)),
-                result=cached.result,
+                result=cached.result if cached else None,
                 error=record.get("error"),
-                cache_hit=True,
+                cache_hit=True if cached else None,
                 restored=True,
+                payload=cached.payload if cached else None,
             )
         return restored
 
@@ -660,7 +652,7 @@ class SweepService:
             entries[index] = entry
             journal.record_point(
                 index=index,
-                key=self._key(point),
+                key=run_fingerprint(point),
                 name=point.name,
                 status=entry.status.value,
                 attempts=entry.attempts,
@@ -705,11 +697,6 @@ class SweepService:
 
     @staticmethod
     def _payload_digest(entry: SweepEntry) -> Optional[str]:
-        if entry.ok and entry.result is not None:
-            try:
-                return hashlib.sha256(
-                    canonical_result_bytes(entry.result)
-                ).hexdigest()
-            except TypeError:
-                return None
+        if entry.ok and entry.payload is not None:
+            return hashlib.sha256(entry.payload).hexdigest()
         return None

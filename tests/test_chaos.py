@@ -22,10 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import dash_scaled_config
-from repro.experiments import SMOKE_PROCESSES
+from repro.experiments import SMOKE_PROCESSES, app_config
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import SweepPoint
-from repro.experiments.resultcache import canonical_result_bytes
+from repro.experiments import resultcache
+from repro.experiments.resultcache import canonical_result_bytes, run_fingerprint
 from repro.experiments.supervisor import ConfigStatus
 from repro.experiments.sweepservice import (
     PoolSupervisor,
@@ -43,10 +44,10 @@ FAST = ServicePolicy(poison_threshold=2, poll_interval_s=0.05)
 
 
 def _golden_points():
-    """The exact (app, scale, config) triples the committed goldens pin."""
+    """The exact (app, data set, config) points the committed goldens pin."""
     config = dash_scaled_config(num_processors=SMOKE_PROCESSES)
     return [
-        SweepPoint(name=app, app=app, scale="smoke", config=config)
+        SweepPoint(name=app, app=app, dataset=app_config(app, "smoke"), config=config)
         for app in GOLDEN_APPS
     ]
 
@@ -70,7 +71,7 @@ def _small(seed: int, **chaos):
     return SweepPoint(
         name=f"LU/{chaos.get('chaos') or 'clean'}-{seed}",
         app="LU",
-        scale="smoke",
+        dataset=app_config("LU", "smoke"),
         config=dash_scaled_config(num_processors=2, seed=seed),
         **chaos,
     )
@@ -85,14 +86,14 @@ class TestAcceptance:
             SweepPoint(
                 name="LU/kill-once",
                 app="LU",
-                scale="smoke",
+                dataset=app_config("LU", "smoke"),
                 config=dash_scaled_config(num_processors=2, seed=21),
                 chaos=f"sigkill-once:{tmp_path / 'strike.marker'}",
             ),
             SweepPoint(
                 name="LU/poison",
                 app="LU",
-                scale="smoke",
+                dataset=app_config("LU", "smoke"),
                 config=dash_scaled_config(num_processors=2, seed=23),
                 chaos="sigkill",
             ),
@@ -237,6 +238,24 @@ class TestResumeEdges:
         assert again.ok
         assert not again.restored  # verified re-execution, not blind trust
         assert _digests(again) == _digests(first)
+
+    def test_source_change_reruns_journaled_points(self, tmp_path, monkeypatch):
+        """A point journaled under other source is not restored, even
+        though its payload still verifies under the journaled key."""
+        points = [_small(1)]
+        service = SweepService(tmp_path / "journal", policy=FAST)
+        run_id, first = service.start("edited", points, jobs=1)
+        assert first.ok
+        monkeypatch.setattr(resultcache, "_SOURCE_DIGEST", "0" * 64)
+        again = SweepService(tmp_path / "journal", policy=FAST).resume(
+            run_id, jobs=1
+        )
+        assert again.ok
+        assert not again.restored
+        assert again.cache_misses == 1
+        assert _digests(again) == _digests(first)
+        state = RunJournal.load(tmp_path / "journal" / f"{run_id}.jsonl")
+        assert state.points[0]["key"] == run_fingerprint(points[0])
 
     def test_quarantine_is_sticky_across_resume(self, tmp_path):
         points = [_small(1), _small(2, chaos="sigkill")]

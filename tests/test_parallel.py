@@ -14,6 +14,7 @@ from repro.experiments import (
     ExperimentRunner,
     ResultCache,
     SweepPoint,
+    app_config,
     canonical_result_bytes,
     sweep_points_for,
 )
@@ -35,7 +36,7 @@ def _mini_fig2_points(fault_plan=None, apps=("MP3D", "LU")):
                 SweepPoint(
                     name=f"{app}/{label}",
                     app=app,
-                    scale="smoke",
+                    dataset=app_config(app, "smoke"),
                     config=base.replace(caching_shared_data=caching),
                 )
             )
@@ -79,7 +80,7 @@ class TestSerialVsParallel:
         # crashes inside the worker; the other points must survive.
         points = _mini_fig2_points(apps=("LU",))
         points.insert(
-            1, SweepPoint(name="boom", app="NOSUCH", scale="smoke")
+            1, SweepPoint(name="boom", app="NOSUCH", dataset=app_config("LU", "smoke"))
         )
         report = ExperimentSupervisor().run_sweep_points("crash", points, jobs=2)
         assert not report.ok
@@ -233,7 +234,7 @@ class TestJobsResolution:
 
 def test_run_point_matches_direct_run():
     point = SweepPoint(
-        name="LU", app="LU", scale="smoke",
+        name="LU", app="LU", dataset=app_config("LU", "smoke"),
         config=dash_scaled_config(num_processors=4),
     )
     from repro.experiments import build_app
@@ -314,7 +315,7 @@ class TestWorkerOutcomes:
         from repro.experiments.parallel import _execute_point_in_worker
 
         point = SweepPoint(
-            name="LU/interrupt", app="LU", scale="smoke",
+            name="LU/interrupt", app="LU", dataset=app_config("LU", "smoke"),
             config=dash_scaled_config(num_processors=2),
             chaos="interrupt",
         )
@@ -327,7 +328,8 @@ class TestWorkerOutcomes:
         from repro.experiments.parallel import _execute_point_in_worker
 
         point = SweepPoint(
-            name="boom", app="no-such-app", scale="smoke", chaos="exit"
+            name="boom", app="no-such-app", dataset=app_config("LU", "smoke"),
+            chaos="exit",
         )
 
         import repro.experiments.chaos as chaos_mod
@@ -348,7 +350,7 @@ class TestWorkerOutcomes:
         from repro.experiments.parallel import _execute_point_in_worker
 
         point = SweepPoint(
-            name="LU/starved", app="LU", scale="smoke",
+            name="LU/starved", app="LU", dataset=app_config("LU", "smoke"),
             config=dash_scaled_config(num_processors=2),
         )
         outcome = _execute_point_in_worker(
@@ -362,7 +364,9 @@ class TestWorkerOutcomes:
     def test_non_transient_failure_does_not_burn_the_retry_budget(self):
         from repro.experiments.parallel import _execute_point_in_worker
 
-        point = SweepPoint(name="bad", app="no-such-app", scale="smoke")
+        point = SweepPoint(
+            name="bad", app="no-such-app", dataset=app_config("LU", "smoke")
+        )
         outcome = _execute_point_in_worker(self._task(point, max_attempts=3))
         assert outcome.status == ConfigStatus.FAILED.value
         assert outcome.attempts == 1

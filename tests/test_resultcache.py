@@ -6,7 +6,10 @@ Fingerprint laws (seeded/derandomized hypothesis, so CI is stable):
 * any single field change in :class:`MachineConfig` — randomized over
   fields and values, including nested latency tables, cache geometries,
   and fault plans — changes the cache key;
+* so does a change to the point's data set or to the package source;
 * equal configs built in different orders hash equal;
+* the runner and the sweep-point enumeration key a point alike, and a
+  warm cache answers a whole claims evaluation without simulating;
 * corrupted or truncated cache files read as misses, never crashes.
 
 The entry layout (one header line, then the canonical payload bytes)
@@ -33,7 +36,18 @@ from repro.config import (
     PlacementPolicy,
     dash_scaled_config,
 )
-from repro.experiments import resultcache
+from repro.apps import LUConfig, lu_program
+from repro.apps.base import PrefetchMode
+from repro.experiments import (
+    APP_NAMES,
+    ExperimentRunner,
+    SweepPoint,
+    app_config,
+    claims,
+    registry,
+    resultcache,
+    sweep_points_for,
+)
 from repro.experiments.resultcache import (
     CACHE_FORMAT,
     ResultCache,
@@ -41,10 +55,12 @@ from repro.experiments.resultcache import (
     config_fingerprint,
     decode,
     encode,
+    payload_bytes,
     result_from_bytes,
     run_fingerprint,
 )
 from repro.faults.plan import BackoffPolicy, FaultPlan
+from repro.system import Machine, run_program
 
 _SETTINGS = settings(
     derandomize=True,
@@ -105,6 +121,17 @@ FIELD_ALTERNATIVES = {
 }
 
 
+def _point(app="LU", config=None, prefetching=False, **dataset):
+    """A smoke-scale point, with ``dataset`` fields overridden."""
+    return SweepPoint(
+        name=app,
+        app=app,
+        dataset=dataclasses.replace(app_config(app, "smoke"), **dataset),
+        prefetching=prefetching,
+        config=config if config is not None else dash_scaled_config(),
+    )
+
+
 def test_alternatives_cover_every_config_field():
     field_names = {f.name for f in dataclasses.fields(MachineConfig)}
     assert field_names == set(FIELD_ALTERNATIVES), (
@@ -114,16 +141,16 @@ def test_alternatives_cover_every_config_field():
     )
 
 
-def test_default_fingerprints_are_pinned():
-    """Existing result caches stay valid only while the default keys
-    do not move.  These values predate the removal of an
-    encoding-skipped config field, and every change meant to leave
-    results untouched must keep them."""
+def test_default_fingerprints_are_pinned(monkeypatch):
+    """The key formula is pinned at a fixed source digest: a change to
+    the encoding or to the key's fields must be deliberate.  The config
+    value predates the removal of an encoding-skipped config field."""
+    monkeypatch.setattr(resultcache, "_SOURCE_DIGEST", "0" * 64)
     assert config_fingerprint(MachineConfig()) == (
         "2e80bfe4452275891263b74111cc9ed66aa2388b3db3d479eaca62f0ddb14b09"
     )
-    assert run_fingerprint("LU", "smoke", False, MachineConfig()) == (
-        "ab0a58c5db13df7ee7c277468251036d5b6418e7a3b3a15f98c39ec625237a69"
+    assert run_fingerprint(_point(config=MachineConfig())) == (
+        "69dd8c02d950a6d058feb539606d5785ee03af44ceba23261b952171c661bf20"
     )
 
 
@@ -138,8 +165,8 @@ def test_any_single_field_change_changes_the_key(field, data):
     assert value != getattr(base, field)
     changed = base.replace(**{field: value})
     assert config_fingerprint(changed) != config_fingerprint(base)
-    assert run_fingerprint("LU", "smoke", False, changed) != run_fingerprint(
-        "LU", "smoke", False, base
+    assert run_fingerprint(_point(config=changed)) != run_fingerprint(
+        _point(config=base)
     )
 
 
@@ -165,21 +192,29 @@ def test_equal_configs_built_in_different_orders_hash_equal(fields):
     assert config_fingerprint(incremental) == config_fingerprint(one_shot)
 
 
-def test_key_covers_app_scale_prefetching_and_version():
-    config = dash_scaled_config()
-    base = run_fingerprint("LU", "smoke", False, config)
-    assert run_fingerprint("MP3D", "smoke", False, config) != base
-    assert run_fingerprint("LU", "bench", False, config) != base
-    assert run_fingerprint("LU", "smoke", True, config) != base
-    assert run_fingerprint("LU", "smoke", False, config, version="0.0.0") != base
+def test_key_covers_app_dataset_prefetching_and_source(monkeypatch):
+    base = run_fingerprint(_point())
+    assert run_fingerprint(_point()) == base
+    assert run_fingerprint(_point("MP3D")) != base
+    assert run_fingerprint(_point(n=12)) != base
+    assert run_fingerprint(_point(prefetch_distance_lines=1)) != base
+    assert run_fingerprint(_point(prefetching=True)) != base
+    # Name and chaos label a point; they are not what it simulates.
+    assert run_fingerprint(dataclasses.replace(_point(), name="x", chaos="exit")) == base
+    monkeypatch.setattr(resultcache, "_SOURCE_DIGEST", "0" * 64)
+    assert run_fingerprint(_point()) != base
+
+
+def test_source_digest_is_computed_once(monkeypatch):
+    digest = resultcache.source_digest()
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    monkeypatch.setattr(resultcache.Path, "rglob", lambda *a: pytest.fail("rehashed"))
+    assert resultcache.source_digest() == digest
 
 
 def test_key_tells_prefetch_modes_apart():
-    from repro.apps.base import PrefetchMode
-
-    config = dash_scaled_config()
     keys = {
-        run_fingerprint("MP3D", "bench", mode, config)
+        run_fingerprint(_point("MP3D", prefetching=mode))
         for mode in (False, True, *PrefetchMode)
     }
     assert len(keys) == 2 + len(PrefetchMode)
@@ -197,7 +232,7 @@ def test_config_roundtrips_through_canonical_encoding():
 
 def _smoke_run(config):
     from repro.experiments import build_app
-    from repro.system import run_program
+    from repro.system import Machine, run_program
 
     return run_program(build_app("LU", "smoke"), config)
 
@@ -218,7 +253,7 @@ def stored(tmp_path):
     cache = ResultCache(tmp_path)
     config = dash_scaled_config(num_processors=4)
     result = _smoke_run(config)
-    key = cache.key("LU", "smoke", False, config)
+    key = run_fingerprint(_point(config=config))
     cache.store(key, result, 0.1)
     return cache, key, result
 
@@ -242,10 +277,16 @@ class TestEntryLayout:
         )
         assert result.faults is not None
         blob = canonical_result_bytes(result)
+        # What a journal stores beside results: data sets and modes.
+        datasets = [app_config(app, "smoke") for app in APP_NAMES]
+        extras = payload_bytes(encode([datasets, PrefetchMode.REMOTE_ONLY]))
         for name in resultcache._ENUMS:
-            assert f'"__enum__":"{name}"'.encode() in blob, name
+            assert f'"__enum__":"{name}"'.encode() in blob + extras, name
         for name in resultcache._DATACLASSES:
-            assert f'"__dataclass__":"{name}"'.encode() in blob, name
+            assert f'"__dataclass__":"{name}"'.encode() in blob + extras, name
+        assert decode(encode([datasets, PrefetchMode.REMOTE_ONLY])) == [
+            datasets, PrefetchMode.REMOTE_ONLY
+        ]
         revived = result_from_bytes(blob)
         assert canonical_result_bytes(revived) == blob
         for field in dataclasses.fields(result):
@@ -267,7 +308,7 @@ class TestEntryLayout:
 
         monkeypatch.setattr(resultcache.tempfile, "mkstemp", spy)
         cache = ResultCache(tmp_path)
-        key = cache.key("LU", "smoke", False, config)
+        key = run_fingerprint(_point(config=config))
         cache.store(key, result, 0.1)
         assert len(made) == 1
         # A writer killed between its write and its rename leaves a
@@ -388,3 +429,59 @@ class TestCorruptionTolerance:
                 assert cached.payload == canonical_result_bytes(result)
         path.write_bytes(pristine)
         assert cache.load(key) is not None
+
+
+class TestPointIdentity:
+    """Every layer keys a point on what it simulates, so an edited data
+    set or source re-simulates instead of replaying a stale result."""
+
+    def test_dataset_field_change_misses(self, stored):
+        cache, key, result = stored
+        config = dash_scaled_config(num_processors=4)
+        assert key == run_fingerprint(_point(config=config))
+        for changed in (_point(config=config, n=12),
+                        _point(config=config, prefetch_distance_lines=1)):
+            assert cache.load(run_fingerprint(changed)) is None
+        assert cache.load(key) is not None
+
+    def test_source_change_misses(self, stored, monkeypatch):
+        cache, key, _ = stored
+        point = _point(config=dash_scaled_config(num_processors=4))
+        monkeypatch.setattr(resultcache, "_SOURCE_DIGEST", "0" * 64)
+        assert run_fingerprint(point) != key
+        assert cache.load(run_fingerprint(point)) is None
+
+    def test_runner_and_variant_points_share_keys(self, tmp_path):
+        runner = ExperimentRunner(scale="smoke", seed=5, cache_dir=tmp_path)
+        # Table 2's one variant is the cached-SC default config.
+        [point] = [p for p in sweep_points_for(["table2"], runner) if p.app == "LU"]
+        runner.run("LU", dash_scaled_config())
+        assert [p.name for p in tmp_path.glob("*.json")] == [
+            f"{run_fingerprint(point)}.json"
+        ]
+
+    def test_edited_dataset_resimulates_against_a_populated_cache(
+        self, tmp_path, monkeypatch
+    ):
+        config = dash_scaled_config(num_processors=4)
+        first = ExperimentRunner(scale="smoke", cache_dir=tmp_path)
+        old = first.run("LU", config).execution_time
+        monkeypatch.setitem(registry._SCALES["LU"], "smoke", lambda: LUConfig(n=12))
+        second = ExperimentRunner(scale="smoke", cache_dir=tmp_path)
+        new = second.run("LU", config).execution_time
+        assert (second.result_cache.hits, second.result_cache.stores) == (0, 1)
+        assert new != old
+        assert new == run_program(lu_program(LUConfig(n=12)), config).execution_time
+
+    def test_warm_cache_answers_claims_without_simulating(self, tmp_path, monkeypatch):
+        cold = ExperimentRunner(scale="smoke", cache_dir=tmp_path)
+        first = claims.evaluate(cold)
+        assert cold.result_cache.stores == cold.runs_performed > 0
+        monkeypatch.setattr(Machine, "run", lambda *a, **k: pytest.fail("simulated"))
+        warm = ExperimentRunner(scale="smoke", cache_dir=tmp_path)
+        second = claims.evaluate(warm)
+        assert (warm.result_cache.misses, warm.result_cache.stores) == (0, 0)
+        assert warm.result_cache.hits == cold.result_cache.stores
+        assert [(o.measured, o.bound) for o in second] == [
+            (o.measured, o.bound) for o in first
+        ]
