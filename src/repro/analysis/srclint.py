@@ -40,8 +40,8 @@ accidental dicts and per-iteration containers dominate profiles):
   or ``list()``/``dict()``/... constructor calls inside the loop bodies
   of the event engine's ``run`` / ``run_until`` and of the processor's
   ``_loop``: these dispatch loops run once per event (the processor
-  loop takes nearly every event in place) and must not churn the
-  allocator.
+  loop takes nearly every event in place, through ``schedule``) and
+  must not churn the allocator.
 
 One rule guards the layering of the protocol spec registry:
 
@@ -120,8 +120,8 @@ _SLOTS_EXEMPT_BASES = {
 
 #: Per-event dispatch loops guarded by ``loop-allocation``, by path
 #: prefix: the event engine's ``run`` / ``run_until``, and the processor
-#: loop, which fires nearly every event in place through
-#: ``EventEngine.take_next``.
+#: loop, which fires nearly every event in place: its yield,
+#: ``EventEngine.schedule(..., take=)``, hands it the next processor.
 _EVENT_LOOP_FNS = {
     "sim/": ("run", "run_until"),
     "processor/processor.py": ("_loop",),

@@ -35,13 +35,14 @@ safe because at most one continuation is ever pending per processor:
 ``_loop`` schedules one only as it yields, and a parked processor (the
 only state in which a grant schedules a continuation) has none pending
 by construction.  The bound callback also identifies its processor,
-as its ``__self__``: when a yielding processor finds that the earliest
-event is ``_loop`` bound to another processor,
-``EventEngine.take_next`` pops it with the dispatch loop's own
-bookkeeping and ``_loop`` carries on as that processor in the same
-frame, instead of returning into the engine for a fresh ``_loop``
-call.  The event popped is the one the engine would have fired next,
-so the interleaving is unchanged.
+as its ``__self__``: a yielding processor schedules its continuation
+with ``EventEngine.schedule(time, self._loop_cb, take=_loop)``, and
+when the earliest event is ``_loop`` bound to another processor the
+engine swaps the two in one heap operation, does the dispatch loop's
+bookkeeping and returns that processor.  ``_loop`` carries on as it in
+the same frame, instead of returning into the engine for a fresh
+``_loop`` call.  The event taken is the one the engine would have
+fired next, so the interleaving is unchanged.
 """
 
 from __future__ import annotations
@@ -224,15 +225,18 @@ class Processor:
 
         Every entry is stable for the whole run: the aliased containers
         (contexts, packed cycle counters, run lengths) are mutated in
-        place and never rebound, and the scalars come from the frozen
-        config.  The inline probes are decided here, once: both are
-        live only while the memory interface's ``_fused`` flag is set
-        (no observer installed through ``Machine.interpose``, no
-        memory-event trace), and the SC write probe only on top of
-        that.  ``Machine.interpose`` refuses to install once the run
-        has started, so the flag cannot change under the probes.  A
-        dead probe leaves ``None`` tags, so the loop tests one local
-        per access.
+        place and never rebound, the scalars come from the frozen
+        config, and the yield's two engine entries are the prebound
+        ``engine.schedule`` and the continuation function ``_loop`` it
+        is passed as ``take``, the same for every processor.  The
+        inline probes are decided here, once: both are live only while
+        the memory interface's ``_fused`` flag is set (no observer
+        installed through ``Machine.interpose``, no memory-event
+        trace), and the SC write probe only on top of that.
+        ``Machine.interpose`` refuses to install once the run has
+        started, so the flag cannot change under the probes.  A dead
+        probe leaves ``None`` tags, so the loop tests one local per
+        access.
         """
         memiface = self.memiface
         probe = (None, None, None, None, 0, 0, 0)
@@ -284,7 +288,7 @@ class Processor:
             self._switch_threshold,
             self.run_lengths,
             self.config.prefetch_issue_cycles,
-            self.engine.take_next,
+            self.engine.schedule,
             # Every processor's continuation is ``_loop`` bound to it.
             self._loop_cb.__func__,
         ) + probe + wprobe
@@ -309,7 +313,7 @@ class Processor:
         #
         # One pass of the outer loop per processor: when this processor
         # must yield to an earlier event and that event is another
-        # processor's continuation, ``take_next`` fires it in place and
+        # processor's continuation, ``schedule`` takes it in place and
         # ``self`` is rebound to that processor, whose state the outer
         # loop reloads — no return into the engine's dispatch loop.
         while True:
@@ -325,7 +329,7 @@ class Processor:
                 threshold,
                 run_lengths,
                 pf_issue,
-                take_next,
+                schedule,
                 loop_func,
                 # Inline primary-hit probe (``ptags`` None when off): the
                 # packed-cache read hit runs right here, same gates as
@@ -362,8 +366,7 @@ class Processor:
                 if engine.next_time < time:
                     self.time = time
                     self._current_run = run
-                    engine.schedule(time, self._loop_cb)
-                    self = take_next(loop_func)
+                    self = schedule(time, self._loop_cb, loop_func)
                     if self is None:
                         return
                     break

@@ -11,10 +11,12 @@ round-trip) because no other event in the system can fire before the
 processor's own local time.  This is the key fast path: streams of cache
 hits cost zero heap operations.
 
-:meth:`EventEngine.take_next` is the other half: a processor that must
-yield to an earlier event, and finds that event is another processor's
-continuation, pops it with the dispatch loop's own bookkeeping and runs
-that processor in its own frame, with no return into :meth:`run`.
+:meth:`EventEngine.schedule` is the other half.  A processor that must
+yield passes ``take``: when the event the dispatch loop would fire next
+is another processor's continuation, ``schedule`` swaps the yielder's
+own entry in for it with one heap operation, does the dispatch loop's
+per-event bookkeeping, and returns that processor, which then runs in
+the yielder's frame with no return into :meth:`run`.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ class EventEngine:
         "_heartbeat",
         "_heartbeat_every",
         "_next_heartbeat",
+        "_check_at",
         "_deadline",
     )
 
@@ -79,8 +82,11 @@ class EventEngine:
         self._heartbeat: Optional[Callable[["EventEngine"], None]] = None
         self._heartbeat_every = 0
         self._next_heartbeat = TIME_INFINITY
-        #: Latest time :meth:`take_next` may fire: the running dispatch
-        #: loop's deadline, -1 while none runs.
+        #: Event count at which the per-event step must look at the
+        #: event limit or the heartbeat: ``min(limit + 1, next beat)``.
+        self._check_at = event_limit + 1
+        #: Latest time ``schedule(..., take=)`` may fire: the running
+        #: dispatch loop's deadline, -1 while none runs.
         self._deadline = -1
 
     @property
@@ -93,20 +99,60 @@ class EventEngine:
         """Number of events fired so far (diagnostic)."""
         return self._events_processed
 
-    def schedule(self, time: int, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to fire at ``time``.
+    def schedule(
+        self,
+        time: int,
+        callback: Callable[[], None],
+        take: Optional[Callable[..., None]] = None,
+    ) -> Optional[object]:
+        """Schedule ``callback`` to fire at ``time``; maybe take the next event.
 
         ``time`` must not be in the past relative to the engine clock;
         same-time scheduling is allowed and fires in FIFO order.
+
+        Without ``take`` this returns ``None``.  With it, the call is
+        "push, then fire the earliest event in place if it is owned":
+        when, once ``callback`` is in the calendar, the earliest event's
+        callback is ``take`` bound to some object, and the running
+        :meth:`run` / :meth:`run_until` would fire it next (it is within
+        the deadline), that event is popped with the dispatch loop's
+        bookkeeping and its object returned *without* calling the
+        callback: the caller runs it itself, in its own frame.  The push
+        and the pop are one ``heapreplace``, or no heap operation at all
+        when ``callback`` is itself the earliest event.  Outside a
+        dispatch loop nothing is taken.  The event taken is exactly the
+        one the dispatch loop would pop next, so firing order, event
+        counts, the event limit and the heartbeat are unchanged.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        heapq.heappush(self._queue, (time, self._seq, callback))
+        queue = self._queue
+        entry = (time, self._seq, callback)
         self._seq += 1
+        if take is not None:
+            # The earliest event once ``entry`` is in; a tie goes to the
+            # older entry.
+            head = queue[0] if queue and queue[0][0] <= time else entry
+            head_time, _seq, head_callback = head
+            if (
+                head_time <= self._deadline
+                and getattr(head_callback, "__func__", None) is take
+            ):
+                if head is not entry:
+                    heapq.heapreplace(queue, entry)
+                    self.next_time = queue[0][0]
+                self._now = head_time
+                count = self._events_processed + 1
+                self._events_processed = count
+                if count >= self._check_at:
+                    self._checkpoint(head_time)
+                return head_callback.__self__  # type: ignore[attr-defined]
+        heapq.heappush(queue, entry)
         if time < self.next_time:
             self.next_time = time
+        return None
 
     def schedule_after(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to fire ``delay`` pclocks from now."""
@@ -143,10 +189,21 @@ class EventEngine:
         else:
             self._heartbeat_every = every
             self._next_heartbeat = self._events_processed + every
+        self._check_at = min(self._limit + 1, self._next_heartbeat)
 
     def _fire_heartbeat(self) -> None:
         self._next_heartbeat = self._events_processed + self._heartbeat_every
+        self._check_at = min(self._limit + 1, self._next_heartbeat)
         self._heartbeat(self)  # type: ignore[misc]
+
+    def _checkpoint(self, time: int) -> None:
+        """The slow half of the per-event step, entered once the event
+        count reaches ``_check_at``: raise past the event limit, else
+        beat the heartbeat when it is due."""
+        if self._events_processed > self._limit:
+            raise self._limit_error(time)
+        if self._events_processed >= self._next_heartbeat:
+            self._fire_heartbeat()
 
     def _limit_error(self, time: int) -> SimulationError:
         return SimulationError(
@@ -160,8 +217,9 @@ class EventEngine:
 
         The dispatch step of :meth:`run` and :meth:`run_until`: advance
         the clock, restore the ``next_time`` invariant, count the event,
-        enforce the event limit and beat the heartbeat.  Returns the
-        callback, not yet called.  :meth:`take_next` shares it.
+        and past ``_check_at`` enforce the event limit and beat the
+        heartbeat.  Returns the callback, not yet called.  A take in
+        :meth:`schedule` does the same bookkeeping.
         """
         queue = self._queue
         time, _seq, callback = heapq.heappop(queue)
@@ -170,36 +228,11 @@ class EventEngine:
             self.next_time = queue[0][0]
         else:
             self.next_time = TIME_INFINITY
-        self._events_processed += 1
-        if self._events_processed > self._limit:
-            raise self._limit_error(time)
-        if self._events_processed >= self._next_heartbeat:
-            self._fire_heartbeat()
+        count = self._events_processed + 1
+        self._events_processed = count
+        if count >= self._check_at:
+            self._checkpoint(time)
         return callback
-
-    def take_next(self, func: Callable[..., None]) -> Optional[object]:
-        """Fire the earliest event in place, if it is a bound ``func``.
-
-        When the earliest pending event's callback is ``func`` bound to
-        some object, and the running :meth:`run` / :meth:`run_until`
-        would fire it next (it is within the deadline), pop it through
-        :meth:`_pop` and return that object *without* calling the
-        callback: the caller runs it itself, in its own frame, as the
-        callback would have.  Otherwise leave the calendar untouched and
-        return ``None``.  Outside a dispatch loop nothing is taken.
-
-        The popped event is exactly the one the dispatch loop would pop
-        next, with the same bookkeeping, so firing order, event counts,
-        the event limit and the heartbeat are unchanged.
-        """
-        queue = self._queue
-        if not queue:
-            return None
-        time, _seq, callback = queue[0]
-        if getattr(callback, "__func__", None) is not func or time > self._deadline:
-            return None
-        self._pop()
-        return callback.__self__
 
     def run(self) -> int:
         """Fire events until the calendar drains; return the final time."""

@@ -281,11 +281,11 @@ def test_engine_times_stay_integral(monkeypatch):
     seen = {"count": 0}
     original = EventEngine.schedule
 
-    def checked(self, time, callback):
+    def checked(self, time, callback, *args):
         assert type(time) is int, f"non-integer time {time!r} scheduled"
         assert type(self.next_time) is int
         seen["count"] += 1
-        return original(self, time, callback)
+        return original(self, time, callback, *args)
 
     monkeypatch.setattr(EventEngine, "schedule", checked)
     config = dash_scaled_config(num_processors=SMOKE_PROCESSES)
@@ -418,38 +418,40 @@ class _Peer:
         self.stopped = True
 
 
-def _taking(engine, seen):
-    """A callback that tries to take the next event in place."""
+def _taking(engine, seen, at, mine=lambda: None, take=_Peer.resume):
+    """A callback that schedules ``mine`` at ``at`` and, with ``take``,
+    asks ``schedule`` to take the next event in place."""
 
-    def take():
-        owner = engine.take_next(_Peer.resume)
+    def taking():
+        owner = engine.schedule(at, mine, take)
         seen.append((owner, engine.now, engine.events_processed, engine.next_time))
 
-    return take
+    return taking
 
 
 def test_take_next_pops_an_owned_head_without_calling_it():
     engine = EventEngine()
     seen, fired = [], []
     peer = _Peer("peer")
-    engine.schedule(1, _taking(engine, seen))
+    engine.schedule(1, _taking(engine, seen, 3, lambda: fired.append("mine")))
     engine.schedule(2, peer.resume)
     engine.schedule(3, lambda: fired.append("last"))
     assert engine.run() == 3
     # Popped exactly as run would have: clock, count and next_time.
     assert seen == [(peer, 2, 2, 3)]
     assert peer.resumed == 0
-    assert fired == ["last"]
-    assert engine.events_processed == 3
+    # The caller's own entry went in behind the equal-time one before it.
+    assert fired == ["last", "mine"]
+    assert engine.events_processed == 4
 
 
 def test_take_next_leaves_a_foreign_head_alone():
     engine = EventEngine()
     seen, fired = [], []
     other = _Peer("other")
-    engine.schedule(1, _taking(engine, seen))
+    engine.schedule(1, _taking(engine, seen, 5))
     engine.schedule(2, lambda: fired.append(2))
-    engine.schedule(3, _taking(engine, seen))
+    engine.schedule(3, _taking(engine, seen, 5))
     # A bound method of another function is not taken either.
     engine.schedule(4, other.stop)
     engine.run()
@@ -462,25 +464,43 @@ def test_take_next_outside_a_dispatch_loop_takes_nothing():
     engine = EventEngine()
     peer = _Peer("peer")
     engine.schedule(5, peer.resume)
-    assert engine.take_next(_Peer.resume) is None
-    assert _snapshot(engine) == (0, 1, 0, 5, 5)
+    assert engine.schedule(6, lambda: None, _Peer.resume) is None
+    assert _snapshot(engine) == (0, 2, 0, 5, 5)
+    # Not even an owned entry of its own that would be the earliest.
+    assert engine.schedule(3, _Peer("me").resume, _Peer.resume) is None
+    assert _snapshot(engine) == (0, 3, 0, 3, 3)
 
 
 def test_take_next_respects_the_run_until_deadline():
     engine = EventEngine()
     seen = []
     peer = _Peer("peer")
-    engine.schedule(1, _taking(engine, seen))
+    engine.schedule(1, _taking(engine, seen, 6))
     engine.schedule(5, peer.resume)
     assert engine.run_until(4) == 4
     assert seen == [(None, 1, 1, 5)]
-    assert (engine.pending, engine.next_time) == (1, 5)
+    assert (engine.pending, engine.next_time) == (2, 5)
+
+
+def test_take_next_of_its_own_earliest_entry():
+    """When the caller's own entry is the earliest once pushed, and it
+    is owned, the push and the pop cancel: it is taken, and the calendar
+    is left as it was."""
+    engine = EventEngine()
+    seen = []
+    me = _Peer("me")
+    engine.schedule(1, _taking(engine, seen, 2, me.resume))
+    engine.schedule(5, lambda: None)
+    assert engine.run() == 5
+    assert seen == [(me, 2, 2, 5)]
+    assert me.resumed == 0
+    assert engine.events_processed == 3
 
 
 def test_take_next_event_limit_matches_run():
     def overrun(take):
         engine = EventEngine(event_limit=1)
-        engine.schedule(1, _taking(engine, []) if take else lambda: None)
+        engine.schedule(1, _taking(engine, [], 3, take=_Peer.resume if take else None))
         engine.schedule(2, _Peer("peer").resume)
         engine.schedule(3, lambda: None)
         with pytest.raises(SimulationError) as excinfo:
@@ -488,50 +508,198 @@ def test_take_next_event_limit_matches_run():
         return str(excinfo.value), engine.events_processed, engine.pending
 
     assert overrun(take=True) == overrun(take=False)
-    assert overrun(take=True)[0].startswith("event limit 1 exceeded at t=2 with 1 events")
+    assert overrun(take=True)[0].startswith("event limit 1 exceeded at t=2 with 2 events")
 
 
-@given(
-    times=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=30),
-    limit=st.integers(min_value=1, max_value=35),
+class _Yielder:
+    """Logs each firing, then, while it has delays left, reschedules
+    itself ``delay`` pclocks on, as a yielding processor does: through
+    ``yield_to`` when given, which may hand back the owner of the next
+    event to run in this frame."""
+
+    def __init__(self, i, delays, log, engine, yield_to):
+        self.i = i
+        self.delays = list(delays)
+        self.log = log
+        self.engine = engine
+        self.yield_to = yield_to
+
+    def fire(self):
+        me = self
+        while True:
+            engine = me.engine
+            me.log.append((me.i, *_snapshot(engine)))
+            if not me.delays:
+                return
+            time = engine.now + me.delays.pop()
+            if me.yield_to is None:
+                engine.schedule(time, me.fire)
+                return
+            me = me.yield_to(engine, time, me.fire)
+            if me is None:
+                return
+
+
+def _fused(engine, time, callback):
+    return engine.schedule(time, callback, _Yielder.fire)
+
+
+def _push_then_take(engine, time, callback):
+    """The reference: push, then pop the head through the dispatch
+    loop's own step if it is an owned continuation within the deadline."""
+    engine.schedule(time, callback)
+    head_time, _seq, head = engine._queue[0]
+    if getattr(head, "__func__", None) is _Yielder.fire and head_time <= engine._deadline:
+        engine._pop()
+        return head.__self__
+    return None
+
+
+def _yielder_trail(yield_to, starts, delays, foreign, limit, every, deadline):
+    """Drive ``_Yielder`` chains and foreign events through
+    ``run_until(deadline)`` then ``run``; return everything observable."""
+    log = []
+    engine = EventEngine(event_limit=limit)
+    engine.set_heartbeat(lambda e: log.append(("beat", e.now, e.events_processed)), every)
+    for i, time in enumerate(starts):
+        yielder = _Yielder(i, delays[i % len(delays)], log, engine, yield_to)
+        engine.schedule(time, yielder.fire)
+    for time in foreign:
+        engine.schedule(time, lambda: log.append(("foreign", *_snapshot(engine))))
+    try:
+        engine.run_until(deadline)
+        log.append(("until", *_snapshot(engine)))
+        engine.run()
+    except SimulationError as exc:
+        log.append(("error", str(exc)))
+    return log, _snapshot(engine)
+
+
+_TRAIL = dict(
+    starts=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8),
+    delays=st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), max_size=6), min_size=1, max_size=4
+    ),
+    foreign=st.lists(st.integers(min_value=0, max_value=12), max_size=6),
+    limit=st.integers(min_value=1, max_value=45),
     every=st.integers(min_value=1, max_value=7),
     deadline=st.integers(min_value=-1, max_value=12),
 )
-@example(times=[0, 1], limit=10, every=3, deadline=0)
-def test_take_next_leaves_the_dispatch_loop_trail(times, limit, every, deadline):
-    """Firing every event in place must leave exactly the trail
+
+
+@given(**_TRAIL)
+@example(starts=[0, 1], delays=[[]], foreign=[], limit=10, every=3, deadline=0)
+@example(starts=[2, 2, 2], delays=[[0, 0, 1]], foreign=[2, 3], limit=40, every=2, deadline=12)
+def test_take_next_leaves_the_dispatch_loop_trail(
+    starts, delays, foreign, limit, every, deadline
+):
+    """Firing every continuation in place must leave exactly the trail
     ``run_until`` + ``run`` leave — clock, count, ``next_time``,
     heartbeat beats, event-limit error and the calendar it leaves
     behind."""
+    args = (starts, delays, foreign, limit, every, deadline)
+    assert _yielder_trail(_fused, *args) == _yielder_trail(None, *args)
 
-    class Recorder:
-        def __init__(self, i):
-            self.i = i
 
-        def fire(self):
-            log.append((self.i, *_snapshot(engine)))
-            while take:
-                owner = engine.take_next(Recorder.fire)
-                if owner is None:
-                    return
-                log.append((owner.i, *_snapshot(engine)))
+@given(**_TRAIL)
+# Equal-time ties: the head at the yielder's own time is taken first.
+@example(starts=[0, 0, 0], delays=[[0, 0, 0]], foreign=[0], limit=40, every=4, deadline=12)
+# The yielder's own entry is the earliest once pushed, and is taken.
+@example(starts=[0], delays=[[1, 1, 2]], foreign=[9], limit=40, every=2, deadline=12)
+@example(starts=[0], delays=[[1, 1, 2]], foreign=[], limit=3, every=1, deadline=-1)
+def test_take_next_matches_push_then_pop(starts, delays, foreign, limit, every, deadline):
+    """The fused call is "push, then pop the head if it is owned": the
+    same pop order, ``now``, ``next_time``, event count, event-limit
+    error and heartbeat beats as that two-step reference."""
+    args = (starts, delays, foreign, limit, every, deadline)
+    assert _yielder_trail(_fused, *args) == _yielder_trail(_push_then_take, *args)
 
-    def drive():
-        engine = EventEngine(event_limit=limit)
-        engine.set_heartbeat(lambda e: log.append(("beat", e.now, e.events_processed)), every)
-        for i, time in enumerate(times):
-            engine.schedule(time, Recorder(i).fire)
-        return engine
 
-    trails = []
-    for take in (True, False):
-        log = []
-        engine = drive()
-        try:
-            engine.run_until(deadline)
-            log.append(("until", *_snapshot(engine)))
-            engine.run()
-        except SimulationError as exc:
-            log.append(("error", str(exc)))
-        trails.append((log, _snapshot(engine)))
-    assert trails[0] == trails[1]
+class _Chain:
+    """Two of these take turns one pclock apart, each rescheduling itself
+    until the event count reaches ``stop`` — in place through
+    ``schedule(..., take=)`` or through the dispatch loop.  ``actions``
+    run at given event counts."""
+
+    def __init__(self, engine, take, actions, stop):
+        self.engine = engine
+        self.take = take
+        self.actions = actions
+        self.stop = stop
+
+    def step(self):
+        me = self
+        while True:
+            engine = me.engine
+            action = me.actions.get(engine.events_processed)
+            if action is not None:
+                action()
+            if engine.events_processed >= me.stop:
+                return
+            if not me.take:
+                engine.schedule(engine.now + 2, me.step)
+                return
+            me = engine.schedule(engine.now + 2, me.step, _Chain.step)
+            if me is None:
+                return
+
+
+def _chained(take, limit, actions=None, stop=30):
+    engine = EventEngine(event_limit=limit)
+    for start in (0, 1):
+        engine.schedule(start, _Chain(engine, take, actions or {}, stop).step)
+    return engine
+
+
+def _record_checkpoints(monkeypatch):
+    """Record the event count at each entry into the slow per-event
+    step: with ``_check_at`` current, only where a beat or the limit is
+    due."""
+    entered = []
+    original = EventEngine._checkpoint
+
+    def checkpoint(self, time):
+        entered.append(self.events_processed)
+        original(self, time)
+
+    monkeypatch.setattr(EventEngine, "_checkpoint", checkpoint)
+    return entered
+
+
+@pytest.mark.parametrize("take", [False, True], ids=["plain", "in-place"])
+def test_check_at_follows_heartbeat_changes_made_mid_run(take, monkeypatch):
+    """``_check_at`` is kept current when the heartbeat is attached,
+    changed and detached from inside callbacks, by the dispatch loop
+    and by a take in ``schedule`` alike."""
+    entered = _record_checkpoints(monkeypatch)
+    beats = []
+
+    def beat(e):
+        beats.append(e.events_processed)
+        if e.events_processed == 16:
+            # A heartbeat may re-arm itself with a new interval.
+            e.set_heartbeat(beat, every=4)
+
+    actions = {
+        2: lambda: engine.set_heartbeat(beat, every=3),
+        9: lambda: engine.set_heartbeat(beat, every=7),
+        22: lambda: engine.set_heartbeat(None),
+    }
+    engine = _chained(take, limit=100, actions=actions)
+    engine.run()
+    assert beats == [5, 8, 16, 20]
+    assert entered == beats
+    assert engine.events_processed == 31
+
+
+@pytest.mark.parametrize("take", [False, True], ids=["plain", "in-place"])
+def test_check_at_event_limit_below_the_heartbeat_interval(take, monkeypatch):
+    entered = _record_checkpoints(monkeypatch)
+    beats = []
+    engine = _chained(take, limit=4)
+    engine.set_heartbeat(lambda e: beats.append(e.events_processed), every=10)
+    with pytest.raises(SimulationError, match="event limit 4 exceeded at t=4 with 1 events"):
+        engine.run()
+    assert beats == []
+    assert entered == [5]
+    assert engine.events_processed == 5

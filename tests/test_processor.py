@@ -398,8 +398,9 @@ class TestProbeGates:
 
 class TestInPlaceSwitch:
     """A yielding processor whose next event is another processor's
-    continuation takes it in place (``EventEngine.take_next``); every
-    outcome must equal the one the engine's dispatch loop produces."""
+    continuation takes it in place (``EventEngine.schedule`` with
+    ``take``); every outcome must equal the one the engine's dispatch
+    loop produces."""
 
     @staticmethod
     def _smoke_machine(**changes):
@@ -413,14 +414,22 @@ class TestInPlaceSwitch:
 
     @staticmethod
     def _no_switch(monkeypatch):
-        """Turn the in-place switch off: every event returns to ``run``."""
+        """Turn the in-place switch off: ``schedule`` drops ``take``, so
+        it schedules, returns ``None`` and every event returns to
+        ``run``."""
         from repro.sim.engine import EventEngine
 
-        monkeypatch.setattr(EventEngine, "take_next", lambda self, func: None)
+        original = EventEngine.schedule
+        monkeypatch.setattr(
+            EventEngine,
+            "schedule",
+            lambda self, time, callback, take=None: original(self, time, callback),
+        )
 
     @staticmethod
-    def _via_take_next(excinfo) -> bool:
-        return any(entry.name == "take_next" for entry in excinfo.traceback)
+    def _via_take(excinfo) -> bool:
+        """Was the error raised by a take inside ``schedule``?"""
+        return any(entry.name == "schedule" for entry in excinfo.traceback)
 
     @staticmethod
     def _start(machine):
@@ -434,13 +443,13 @@ class TestInPlaceSwitch:
         limit = 5000
         with pytest.raises(SimulationError, match=f"event limit {limit} exceeded") as switched:
             self._smoke_machine(max_events=limit).run()
-        assert self._via_take_next(switched)
+        assert self._via_take(switched)
 
         self._no_switch(monkeypatch)
         machine = self._smoke_machine(max_events=limit)
         with pytest.raises(SimulationError) as plain:
             machine.run()
-        assert not self._via_take_next(plain)
+        assert not self._via_take(plain)
         assert str(switched.value) == str(plain.value)
         assert machine.engine.events_processed == limit + 1
 
@@ -454,7 +463,7 @@ class TestInPlaceSwitch:
         def beat(engine):
             beats.append(engine.events_processed)
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code.co_name != "take_next":
+            while frame is not None and frame.f_code.co_name != "schedule":
                 frame = frame.f_back
             in_place.append(frame is not None)
 
