@@ -14,9 +14,10 @@ transaction is followed by invariant checks over the state it touched:
 * **buffer bounds** — write-buffer and prefetch-buffer occupancy never
   exceed their configured depths, buffered retire times stay monotone,
   and MSHR entries never complete before they issue;
-* **watermarks** — the memory interface's ``_next_expiry`` and
-  ``_next_fill`` cover every pending entry, so the sweeps they let the
-  hot path skip would have found nothing.
+* **pending state** — the memory interface's fill arrivals form a heap
+  whose head is the ``_next_fill`` watermark the processor loop tests,
+  and its MSHR and buffered-line dictionaries stay within the bound at
+  which their matured entries are collected.
 
 Violations raise :class:`~repro.sim.engine.SimulationError` carrying a
 trace of the most recent transactions so the offending sequence can be
@@ -46,7 +47,7 @@ from typing import Deque, Optional
 from repro.caches import LineState
 from repro.coherence import AccessOutcome, CoherenceProtocol
 from repro.coherence.directory import DirState
-from repro.sim.engine import SimulationError
+from repro.sim.engine import TIME_INFINITY, SimulationError
 
 
 @dataclass(frozen=True)
@@ -262,28 +263,28 @@ class CoherenceSanitizer:
                     f"completes at {miss.complete_time}, before its issue "
                     f"time {miss.issue_time}"
                 )
-        # Watermarks: the interface skips its expiry sweep and the
-        # processor skips fill consumption on these alone, so each must
-        # cover everything still pending.
-        maturities = [
-            *iface._wb_retires,
-            *iface._pf_queue,
-            *iface._wb_lines.values(),
-            *(miss.complete_time for miss in iface._misses.values()),
-        ]
-        earliest = min(maturities, default=iface._next_expiry)
-        if iface._next_expiry > earliest:
+        # The processor consumes fills only once its clock reaches
+        # ``_next_fill``, so it must be the heap's head; and batched
+        # collection keeps the two dictionaries within their bound.
+        arrivals = iface._fill_arrivals
+        if any(
+            arrivals[(i - 1) // 2] > arrivals[i] for i in range(1, len(arrivals))
+        ):
             self._fail(
-                f"node {iface.node}: expiry watermark _next_expiry="
-                f"{iface._next_expiry} is later than the earliest pending "
-                f"maturity {earliest}"
+                f"node {iface.node}: fill arrivals {arrivals} are not a heap"
             )
-        earliest = min(iface._fill_arrivals, default=iface._next_fill)
-        if iface._next_fill > earliest:
+        head = arrivals[0] if arrivals else TIME_INFINITY
+        if iface._next_fill != head:
             self._fail(
                 f"node {iface.node}: fill watermark _next_fill="
-                f"{iface._next_fill} is later than the earliest pending "
-                f"fill arrival {earliest}"
+                f"{iface._next_fill} is not the earliest pending fill "
+                f"arrival {head}"
+            )
+        size = len(iface._misses) + len(iface._wb_lines)
+        if size > iface._gc_bound:
+            self._fail(
+                f"node {iface.node}: {size} MSHR and buffered-line entries "
+                f"exceed the collection bound _gc_bound={iface._gc_bound}"
             )
 
     def check_machine(self) -> None:

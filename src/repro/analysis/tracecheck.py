@@ -802,7 +802,6 @@ def _write_dropping_acks(self: Any, addr: int, now: int) -> Any:
     invalidation acknowledgements."""
     from repro.system.memiface import NodeMemoryInterface, WriteResult
 
-    self._expire(now)
     if self.config.caching_shared_data and self.policy.write_stalls_processor:
         outcome = self.protocol.write(self.node, addr, now)
         return WriteResult(outcome.retire, 0, outcome.access_class)
@@ -815,15 +814,16 @@ def _release_point_overtaking(self: Any, now: int) -> int:
 
 
 def _read_forwarding_unissued(self: Any, addr: int, now: int) -> Any:
-    """BUG: reads forward from the write buffer whenever it is
-    non-empty, regardless of whether the buffered line matches."""
+    """BUG: reads forward from the write buffer whenever it holds a
+    live line, regardless of whether the buffered line matches."""
     from repro.coherence import AccessClass
     from repro.system.memiface import NodeMemoryInterface, ReadResult
 
-    self._expire(now)
     line = self.protocol.line_of(addr)
-    if self._wb_lines and self.mshr.lookup(line) is None:
-        victim = min(self._wb_lines)
+    live = [buffered for buffered, t in self._wb_lines.items() if t > now]
+    miss = self.mshr.lookup(line)
+    if live and (miss is None or miss.complete_time <= now):
+        victim = min(live)
         self.store_forwards += 1
         lat = self.config.latency.read_primary_hit
         if self.trace is not None:

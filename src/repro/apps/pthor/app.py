@@ -225,14 +225,14 @@ def _pthor_thread(world: PTHORWorld, env: ProcessEnv, mode: base.PrefetchMode):
         # ---- stimulus phase: process 0 drives the primary inputs; the
         # ---- activation of their fanout is distributed by ownership
         # ---- (the changed-input set is a pure function of the cycle).
+        inputs = world.stimulus(cycle)
+        previous = world.stimulus(cycle - 1) if cycle else {}
         changed_inputs = [
-            net
-            for net, value in world.stimulus(cycle).items()
-            if value != (world.stimulus(cycle - 1).get(net, 0) if cycle else 0)
+            net for net, value in inputs.items() if value != previous.get(net, 0)
         ]
         if me == 0:
             for net in changed_inputs:
-                world.net_values[net] = world.stimulus(cycle)[net]
+                world.net_values[net] = inputs[net]
                 yield (O.WRITE, world.net_addr(net))
         for net in changed_inputs:
             for fan_index in circuit.input_fanout.get(net, []):

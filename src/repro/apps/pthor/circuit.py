@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 class GateType(enum.Enum):
@@ -70,6 +70,13 @@ class Circuit:
 
     def __post_init__(self) -> None:
         self._wire_fanout()
+        # Fixed once built: PTHOR's threads read both every cycle.
+        self.flip_flops: Tuple[Gate, ...] = tuple(
+            g for g in self.gates if g.gate_type is GateType.DFF
+        )
+        self.combinational: Tuple[Gate, ...] = tuple(
+            g for g in self.gates if g.gate_type is not GateType.DFF
+        )
 
     def _wire_fanout(self) -> None:
         driven_by: Dict[int, List[int]] = {}
@@ -81,14 +88,6 @@ class Circuit:
         self.input_fanout = {
             net: driven_by.get(net, []) for net in self.primary_inputs
         }
-
-    @property
-    def flip_flops(self) -> List[Gate]:
-        return [g for g in self.gates if g.gate_type is GateType.DFF]
-
-    @property
-    def combinational(self) -> List[Gate]:
-        return [g for g in self.gates if g.gate_type is not GateType.DFF]
 
     def check(self) -> None:
         """Structural sanity: nets in range, single driver per net,

@@ -15,6 +15,13 @@ read (Section 4.1), so its demand read miss retires before its node
 issues anything else; the memory interface records no entry for it,
 only its retire time, and raises ``SimulationError`` on a ``read`` or
 ``prefetch`` issued earlier than that.
+
+An entry is in flight while its ``complete_time`` is later than the
+time of the access that reads it: the table is never swept before a
+query.  The memory interface tests that maturity on every read and
+drops matured entries in batches, so the table may still hold entries
+that completed; :meth:`MSHRTable.add` replaces such an entry and
+rejects only a live one.
 """
 
 from __future__ import annotations
@@ -62,7 +69,11 @@ class OutstandingMiss:
 
 
 class MSHRTable:
-    """Outstanding-transaction table for one node's secondary cache."""
+    """Outstanding-transaction table for one node's secondary cache.
+
+    Completed entries stay until the memory interface collects them;
+    readers test ``complete_time`` against their own time.
+    """
 
     __slots__ = ("_misses", "combines")
 
@@ -74,7 +85,10 @@ class MSHRTable:
         return self._misses.get(line)
 
     def add(self, miss: OutstandingMiss) -> None:
-        if miss.line in self._misses:
+        """Track ``miss``, replacing an entry for its line that has
+        completed by its issue time; a live one is an error."""
+        old = self._misses.get(miss.line)
+        if old is not None and old.complete_time > miss.issue_time:
             raise ValueError(f"line {miss.line:#x} already outstanding")
         self._misses[miss.line] = miss
 

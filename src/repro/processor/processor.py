@@ -109,6 +109,7 @@ class Processor:
         "finished",
         "finish_time",
         "_active",
+        "_scan",
         "_live_count",
         "_parked",
         "_loop_cb",
@@ -164,6 +165,11 @@ class Processor:
         #: Index of the last dispatched context; -1 before the first
         #: dispatch, which pays no switch.
         self._active = -1
+        #: ``_scan[last]``: the contexts in round-robin order after
+        #: ``last``, built by :meth:`start`.  The order after the last
+        #: context is the identity, so ``_scan[-1]`` serves the first
+        #: dispatch too.
+        self._scan: List[tuple] = []
         self._live_count = 0
         self._parked = False
         #: The continuation callback, bound once (see module docstring).
@@ -201,8 +207,14 @@ class Processor:
         self._live_count += 1
 
     def start(self) -> None:
-        if not self.contexts:
+        contexts = self.contexts
+        if not contexts:
             raise RuntimeError(f"processor {self.node_id} has no contexts")
+        n = len(contexts)
+        self._scan = [
+            tuple(contexts[(last + 1 + offset) % n] for offset in range(n))
+            for last in range(n)
+        ]
         self._schedule_continue(0)
 
     # -- accounting ------------------------------------------------------
@@ -239,7 +251,7 @@ class Processor:
         access.
         """
         memiface = self.memiface
-        probe = (None, None, None, None, 0, 0, 0)
+        probe = (None, None, None, None, 0, 0, 0, None, None)
         wprobe = (None, None, None, None, None, 0, 0)
         if memiface._fused:
             arrays = memiface._arrays
@@ -251,6 +263,8 @@ class Processor:
                 memiface._line_bytes,
                 memiface._pri_nsets,
                 memiface._lat_rph,
+                memiface._misses,
+                memiface._wb_lines,
             )
             m_hit = memiface.protocol.compiled.write_hit[2]  # DIRTY
             if (
@@ -342,6 +356,8 @@ class Processor:
                 line_bytes,
                 pri_nsets,
                 lat_rph,
+                misses,
+                wb_lines,
                 # Inline SC owned-write probe (``stags`` None when off).
                 stags,
                 sstates,
@@ -402,18 +418,16 @@ class Processor:
                         # probe — provided *this line* has no in-flight
                         # miss to combine with and no buffered store to
                         # forward from (other lines' entries are
-                        # irrelevant to a hit).  Matured entries are swept
-                        # first, as ``memiface.read`` would, so the answer
-                        # does not depend on when the last sweep ran.
-                        if time >= memiface._next_expiry:
-                            memiface._expire(time)
+                        # irrelevant to a hit).  Like ``memiface.read``,
+                        # the probe tests maturity itself, so a matured
+                        # entry not yet collected changes nothing.
                         line = addr - addr % line_bytes
                         index = (line // line_bytes) % pri_nsets
                         if (
                             ptags[index] == line
                             and pstates[index]
-                            and line not in memiface._misses
-                            and line not in memiface._wb_lines
+                            and (line not in misses or misses[line].complete_time <= time)
+                            and wb_lines.get(line, 0) <= time
                         ):
                             pstats.hits += 1
                             reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
@@ -567,18 +581,16 @@ class Processor:
         needed; None if the processor parked or finished.
 
         One round-robin pass from the context after the last dispatched
-        one takes the first READY context or the first BLOCKED one whose
-        wake has come, and folds the earliest wake of those it skips
-        (first in scan order on a tie) for the idle path.
+        one, in the order :meth:`start` precomputed for it
+        (``_scan[last]``), takes the first READY context or the first
+        BLOCKED one whose wake has come, and folds the earliest wake of
+        those it skips (first in scan order on a tie) for the idle path.
         """
-        contexts = self.contexts
-        n = len(contexts)
         time = self.time
         last = self._active
         chosen = None
         wake = None
-        for offset in range(n):
-            ctx = contexts[(last + 1 + offset) % n]
+        for ctx in self._scan[last]:
             state = ctx.state
             if state is _READY:
                 chosen = ctx
@@ -610,7 +622,7 @@ class Processor:
             if self._multi:
                 slot = _SLOT_ALL_IDLE
             else:
-                slot = BUCKET_SLOT[contexts[last].block_cause]
+                slot = BUCKET_SLOT[self.contexts[last].block_cause]
             cycles[slot] += wake - time
             time = wake
             chosen = waker

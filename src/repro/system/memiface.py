@@ -21,14 +21,24 @@ before its demand read miss retires; that miss makes no entry, and the
 interface keeps only its retire time.  A ``read`` or ``prefetch`` issued
 on a single-context node before that time is a sequence the processor
 never produces, and raises :class:`~repro.sim.engine.SimulationError`.
+
+Pending state is never swept before it is read.  Every query tests
+maturity itself: an MSHR entry is in flight while its ``complete_time``
+is later than ``now``, a buffered line while its retire time is, and
+the two buffers' full checks first drop their matured heads.  Matured
+dictionary entries are dead weight only; :meth:`_collect` drops them in
+batches once ``_misses`` and ``_wb_lines`` together reach
+``_gc_bound``.  Collecting at ``now`` is safe because a node's accesses
+follow its processor clock, which never goes backwards: what has
+matured by ``now`` stays matured for every later query.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from collections import deque
-from typing import Deque, Dict, NamedTuple, Optional
+from functools import partial
+from heapq import heappop, heappush
+from typing import Deque, Dict, List, NamedTuple, Optional
 
 from repro.caches import MSHRTable, OutstandingMiss
 from repro.coherence import AccessClass, CoherenceProtocol
@@ -39,8 +49,12 @@ from repro.sim.engine import TIME_INFINITY, EventEngine, SimulationError
 _PRIMARY_HIT = AccessClass.PRIMARY_HIT
 _SECONDARY_HIT = AccessClass.SECONDARY_HIT
 
-#: Expiry watermark sentinel: nothing pending matures before this.
+#: Fill watermark sentinel: no fill is pending.
 _NEVER = TIME_INFINITY
+
+#: Floor of ``_gc_bound``, the combined size of ``_misses`` and
+#: ``_wb_lines`` at which their matured entries are collected.
+_GC_FLOOR = 64
 
 #: ``_write_buffered``'s marker for a write the owned-write probe has
 #: already served (a raw secondary state is never negative).
@@ -102,8 +116,9 @@ class NodeMemoryInterface:
         #: ``MachineConfig.trace_memory_events`` is set, else ``None``.
         self.trace = None
 
-        # Write buffer (eager drain): retire times of entries still
-        # occupying the buffer, newest last; values are monotone.
+        # Write buffer (eager drain): retire times of the buffered
+        # writes, newest last; values are monotone.  Matured heads stay
+        # until a full check drops them.
         self._wb_retires: Deque[int] = deque()
         self._wb_last_retire = 0
         # Retire times of the last `max_outstanding` issued writes, for
@@ -114,26 +129,32 @@ class NodeMemoryInterface:
         # completion already reached is no later than ``now``, so one
         # maximum serves ``release_point`` and never expires.
         self._wb_complete = 0
-        # Buffered lines for read forwarding: line -> retire time.
+        # Buffered lines for read forwarding: line -> retire time.  A
+        # line forwards while its retire time is later than ``now``;
+        # matured entries wait for ``_collect``.
         self._wb_lines: Dict[int, int] = {}
 
-        # Prefetch buffer: issue times of entries still occupying it,
-        # newest last.  A prefetch that issues at once never occupies it.
+        # Prefetch buffer: issue times of the bus-delayed prefetches,
+        # newest last.  A prefetch that issues at once never occupies
+        # it.  Matured heads stay until a full check drops them.
         self._pf_queue: Deque[int] = deque()
         self._pf_last_issue: Optional[int] = None
 
-        # Pending primary-cache fill arrivals that will lock the
-        # processor out for `prefetch_fill_stall` cycles each.
-        self._fill_arrivals: list = []
-        #: Earliest pending fill arrival.  The processor loop consumes
-        #: fills only once its clock reaches this watermark; every
-        #: append lowers it, ``consume_fill_stalls`` recomputes it.
+        # Pending primary-cache fill arrivals, a min-heap: each will
+        # lock the processor out for `prefetch_fill_stall` cycles.
+        self._fill_arrivals: List[int] = []
+        #: Earliest pending fill arrival, the heap's head.  The processor
+        #: loop consumes fills only once its clock reaches it.
         self._next_fill = _NEVER
 
         # Hot-path scalars and aliases.  The MSHR's dict is mutated in
         # place and never rebound, so aliasing it here is safe; the read
-        # path probes it on every access.
+        # path probes it on every access.  Its entries, like
+        # ``_wb_lines``'s, are collected once both together reach
+        # ``_gc_bound``, which doubles from the survivors of the last
+        # collection.
         self._misses = self.mshr._misses
+        self._gc_bound = _GC_FLOOR
         self._line_bytes = config.line_bytes
         #: Single-context node: demand read misses make no MSHR entry
         #: (see the module docstring); ``_demand_retire`` is the retire
@@ -146,11 +167,6 @@ class NodeMemoryInterface:
         #: policy is frozen, so its property is read once, here).
         self._write_stalls = policy.write_stalls_processor
         self._cached = bool(config.caching_shared_data)
-        #: Earliest time any tracked entry matures.  While ``now`` is
-        #: before this watermark no entry can have expired, so callers
-        #: skip the sweep outright; every enqueue site lowers it,
-        #: ``_expire`` recomputes it from the survivors.
-        self._next_expiry = _NEVER
         self._wb_depth = config.write_buffer_depth
         self._max_wb = config.max_outstanding_writes
         self._pf_depth = config.prefetch_buffer_depth
@@ -195,67 +211,31 @@ class NodeMemoryInterface:
         self.demand_combined_with_prefetch = 0
         self.store_forwards = 0
 
-    # -- lazy expiry helpers ------------------------------------------------
+    # -- collection -----------------------------------------------------------
 
-    def _expire(self, now: int) -> None:
-        """Drop every entry matured by ``now``.
-
-        Each container is swept once, and the same pass folds the
-        survivors into ``_next_expiry``.  Callers test the watermark
-        first (``now >= self._next_expiry``), so the sweep runs only
-        once something has actually matured.
-        """
-        horizon = _NEVER
-        # The write buffer and prefetch queue are time-ordered: their
-        # heads are their earliest survivors.
-        wb = self._wb_retires
-        while wb and wb[0] <= now:
-            wb.popleft()
-        if wb:
-            horizon = wb[0]
-        pf = self._pf_queue
-        while pf and pf[0] <= now:
-            pf.popleft()
-        if pf and pf[0] < horizon:
-            horizon = pf[0]
+    def _collect(self, now: int) -> None:
+        """Drop the ``_misses`` and ``_wb_lines`` entries matured by
+        ``now`` and set the next bound to twice the survivors (at least
+        ``_GC_FLOOR``), so the sweeps cost O(1) per insert amortized.
+        No query depends on it: each tests maturity itself."""
         lines = self._wb_lines
-        if lines:
-            dead = []
-            for line, t in lines.items():
-                if t <= now:
-                    dead.append(line)
-                elif t < horizon:
-                    horizon = t
-            for line in dead:
-                del lines[line]
+        for line in [line for line, t in lines.items() if t <= now]:
+            del lines[line]
         misses = self._misses
-        if misses:
-            done = []
-            for line, miss in misses.items():
-                t = miss.complete_time
-                if t <= now:
-                    done.append(line)
-                elif t < horizon:
-                    horizon = t
-            retire = self.mshr.retire
-            for line in done:
-                retire(line)
-        self._next_expiry = horizon
+        for line in [line for line, m in misses.items() if m.complete_time <= now]:
+            del misses[line]
+        survivors = len(lines) + len(misses)
+        self._gc_bound = max(_GC_FLOOR, 2 * survivors)
 
     # -- reads ---------------------------------------------------------------
 
     def read(self, addr: int, now: int) -> ReadResult:
         if now < self._demand_retire:
             self._early_access("read", now)
-        # Expiry only has work to do once something has matured; the
-        # watermark keeps the dominant case free of the sweep entirely.
-        if now >= self._next_expiry:
-            self._expire(now)
-        misses = self._misses
         line = addr - addr % self._line_bytes
 
-        miss = misses.get(line)
-        if miss is not None:
+        miss = self._misses.get(line)
+        if miss is not None and miss.complete_time > now:
             # Combine with the in-flight transaction (Section 5.1): the
             # reference completes as soon as the earlier response returns.
             self.mshr.combine(line)
@@ -269,7 +249,7 @@ class NodeMemoryInterface:
                 )
             return _MK_READ((ready, AccessClass.SECONDARY_HIT, miss.is_prefetch))
 
-        if self._bypass and line in self._wb_lines:
+        if self._bypass and self._wb_lines.get(line, 0) > now:
             # Same-line forward out of the write buffer: free.
             self.store_forwards += 1
             lat = self.config.latency.read_primary_hit
@@ -341,9 +321,9 @@ class NodeMemoryInterface:
         if self._single:
             self._demand_retire = retire
             return
+        if len(self._misses) + len(self._wb_lines) >= self._gc_bound:
+            self._collect(now)
         self.mshr.add(OutstandingMiss(line, False, now, retire, False))
-        if retire < self._next_expiry:
-            self._next_expiry = retire
 
     def _early_access(self, kind: str, now: int) -> None:
         raise SimulationError(
@@ -354,8 +334,6 @@ class NodeMemoryInterface:
     # -- writes --------------------------------------------------------------
 
     def write(self, addr: int, now: int) -> WriteResult:
-        if now >= self._next_expiry:
-            self._expire(now)
         proto = self.protocol
         if self._cached and self._fused:
             # Fused write probe, serving SC and RC alike: the secondary
@@ -417,15 +395,18 @@ class NodeMemoryInterface:
         is ``_OWNED_HIT`` when ``write``'s probe served the access, the
         probed secondary state when it did not, and None when the probe
         did not run."""
+        if len(self._misses) + len(self._wb_lines) >= self._gc_bound:
+            self._collect(now)
         full_stall = 0
         wb = self._wb_retires
         if len(wb) >= self._wb_depth:
-            free_at = wb.popleft()
-            full_stall = free_at - now
-            self.write_buffer_full_stall_cycles += full_stall
-            now = free_at
-            if now >= self._next_expiry:
-                self._expire(now)
+            while wb and wb[0] <= now:
+                wb.popleft()
+            if len(wb) >= self._wb_depth:
+                free_at = wb.popleft()
+                full_stall = free_at - now
+                self.write_buffer_full_stall_cycles += full_stall
+                now = free_at
 
         issue = now
         inflight = self._wb_inflight
@@ -464,8 +445,6 @@ class NodeMemoryInterface:
         if complete > self._wb_complete:
             self._wb_complete = complete
         self._wb_lines[line] = retire
-        if retire < self._next_expiry:
-            self._next_expiry = retire
         if self.trace is not None:
             # The write just recorded by the protocol hook is now the
             # buffered entry same-line reads would forward from.
@@ -489,20 +468,21 @@ class NodeMemoryInterface:
     def prefetch(self, addr: int, exclusive: bool, now: int) -> PrefetchResult:
         if now < self._demand_retire:
             self._early_access("prefetch", now)
-        if now >= self._next_expiry:
-            self._expire(now)
         full_stall = 0
         pf = self._pf_queue
         if len(pf) >= self._pf_depth:
-            free_at = pf.popleft()
-            full_stall = free_at - now
-            self.prefetch_buffer_full_stall_cycles += full_stall
-            now = free_at
-            if now >= self._next_expiry:
-                self._expire(now)
+            while pf and pf[0] <= now:
+                pf.popleft()
+            if len(pf) >= self._pf_depth:
+                free_at = pf.popleft()
+                full_stall = free_at - now
+                self.prefetch_buffer_full_stall_cycles += full_stall
+                now = free_at
 
         line = addr - addr % self._line_bytes
         existing = self._misses.get(line)
+        if existing is not None and existing.complete_time <= now:
+            existing = None  # matured: no longer in flight
         if existing is not None and (existing.exclusive or not exclusive):
             # Already in flight with sufficient permission: drop.
             self.prefetches_discarded += 1
@@ -518,8 +498,6 @@ class NodeMemoryInterface:
         if issue > now:
             # Held back by the bus: occupies a slot until it issues.
             pf.append(issue)
-            if issue < self._next_expiry:
-                self._next_expiry = issue
 
         proto = self.protocol
         if self._fused:
@@ -544,10 +522,10 @@ class NodeMemoryInterface:
         if existing is not None:
             # Upgrade over an in-flight shared fetch: chain completion.
             self.mshr.retire(line)
+        elif len(self._misses) + len(self._wb_lines) >= self._gc_bound:
+            self._collect(now)
         retire = outcome.retire
         self.mshr.add(OutstandingMiss(line, exclusive, issue, retire, True))
-        if retire < self._next_expiry:
-            self._next_expiry = retire
         # The returning fill locks the processor out of the primary cache.
         self.note_fill_arrival(retire)
         return _MK_PREFETCH((full_stall, False))
@@ -558,22 +536,18 @@ class NodeMemoryInterface:
         """Record a fill that will lock the processor out of the primary
         cache when it returns: a prefetch's, or a blocked context's
         miss returning while another context runs."""
-        self._fill_arrivals.append(arrival)
+        heappush(self._fill_arrivals, arrival)
         if arrival < self._next_fill:
             self._next_fill = arrival
 
     def consume_fill_stalls(self, now: int) -> int:
         """Number of pending fills that have arrived by ``now``; each
         locks the processor out of the primary cache for the fill time.
-        The fills still pending set the new ``_next_fill``."""
+        They leave the heap, whose new head is ``_next_fill``."""
         arrivals = self._fill_arrivals
-        pending = []
-        horizon = _NEVER
-        for t in arrivals:
-            if t > now:
-                pending.append(t)
-                if t < horizon:
-                    horizon = t
-        self._fill_arrivals = pending
-        self._next_fill = horizon
-        return len(arrivals) - len(pending)
+        count = 0
+        while arrivals and arrivals[0] <= now:
+            heappop(arrivals)
+            count += 1
+        self._next_fill = arrivals[0] if arrivals else _NEVER
+        return count

@@ -483,13 +483,11 @@ class TestCoherenceSanitizer:
     @pytest.mark.parametrize(
         "corrupt,message",
         [
-            (
-                lambda iface: setattr(iface, "_next_expiry", 10**12),
-                "_next_expiry=",
-            ),
+            (lambda iface: setattr(iface, "_gc_bound", 1), "_gc_bound=1"),
             (lambda iface: setattr(iface, "_next_fill", 10**12), "_next_fill="),
+            (lambda iface: iface._fill_arrivals.insert(0, 10**12), "not a heap"),
         ],
-        ids=["expiry-watermark", "fill-watermark"],
+        ids=["collection-bound", "fill-watermark", "fill-heap"],
     )
     def test_stale_watermark_is_caught(self, corrupt, message):
         from repro.config import Consistency

@@ -8,6 +8,7 @@ from repro.caches import LineState
 from repro.coherence import AccessClass
 from repro.config import Consistency, ContentionConfig, dash_scaled_config
 from repro.consistency import policy_for
+from repro.experiments import SMOKE_PROCESSES
 from repro.sim.engine import TIME_INFINITY, SimulationError
 from repro.system import Machine
 
@@ -165,9 +166,27 @@ class TestMSHRCombining:
         machine, regions = make_machine(Consistency.RC, contexts_per_processor=2)
         iface = machine.memifaces[0]
         addr = regions[1].addr(0)
-        iface.read(addr, 0)
-        iface.read(regions[0].addr(0), 10_000)  # triggers expiry
-        assert iface.mshr.lookup(iface.protocol.line_of(addr)) is None
+        line = iface.protocol.line_of(addr)
+        first = iface.read(addr, 0)
+        iface.read(regions[0].addr(64), 10_000)  # another line, another set
+        # Matured, so no longer in flight, though not yet collected: a
+        # read of its line does not combine with it.
+        assert iface.mshr.lookup(line).complete_time == first.ready <= 10_000
+        assert iface.read(addr, 10_001).access_class is AccessClass.PRIMARY_HIT
+        assert iface.mshr.combines == 0
+        iface._collect(10_001)
+        assert iface.mshr.lookup(line) is None
+
+    def test_add_replaces_only_a_completed_entry(self):
+        from repro.caches import OutstandingMiss
+
+        machine, _ = make_machine(Consistency.RC, contexts_per_processor=2)
+        mshr = machine.memifaces[0].mshr
+        mshr.add(OutstandingMiss(0x40, False, 0, 100, False))
+        with pytest.raises(ValueError, match="already outstanding"):
+            mshr.add(OutstandingMiss(0x40, False, 99, 300, False))
+        mshr.add(OutstandingMiss(0x40, False, 100, 300, False))
+        assert mshr.lookup(0x40).complete_time == 300
 
 
 class TestSingleContextDemandMisses:
@@ -263,10 +282,8 @@ class TestMESIPrefetchDiscard:
 
 
 def pending_maturities(iface):
-    """Every maturity time the expiry sweep tracks, in one list."""
+    """Every maturity time the batched collection tracks, in one list."""
     return [
-        *iface._wb_retires,
-        *iface._pf_queue,
         *iface._wb_lines.values(),
         *(miss.complete_time for miss in iface._misses.values()),
     ]
@@ -297,7 +314,38 @@ class TestWatermarks:
         assert iface._next_fill == TIME_INFINITY
         assert iface.consume_fill_stalls(2000) == 0
 
-    def test_expire_leaves_exact_expiry_watermark(self):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 400)), min_size=1, max_size=40
+        )
+    )
+    def test_fill_heap_consumes_each_arrival_once(self, steps):
+        # Notes at any time, consumes at a clock that never goes back:
+        # each arrival is counted exactly once, by the first consume at
+        # or after it, and the watermark is always the earliest pending.
+        machine, _ = make_machine(Consistency.RC)
+        iface = machine.memifaces[0]
+        pending = []
+        now = 0
+        consumed = 0
+        for note, t in steps:
+            if note:
+                iface.note_fill_arrival(t)
+                pending.append(t)
+            else:
+                now = max(now, t)
+                arrived = [a for a in pending if a <= now]
+                pending = [a for a in pending if a > now]
+                got = iface.consume_fill_stalls(now)
+                assert got == len(arrived)
+                consumed += got
+            assert iface._next_fill == min(pending, default=TIME_INFINITY)
+            assert sorted(iface._fill_arrivals) == sorted(pending)
+        consumed += iface.consume_fill_stalls(TIME_INFINITY)
+        assert consumed == sum(note for note, _ in steps)
+
+    def test_collect_drops_exactly_the_matured_entries(self):
         # Two contexts, so the overlapping demand misses are tracked.
         machine, regions = make_machine(
             Consistency.RC,
@@ -321,27 +369,30 @@ class TestWatermarks:
         times = sorted(set(pending))
         probes = [0] + times + [t - 1 for t in times] + [times[-1] + 1]
         for now in sorted(probes):
-            iface._expire(now)
+            iface._collect(now)
             survivors = pending_maturities(iface)
-            assert all(t > now for t in survivors)
-            assert iface._next_expiry == min(survivors, default=TIME_INFINITY)
+            assert sorted(survivors) == sorted(t for t in pending if t > now)
+            assert iface._gc_bound == max(64, 2 * len(survivors))
 
     def test_immediate_prefetch_occupies_no_slot(self):
         machine, regions = make_machine(Consistency.RC)
         iface = machine.memifaces[0]
         present = regions[0].addr(0)
         machine.protocol.read(0, present, 0)
-        # Issued at once and then discarded: no trace in the buffer or
-        # the watermark.
+        # Issued at once and then discarded: no trace in the buffer,
+        # the MSHRs or the fill heap.
         assert iface.prefetch(present, False, 100).discarded
         assert not iface._pf_queue
-        assert iface._next_expiry == TIME_INFINITY
-        # Issued at once and sent: only its MSHR entry is pending.
+        assert len(iface.mshr) == 0
+        assert iface._next_fill == TIME_INFINITY
+        # Issued at once and sent: only its MSHR entry, in flight, and
+        # its returning fill are pending.
         remote = regions[1].addr(0)
         assert not iface.prefetch(remote, False, 200).discarded
         assert not iface._pf_queue
         miss = iface.mshr.lookup(machine.protocol.line_of(remote))
-        assert iface._next_expiry == miss.complete_time
+        assert miss.complete_time > 200
+        assert iface._fill_arrivals == [miss.complete_time] == [iface._next_fill]
 
     def test_bus_delayed_prefetch_queues_and_fills_the_buffer(self):
         machine, regions = make_machine(Consistency.RC, prefetch_buffer_depth=2)
@@ -356,10 +407,15 @@ class TestWatermarks:
             if i == 1:
                 # The second waits one bus gap, in a buffer slot.
                 assert list(iface._pf_queue) == [gap]
-                assert iface._next_expiry == gap
         # The fourth finds both slots taken and waits for the first.
         assert stalls == [0, 0, 0, gap]
         assert list(iface._pf_queue) == [2 * gap, 3 * gap]
+        assert iface.prefetch_buffer_full_stall_cycles == gap
+        # Once both have issued, the full check drops them first: a
+        # fifth prefetch neither stalls nor queues.
+        addr = regions[1].addr(1024 + 4 * line_bytes)
+        assert iface.prefetch(addr, False, 10 * gap).buffer_full_stall == 0
+        assert not iface._pf_queue
         assert iface.prefetch_buffer_full_stall_cycles == gap
 
     @settings(max_examples=60, deadline=None)
@@ -401,48 +457,166 @@ class TestWatermarks:
             assert iface.release_point(now) == expected
 
 
-class TestSweepIndependence:
-    """Sweeping matured write-buffer and MSHR entries early changes
-    neither the result nor the path a read takes."""
+def eager_sweep(iface, now):
+    """Reference for the lazy queries: drop everything matured by
+    ``now`` from every pending container, as a sweep before each access
+    would."""
+    for queue in (iface._wb_retires, iface._pf_queue):
+        while queue and queue[0] <= now:
+            queue.popleft()
+    iface._collect(now)
+
+
+class TestLazyQueries:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("read", "write", "prefetch")),
+                st.integers(0, 3),  # home node of the line
+                st.integers(0, 5),  # line within the region
+                st.booleans(),  # exclusive prefetch
+                st.integers(0, 90),  # cycles until the next access
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_lazy_and_eager_sweeps_answer_alike(self, accesses):
+        # Small buffers and two contexts, so full checks, combining and
+        # store forwarding all come up.  One node never collects; the
+        # reference sweeps everything matured before every access.
+        nodes = []
+        for _ in range(2):
+            machine, regions = make_machine(
+                Consistency.RC,
+                write_buffer_depth=2,
+                max_outstanding_writes=2,
+                prefetch_buffer_depth=2,
+                contexts_per_processor=2,
+            )
+            nodes.append((machine, regions))
+        nodes[0][0].memifaces[0]._gc_bound = TIME_INFINITY
+        now = 0
+        for kind, home, index, exclusive, gap in accesses:
+            answers = []
+            for (machine, regions), eager in zip(nodes, (False, True)):
+                iface = machine.memifaces[0]
+                if eager:
+                    eager_sweep(iface, now)
+                addr = regions[home].addr(index * 64)
+                if kind == "read":
+                    answers.append(iface.read(addr, now))
+                elif kind == "write":
+                    answers.append(iface.write(addr, now))
+                else:
+                    answers.append(iface.prefetch(addr, exclusive, now))
+            assert answers[0] == answers[1]
+            now += gap
+        lazy, eager = (machine.memifaces[0] for machine, _ in nodes)
+        for name in (
+            "store_forwards",
+            "demand_combined_with_prefetch",
+            "prefetches_discarded",
+            "prefetches_sent",
+            "write_buffer_full_stall_cycles",
+            "prefetch_buffer_full_stall_cycles",
+        ):
+            assert getattr(lazy, name) == getattr(eager, name), name
+        assert lazy.mshr.combines == eager.mshr.combines
+        assert sorted(lazy._fill_arrivals) == sorted(eager._fill_arrivals)
+        assert list(nodes[0][0].protocol.stats.counter_items()) == list(
+            nodes[1][0].protocol.stats.counter_items()
+        )
+
+
+#: ``(id, machine changes, prefetching)``: the SC, RC+pf and RC
+#: 4-context legs of the collection-policy differential.
+POLICY_LEGS = [
+    ("sc", {"num_processors": SMOKE_PROCESSES}, False),
+    ("rc-pf", {"num_processors": SMOKE_PROCESSES, "consistency": Consistency.RC}, True),
+    (
+        "rc-4ctx",
+        {
+            "num_processors": SMOKE_PROCESSES // 4,
+            "contexts_per_processor": 4,
+            "context_switch_cycles": 4,
+            "consistency": Consistency.RC,
+        },
+        False,
+    ),
+]
+
+
+class TestCollectionPolicies:
+    """When matured MSHR and buffered-line entries are collected changes
+    neither the result nor the path any access takes."""
+
+    #: Collect on every memory-interface access, at the default bound,
+    #: at a bound floor of 2 (so smoke runs collect often), or never.
+    POLICIES = ("every", "default", "floor-2", "never")
 
     @staticmethod
-    def observe(monkeypatch, extra_sweeps):
-        from repro.experiments import SMOKE_PROCESSES, build_app
+    def observe(monkeypatch, app, changes, prefetching, policy):
+        import repro.system.memiface as memiface_module
+        from repro.coherence import CoherenceProtocol
+        from repro.experiments import build_app
         from repro.experiments.resultcache import canonical_result_bytes
         from repro.system.memiface import NodeMemoryInterface
 
-        calls = 0
-        original = NodeMemoryInterface.read
+        calls = dict.fromkeys(
+            ("read", "write", "prefetch", "protocol.read", "_read_fill", "_collect"), 0
+        )
 
-        def counted(self, addr, now):
-            nonlocal calls
-            calls += 1
-            return original(self, addr, now)
+        def counted(cls, name, key, collect):
+            original = getattr(cls, name)
 
-        # On the class, before the machine is built, so every fused and
-        # inline path stays open.
-        monkeypatch.setattr(NodeMemoryInterface, "read", counted)
-        machine = Machine(dash_scaled_config(
-            num_processors=SMOKE_PROCESSES // 4,
-            contexts_per_processor=4,
-            context_switch_cycles=4,
-            consistency=Consistency.RC,
-        ))
-        machine.load(build_app("PTHOR", "smoke"))
+            def wrapper(self, *args):
+                calls[key] += 1
+                if collect:
+                    self._collect(args[-1])  # every entry point ends with now
+                return original(self, *args)
 
-        def sweep_every_interface(engine):
+            monkeypatch.setattr(cls, name, wrapper)
+
+        # On the classes, before the machine is built, so every fused
+        # and inline path stays open.
+        for name in ("read", "write", "prefetch"):
+            counted(NodeMemoryInterface, name, name, policy == "every")
+        counted(NodeMemoryInterface, "_collect", "_collect", False)
+        counted(CoherenceProtocol, "read", "protocol.read", False)
+        counted(CoherenceProtocol, "_read_fill", "_read_fill", False)
+        if policy == "floor-2":
+            monkeypatch.setattr(memiface_module, "_GC_FLOOR", 2)
+        machine = Machine(dash_scaled_config(**changes))
+        if policy == "never":
             for iface in machine.memifaces:
-                if engine.now >= iface._next_expiry:
-                    iface._expire(engine.now)
-
-        if extra_sweeps:
-            machine.engine.set_heartbeat(sweep_every_interface, every=3)
+                iface._gc_bound = TIME_INFINITY
+        machine.load(build_app(app, "smoke", prefetching=prefetching))
         result = machine.run()
         monkeypatch.undo()
-        return canonical_result_bytes(result), calls
+        refs = result.shared_reads + result.shared_writes
+        inline = (refs - calls["read"] - calls["write"]) / refs
+        collections = calls.pop("_collect")
+        return (canonical_result_bytes(result), calls, inline), collections
 
-    def test_extra_sweeps_leave_read_calls_unchanged(self, monkeypatch):
-        plain = self.observe(monkeypatch, extra_sweeps=False)
-        swept = self.observe(monkeypatch, extra_sweeps=True)
-        assert swept[0] == plain[0], "canonical result bytes differ"
-        assert swept[1] == plain[1], "NodeMemoryInterface.read call counts differ"
+    @pytest.mark.parametrize("app", ("MP3D", "LU", "PTHOR"))
+    @pytest.mark.parametrize(
+        "changes,prefetching",
+        [leg[1:] for leg in POLICY_LEGS],
+        ids=[leg[0] for leg in POLICY_LEGS],
+    )
+    def test_policies_agree(self, monkeypatch, app, changes, prefetching):
+        observed = {
+            policy: self.observe(monkeypatch, app, changes, prefetching, policy)
+            for policy in self.POLICIES
+        }
+        reference = observed["default"][0]
+        for policy, (seen, _) in observed.items():
+            assert seen[0] == reference[0], f"{policy}: canonical result bytes differ"
+            assert seen[1] == reference[1], f"{policy}: call counts differ"
+            assert seen[2] == reference[2], f"{policy}: inline fraction differs"
+        assert observed["never"][1] == 0 < observed["every"][1]
+        if changes.get("consistency") is Consistency.RC:
+            # A single SC context inserts nothing that could be collected.
+            assert observed["floor-2"][1] > 0

@@ -188,6 +188,21 @@ class TestSchedulerOrder:
             yield (O.READ, r.addr(6144))  # misses with every other context done
             yield (O.BUSY, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_scan_order_is_the_modulo_scan(self, n):
+        def body(world, env):
+            yield (O.BUSY, 1)
+
+        machine = Machine(dash_scaled_config(num_processors=1, contexts_per_processor=n))
+        machine.load(Program("scan", lambda allocator, num_processes: {}, body))
+        processor = machine.processors[0]
+        processor.start()
+        contexts = processor.contexts
+        assert [ctx.index for ctx in contexts] == list(range(n))
+        for last in range(-1, n):
+            expected = tuple(contexts[(last + 1 + offset) % n] for offset in range(n))
+            assert processor._scan[last] == expected
+
     def test_dispatch_sequence(self, monkeypatch):
         import repro.system.machine as machine_module
 
