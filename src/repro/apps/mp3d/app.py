@@ -17,7 +17,7 @@ paper reaches an 87% coverage factor with 16 added source lines.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.apps import base
 from repro.apps.mp3d.config import MP3DConfig
@@ -65,6 +65,12 @@ class MP3DWorld:
         self.sync_region = allocator.alloc_round_robin(
             "mp3d.sync", 4 * self.page_bytes
         )
+        # Each cell record's op tuples, built once and shared by every
+        # thread (the record is one line, so one address per cell).
+        cell_addrs = [self.cell_addr(c) for c in range(config.num_cells)]
+        self.cell_reads = [(O.READ, addr) for addr in cell_addrs]
+        self.cell_writes = [(O.WRITE, addr) for addr in cell_addrs]
+        self.cell_prefetches = [(O.PREFETCH, addr, True) for addr in cell_addrs]
         self.steps_completed = 0
         self.collisions = 0
 
@@ -84,6 +90,25 @@ class MP3DWorld:
         return self.sync_region.addr(self.page_bytes * (phase % 4))
 
 
+#: The BUSY ops MP3D yields, shared by every thread.
+_BUSY3 = (O.BUSY, 3)
+_BUSY4 = (O.BUSY, 4)
+_BUSY5 = (O.BUSY, 5)
+_BUSY6 = (O.BUSY, 6)
+_BUSY8 = (O.BUSY, 8)
+
+
+def _record_ops(lines: List[int]) -> tuple:
+    """One particle record's op tuples: reads of its first line
+    (position), its second or only line (velocity) and its last line,
+    then writes of the same three lines."""
+    first, second, last = lines[0], lines[min(1, len(lines) - 1)], lines[-1]
+    return (
+        (O.READ, first), (O.READ, second), (O.READ, last),
+        (O.WRITE, first), (O.WRITE, second), (O.WRITE, last),
+    )
+
+
 def _mp3d_thread(world: MP3DWorld, env: ProcessEnv, mode: base.PrefetchMode):
     """One MP3D process: move my particles each step, then help reset
     the cell statistics, with barriers between phases."""
@@ -95,8 +120,19 @@ def _mp3d_thread(world: MP3DWorld, env: ProcessEnv, mode: base.PrefetchMode):
     mine = list(world.partitions[env.process_id])
     rng = base.DeterministicRandom(config.seed).make(stream=env.process_id + 1)
     nproc = env.num_processes
-    cell_of: Dict[int, int] = {}
     my_cells = base.partition_indices(config.num_cells, env.process_id, nproc)
+    cell_reads = world.cell_reads
+    cell_writes = world.cell_writes
+    cell_prefetches = world.cell_prefetches
+    # My particle records' op tuples, by position in ``mine``, built
+    # once: every time step replays the same addresses.
+    record_ops = []
+    record_prefetches = []
+    for position in range(len(mine)):
+        lines = world.particle_lines(env.process_id, position)
+        record_ops.append(_record_ops(lines))
+        if prefetch_local:
+            record_prefetches.append(tuple((O.PREFETCH, addr, True) for addr in lines))
 
     yield (O.BARRIER, world.barrier_addr(0), nproc)
 
@@ -108,77 +144,74 @@ def _mp3d_thread(world: MP3DWorld, env: ProcessEnv, mode: base.PrefetchMode):
                 # Particle records are node-local: a context-aware
                 # annotation leaves them to the other contexts.
                 if prefetch_local and position + 2 < len(mine):
-                    for addr in world.particle_lines(env.process_id, position + 2):
-                        yield (O.PREFETCH, addr, True)
+                    yield from record_prefetches[position + 2]
                 # Read the next particle's header and prefetch its cell.
                 if position + 1 < len(mine):
-                    nxt = mine[position + 1]
-                    header = world.particle_lines(env.process_id, position + 1)[0]
-                    yield (O.READ, header)
-                    next_cell = field.cell_index(particles[nxt])
-                    yield (O.PREFETCH, world.cell_addr(next_cell), True)
+                    yield record_ops[position + 1][0]
+                    yield cell_prefetches[field.cell_index(particles[mine[position + 1]])]
 
             p = particles[i]
-            lines = world.particle_lines(env.process_id, position)
+            read_pos, read_vel, read_last, write_pos, write_vel, write_last = (
+                record_ops[position]
+            )
             # Field-level walk over the particle record: position, then
             # velocity (records straddle lines, so both halves appear).
-            yield (O.READ, lines[0])
-            yield (O.READ, lines[min(1, len(lines) - 1)])
-            yield (O.BUSY, 4)
-            yield (O.READ, lines[min(1, len(lines) - 1)])
-            yield (O.READ, lines[-1])
-            yield (O.BUSY, 6)
+            yield read_pos
+            yield read_vel
+            yield _BUSY4
+            yield read_vel
+            yield read_last
+            yield _BUSY6
 
             cell_index = move_particle(field, p)
-            cell_of[i] = cell_index
             # Boundary handling walks position and velocity per axis,
             # then writes the new position back.
-            yield (O.READ, lines[0])
-            yield (O.READ, lines[min(1, len(lines) - 1)])
-            yield (O.BUSY, 3)
-            yield (O.WRITE, lines[0])
-            yield (O.WRITE, lines[min(1, len(lines) - 1)])
-            yield (O.BUSY, 4)
-            yield (O.READ, lines[-1])
-            yield (O.WRITE, lines[-1])
-            yield (O.READ, lines[0])
-            yield (O.BUSY, 5)
+            yield read_pos
+            yield read_vel
+            yield _BUSY3
+            yield write_pos
+            yield write_vel
+            yield _BUSY4
+            yield read_last
+            yield write_last
+            yield read_pos
+            yield _BUSY5
 
             cell = field.cells[cell_index]
-            cell_addr = world.cell_addr(cell_index)
+            read_cell = cell_reads[cell_index]
+            write_cell = cell_writes[cell_index]
             # Cell statistics: the population word, then each momentum
             # component read-modify-written in turn.
-            yield (O.READ, cell_addr)
+            yield read_cell
             accumulate(cell, p)
-            yield (O.READ, cell_addr)
-            yield (O.READ, lines[min(1, len(lines) - 1)])
-            yield (O.READ, cell_addr)
-            yield (O.WRITE, cell_addr)
-            yield (O.READ, lines[-1])
-            yield (O.READ, cell_addr)
-            yield (O.WRITE, cell_addr)
-            yield (O.BUSY, 5)
+            yield read_cell
+            yield read_vel
+            yield read_cell
+            yield write_cell
+            yield read_last
+            yield read_cell
+            yield write_cell
+            yield _BUSY5
 
             if maybe_collide(cell, p, rng, config.collision_scale):
                 world.collisions += 1
                 # Collision reads the reservoir and rewrites velocities.
-                yield (O.READ, cell_addr)
-                yield (O.READ, lines[-1])
-                yield (O.WRITE, lines[-1])
-                yield (O.WRITE, cell_addr)
-                yield (O.BUSY, 8)
+                yield read_cell
+                yield read_last
+                yield write_last
+                yield write_cell
+                yield _BUSY8
 
         yield (O.BARRIER, world.barrier_addr(1), nproc)
 
         # ---- cell statistics reset phase ----------------------------------
         for c in my_cells:
-            addr = world.cell_addr(c)
             if prefetching:
-                yield (O.PREFETCH, addr, True)
-            yield (O.READ, addr)
+                yield cell_prefetches[c]
+            yield cell_reads[c]
             field.cells[c].reset_statistics()
-            yield (O.WRITE, addr)
-            yield (O.BUSY, 3)
+            yield cell_writes[c]
+            yield _BUSY3
 
         yield (O.BARRIER, world.barrier_addr(2), nproc)
         if env.process_id == 0:

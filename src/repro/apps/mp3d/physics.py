@@ -74,10 +74,20 @@ class FlowField:
         return (z * self.ny + y) * self.nx + x
 
     def cell_index(self, particle: Particle) -> int:
-        x = min(self.nx - 1, max(0, int(particle.x)))
-        y = min(self.ny - 1, max(0, int(particle.y)))
-        z = min(self.nz - 1, max(0, int(particle.z)))
-        return self.cell_index_xyz(x, y, z)
+        """Index of the cell holding ``particle``, each axis clamped into
+        ``[0, n - 1]``: :meth:`cell_index_xyz` of
+        ``min(n - 1, max(0, int(v)))``, spelled without the calls (it
+        runs twice per particle move)."""
+        nx = self.nx
+        ny = self.ny
+        nz = self.nz
+        x = int(particle.x)
+        x = 0 if x < 0 else (nx - 1 if x >= nx else x)
+        y = int(particle.y)
+        y = 0 if y < 0 else (ny - 1 if y >= ny else y)
+        z = int(particle.z)
+        z = 0 if z < 0 else (nz - 1 if z >= nz else z)
+        return (z * ny + y) * nx + x
 
     def contains(self, particle: Particle) -> bool:
         return (

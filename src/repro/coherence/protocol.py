@@ -228,11 +228,13 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         self.stats = ProtocolStats()
         self._line_bytes = config.line_bytes
         #: Miss-path aliases: ``home_of`` and ``Directory.entry`` are
-        #: one-line wrappers, so the hot handlers bind the underlying
-        #: allocator method and entry dicts directly — one frame and one
-        #: attribute chain fewer per miss.  ``_entries`` is mutated in
-        #: place and never rebound (``Directory.reset`` leaves it alone).
-        self._home_of = allocator.home_of
+        #: one-line wrappers, so the hot handlers index the allocator's
+        #: page table (``line // _page_bytes``; an unallocated page
+        #: raises the allocator's own error) and the entry dicts
+        #: directly — no frame per miss.  Both are mutated in place and
+        #: never rebound (``Directory.reset`` leaves ``_entries`` alone).
+        self._page_table = allocator.page_table
+        self._page_bytes = allocator.page_bytes
         self._dir_maps = [d._entries for d in directories]
         #: Memory-event trace recorder; installed by the machine when
         #: ``MachineConfig.trace_memory_events`` is set, else ``None``.
@@ -319,7 +321,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             info[2].invalidations_received += 1
         elif self._pri_deep:
             info[2].invalidate(victim_line)
-        home = self._home_of(victim_line)
+        home = self._page_table[victim_line // self._page_bytes]
         entries = self._dir_maps[home]
         entry = entries.get(victim_line)
         if entry is None:
@@ -335,11 +337,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             # (fire-and-forget: the write-back buffer hides its latency
             # from the evicting access, but the bandwidth is charged),
             # then release the home entry.
-            net = self.net
-            net.charge_bus(node, time, data=True, background=True)
-            if home != node:
-                net.charge_hop(node, home, time, data=True, background=True)
-            net.charge_memory(home, time, background=True)
+            self.net.charge_writeback(node, home, time)
             self.stats.eviction_writebacks += 1
             if entry.state == _DIR_DIRTY and entry.owner == node:
                 entry.state = _DIR_UNOWNED
@@ -447,7 +445,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
     def _read_fill(self, node: int, line: int, time: int) -> AccessOutcome:
         """Secondary miss: fetch the line, classify per Table 1."""
         lat = self.config.latency
-        home = self._home_of(line)
+        home = self._page_table[line // self._page_bytes]
         # Inline ``Directory.entry`` (get-or-create): one dict probe in
         # the steady state instead of a delegating method frame.
         entries = self._dir_maps[home]
@@ -581,7 +579,9 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             outcome = self._acquire_ownership(
                 node, line, time, had_shared=state, background=background
             )
-            stats.count_write(outcome.access_class)
+            writes = stats.writes_by_class
+            access_class = outcome[2]
+            writes[access_class] = writes.get(access_class, 0) + 1
         # Write-through primary: refresh a present copy, as a re-insert
         # would (tag match on an invalid way is not presence; a deeper
         # copy moves to plane 0).
@@ -606,7 +606,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         background: bool = False,
     ) -> AccessOutcome:
         lat = self.config.latency
-        home = self._home_of(line)
+        home = self._page_table[line // self._page_bytes]
         # Inline ``Directory.entry`` (get-or-create), as in _read_fill.
         entries = self._dir_maps[home]
         entry = entries.get(line)
@@ -667,8 +667,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
                 sharer = low.bit_length() - 1
                 sharer_mask ^= low
                 self._invalidate_copies(sharer, line, sidx, pindex)
-                net.charge_hop(home, sharer, time + delay, data=False, background=background)
-                net.charge_hop(sharer, node, time + delay, data=False, background=background)
+                net.charge_invalidation(home, sharer, node, time + delay, background)
                 self.stats.invalidations_sent += 1
                 ack_time = (
                     lat.invalidation_ack_local

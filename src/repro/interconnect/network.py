@@ -511,6 +511,81 @@ class Interconnect:
         res._transactions += 1
         return start - time
 
+    # Unchained paths: each charge is requested at ``time`` itself, so
+    # the sum of their queuing delays is returned — what the separate
+    # ``charge_*`` calls would have reported between them.
+
+    def charge_writeback(self, node: int, home: int, time: int) -> int:
+        """Eviction write-back, background chain, every charge at
+        ``time``: bus(node, data), hop(node->home, data) when the home
+        is remote, memory(home)."""
+        if not self._enabled:
+            return 0
+        links = self.background
+        nl = links[node]
+        occ = self._bus_data
+        res = nl.bus
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + occ
+        res._busy_total += occ
+        res._transactions += 1
+        delay = start - time
+        hl = links[home]
+        if home != node:
+            ld = self._link_data
+            res = nl.link_out
+            start = time if time > res._next_free else res._next_free
+            res._next_free = start + ld
+            res._busy_total += ld
+            res._transactions += 1
+            res = hl.link_in
+            start = start if start > res._next_free else res._next_free
+            res._next_free = start + ld
+            res._busy_total += ld
+            res._transactions += 1
+            delay += start - time
+        occ = self._memory_occupancy
+        res = hl.memory
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + occ
+        res._busy_total += occ
+        res._transactions += 1
+        return delay + start - time
+
+    def charge_invalidation(
+        self, home: int, sharer: int, node: int, time: int, background: bool = False
+    ) -> int:
+        """One sharer's invalidation, both legs at ``time``:
+        hop(home->sharer, hdr), hop(sharer->node, hdr) (the
+        acknowledgement to the requester)."""
+        if not self._enabled:
+            return 0
+        links = self.background if background else self.nodes
+        sl = links[sharer]
+        lh = self._link_header
+        res = links[home].link_out
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+        res = sl.link_in
+        start = start if start > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+        delay = start - time
+        res = sl.link_out
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+        res = links[node].link_in
+        start = start if start > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+        return delay + start - time
+
     # -- fault-layer charges ------------------------------------------------
 
     def charge_nack(self, node: int, home: int, time: int) -> int:

@@ -16,7 +16,7 @@ main memory and the directory entry for its lines).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.memlayout.address import align_up
 
@@ -45,6 +45,24 @@ class Region:
         return self.base <= addr < self.end
 
 
+class PageTable(dict):
+    """Page number -> home node.  A lookup of a page no region covers
+    raises the one unallocated-address error, whether it comes through
+    :meth:`SharedMemoryAllocator.home_of` or a direct index."""
+
+    __slots__ = ("page_bytes",)
+
+    def __init__(self, page_bytes: int) -> None:
+        super().__init__()
+        self.page_bytes = page_bytes
+
+    def __missing__(self, page: int) -> int:
+        raise KeyError(
+            f"address {page * self.page_bytes:#x} (page {page}) is not in "
+            f"any allocated region"
+        )
+
+
 class SharedMemoryAllocator:
     """Carves the address space into regions and assigns page homes."""
 
@@ -57,7 +75,10 @@ class SharedMemoryAllocator:
         self.page_bytes = page_bytes
         self._next_base = page_bytes  # keep address 0 unused as a guard
         self._rr_next = 0
-        self._page_home: Dict[int, int] = {}
+        #: Page number -> home node.  Mutated in place, never rebound,
+        #: so the protocol's miss paths index it directly by
+        #: ``line // page_bytes``.
+        self.page_table = PageTable(page_bytes)
         self._regions: List[Region] = []
 
     # -- allocation ------------------------------------------------------
@@ -101,7 +122,7 @@ class SharedMemoryAllocator:
         region = Region(name=name, base=base, size=size)
         first_page = base // self.page_bytes
         for page in range(first_page, (base + padded) // self.page_bytes):
-            self._page_home[page] = placer(page)
+            self.page_table[page] = placer(page)
         self._next_base = base + padded
         self._regions.append(region)
         return region
@@ -110,10 +131,7 @@ class SharedMemoryAllocator:
 
     def home_of(self, addr: int) -> int:
         """Home node of the page containing ``addr``."""
-        try:
-            return self._page_home[addr // self.page_bytes]
-        except KeyError:
-            raise KeyError(f"address {addr:#x} is not in any allocated region")
+        return self.page_table[addr // self.page_bytes]
 
     def region_of(self, addr: int) -> Optional[Region]:
         """Region containing ``addr``, or None."""

@@ -298,10 +298,15 @@ class NodeMemoryInterface:
                 return _MK_READ((now + self._lat_rfs, _SECONDARY_HIT, False))
             info[5].misses += 1
             outcome = proto._read_fill(self.node, line, now)
-            self._stats.count_read(outcome.access_class)
             retire = outcome[0]
-            self._demand_miss(line, now, retire)
-            return _MK_READ((retire, outcome[2], False))
+            access_class = outcome[2]
+            reads = self._reads
+            reads[access_class] = reads.get(access_class, 0) + 1
+            if self._single:
+                self._demand_retire = retire
+            else:
+                self._demand_miss(line, now, retire)
+            return _MK_READ((retire, access_class, False))
         outcome = proto.read(self.node, addr, now)
         retire = outcome[0]
         access_class = outcome[2]

@@ -97,6 +97,19 @@ class TestReadPath:
         assert protocol.caches[0].secondary.probe(line) == LineState.SHARED
 
 
+    def test_unallocated_line_fails_loudly(self):
+        # The miss paths index the allocator's page table directly; a
+        # line no region covers still raises the allocator's own error.
+        protocol, regions = make_protocol()
+        addr = regions[-1].end + 4 * protocol.allocator.page_bytes
+        with pytest.raises(KeyError, match="is not in any allocated region"):
+            protocol.read(0, addr, 0)
+        with pytest.raises(KeyError, match="is not in any allocated region"):
+            protocol.write(0, addr, 0)
+        with pytest.raises(KeyError, match="is not in any allocated region"):
+            protocol.allocator.home_of(addr)
+
+
 class TestWritePath:
     def test_write_local_unowned(self):
         protocol, regions = make_protocol()

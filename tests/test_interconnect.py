@@ -1,5 +1,8 @@
 """Unit tests for the interconnect contention model."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.config import ContentionConfig
 from repro.interconnect import Interconnect
 
@@ -56,6 +59,148 @@ class TestBackgroundChain:
     def test_background_resources_are_named(self):
         net = make_net()
         assert net.background[0].bus.name.startswith("bg.")
+
+
+def _bus(node, data):
+    return lambda net, t, bg: net.charge_bus(node, t, data=data, background=bg)
+
+
+def _hop(src, dst, data):
+    return lambda net, t, bg: net.charge_hop(src, dst, t, data=data, background=bg)
+
+
+def _directory(node):
+    return lambda net, t, bg: net.charge_directory(node, t, background=bg)
+
+
+def _memory(node):
+    return lambda net, t, bg: net.charge_memory(node, t, background=bg)
+
+
+#: Every fused ``charge_*`` transaction method and the single-station
+#: sequence its docstring names: ``(node roles, chain, chained, steps)``.
+#: ``chain`` is "either" when the method takes a ``background`` flag,
+#: else the one chain it always charges.  A chained sequence requests
+#: each step at ``time`` plus the delay so far; an unchained one
+#: requests every step at ``time`` and sums the delays.
+FUSED_PATHS = {
+    "charge_fill_local": (
+        ("node",), "either", True,
+        lambda node: [_bus(node, True), _memory(node)],
+    ),
+    "charge_write_local": (
+        ("node",), "either", True,
+        lambda node: [_bus(node, True), _directory(node), _memory(node)],
+    ),
+    "charge_fill_home": (
+        ("node", "home"), "either", True,
+        lambda node, home: [
+            _bus(node, False), _hop(node, home, False), _directory(home),
+            _memory(home), _hop(home, node, True), _bus(node, True),
+        ],
+    ),
+    "charge_fetch_owner_local": (
+        ("node", "owner"), "demand", True,
+        lambda node, owner: [
+            _bus(node, False), _directory(node), _hop(node, owner, False),
+            _bus(owner, True), _hop(owner, node, True),
+        ],
+    ),
+    "charge_fetch_owner_via": (
+        ("node", "via", "home", "owner"), "either", True,
+        lambda node, via, home, owner: [
+            _bus(node, False), _hop(node, via, False), _directory(home),
+            _bus(owner, True), _hop(owner, node, True),
+        ],
+    ),
+    "charge_fetch_owner_remote": (
+        ("node", "home", "owner"), "either", True,
+        lambda node, home, owner: [
+            _bus(node, False), _hop(node, home, False), _directory(home),
+            _hop(home, owner, False), _bus(owner, True), _hop(owner, node, True),
+        ],
+    ),
+    "charge_writeback": (
+        ("node", "home"), "background", False,
+        lambda node, home: [_bus(node, True)]
+        + ([_hop(node, home, True)] if home != node else [])
+        + [_memory(home)],
+    ),
+    "charge_invalidation": (
+        ("home", "sharer", "node"), "either", False,
+        lambda home, sharer, node: [_hop(home, sharer, False), _hop(sharer, node, False)],
+    ),
+}
+
+
+def _resources(net):
+    for chain in (net.nodes, net.background):
+        for links in chain:
+            yield links.bus
+            yield links.link_in
+            yield links.link_out
+            yield links.directory_ctl
+            yield links.memory
+
+
+def _snapshot(net):
+    return [
+        (r.name, r._next_free, r._busy_total, r._transactions) for r in _resources(net)
+    ]
+
+
+class TestFusedPaths:
+    """Each fused transaction method equals the ``charge_bus`` /
+    ``charge_hop`` / ``charge_directory`` / ``charge_memory`` sequence
+    its docstring names: same returned delay, same bookkeeping on every
+    resource of both chains, from arbitrary prior resource states."""
+
+    def test_every_fused_method_is_covered(self):
+        fused = {
+            name for name in vars(Interconnect)
+            if name.startswith("charge_") and name not in (
+                "charge_bus", "charge_hop", "charge_directory", "charge_memory",
+                # Fault-layer helpers: written as the sequence itself.
+                "charge_nack", "charge_duplicate",
+            )
+        }
+        assert fused == set(FUSED_PATHS)
+
+    @pytest.mark.parametrize("method", sorted(FUSED_PATHS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fused_path_equals_its_charge_sequence(self, method, data):
+        roles, chain, chained, steps_of = FUSED_PATHS[method]
+        occupancy = st.integers(0, 12)
+        contention = ContentionConfig(
+            bus_occupancy_data=data.draw(occupancy),
+            bus_occupancy_header=data.draw(occupancy),
+            link_occupancy_data=data.draw(occupancy),
+            link_occupancy_header=data.draw(occupancy),
+            directory_occupancy=data.draw(occupancy),
+            memory_occupancy=data.draw(occupancy),
+            enabled=data.draw(st.booleans()),
+        )
+        fused, reference = Interconnect(4, contention), Interconnect(4, contention)
+        next_free = data.draw(
+            st.lists(st.integers(0, 300), min_size=40, max_size=40), label="next_free"
+        )
+        for a, b, free in zip(_resources(fused), _resources(reference), next_free):
+            a._next_free = b._next_free = free
+        nodes = [data.draw(st.integers(0, 3), label=role) for role in roles]
+        time = data.draw(st.integers(0, 300), label="time")
+        background = {"demand": False, "background": True}.get(chain)
+        if background is None:
+            background = data.draw(st.booleans(), label="background")
+            got = getattr(fused, method)(*nodes, time, background=background)
+        else:
+            got = getattr(fused, method)(*nodes, time)
+
+        want = 0
+        for step in steps_of(*nodes):
+            want += step(reference, time + want if chained else time, background)
+        assert got == want
+        assert _snapshot(fused) == _snapshot(reference)
 
 
 class TestReporting:

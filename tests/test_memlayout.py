@@ -86,7 +86,7 @@ def test_duplicate_region_names_rejected():
 
 def test_unmapped_address_raises():
     allocator = SharedMemoryAllocator(num_nodes=2, page_bytes=512)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="is not in any allocated region"):
         allocator.home_of(10**9)
 
 

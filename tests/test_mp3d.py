@@ -104,6 +104,27 @@ class TestPhysics:
         value, new_vel = _reflect(pos, vel, 6.0)
         assert 0 <= value < 6.0 or math.isclose(value, 6.0, abs_tol=1e-6)
 
+    @staticmethod
+    def _axis_values(size: int):
+        """Positions along an axis of ``size`` cells: below 0, inside,
+        and at or above ``size``, with the integer edges themselves."""
+        return st.one_of(
+            st.floats(min_value=-3 * size, max_value=3 * size),
+            st.sampled_from([-1.0, -1e-9, 0.0, size - 1e-9, float(size), size + 0.5]),
+        )
+
+    @given(data=st.data(), dims=st.tuples(*[st.integers(1, 9)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_property_cell_index_clamps_each_axis(self, data, dims):
+        nx, ny, nz = dims
+        field = FlowField(nx, ny, nz)
+        x, y, z = (data.draw(self._axis_values(n)) for n in dims)
+        particle = Particle(x, y, z, 0.0, 0.0, 0.0)
+        cx = min(nx - 1, max(0, int(x)))
+        cy = min(ny - 1, max(0, int(y)))
+        cz = min(nz - 1, max(0, int(z)))
+        assert field.cell_index(particle) == (cz * ny + cy) * nx + cx
+
 
 class TestConfig:
     def test_paper_scale(self):
