@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import shlex
 import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -617,12 +618,6 @@ def _run_layout_lint(args) -> int:
     return 0 if ok else 1
 
 
-def _run_chaos(args) -> int:
-    from repro.experiments.chaos import run_chaos_check
-
-    return run_chaos_check(verbose=args.verbose)
-
-
 def _prewarm(runner: ExperimentRunner, points) -> bool:
     """Fan ``points`` out over the worker pool and the result cache, when
     either is on, and print the sweep report; False if a point failed.
@@ -879,16 +874,6 @@ CHECKS: Tuple[Check, ...] = (
                       "sharing and malformed prefetch streams, compared against "
                       "the known-finding baselines"),
           )),
-    Check("chaos", "crash-tolerance drill: SIGKILL pool workers mid-sweep, "
-                   "corrupt the journal tail, resume, verify bit-identity",
-          _run_chaos, (
-              _switch("--chaos",
-                      "crash-tolerance drill: run a tiny journaled sweep whose "
-                      "points SIGKILL their own pool workers, interrupt it, "
-                      "corrupt the journal tail, resume, and verify the resumed "
-                      "payload digests are bit-identical to an uninterrupted "
-                      "serial run (the poison point must end up quarantined)"),
-          )),
     Check("claims", "the paper's shape claims (Tables 1-2, Figures 2-6, Section 7, "
                     "ablations) at bench scale",
           _run_claims, validate=_validate_claims),
@@ -961,35 +946,47 @@ def list_checks() -> str:
     return "\n".join(lines)
 
 
+#: Where ``sweep`` stores results when neither ``--cache-dir`` nor
+#: ``REPRO_CACHE_DIR`` names a cache: rerunning it must find them.
+SWEEP_CACHE_DIR = ".repro/cache"
+
+
 def run_sweep_command(args, parser) -> int:
-    """The ``repro-1991 sweep`` subcommand: journaled, supervised,
-    resumable sweep execution.  A fresh run journals its full point list
-    up front and every outcome as it lands; SIGINT/SIGTERM drain
-    in-flight points, flush the journal, and print the exact
-    ``--resume`` command.  Exit status: 0 all points ok, 1 any point
-    failed or quarantined, 130 interrupted (resumable)."""
-    from repro.experiments.journal import resolve_journal_dir
-    from repro.experiments.resultcache import ResultCache, resolve_cache_dir
-    from repro.experiments.supervisor import ExperimentSupervisor
-    from repro.experiments.sweepservice import (
+    """The ``repro-1991 sweep`` subcommand: simulate the targets' points
+    into the result cache over a supervised worker pool.  SIGINT/SIGTERM
+    drain in-flight points and print the command that finishes the
+    sweep: the same one, whose finished points are now cache hits.
+    Exit status: 0 all points ok, 1 any point failed or quarantined,
+    130 interrupted."""
+    from repro.experiments.parallel import (
         ServiceControl,
         ServicePolicy,
-        SweepService,
-        resume_command,
+        execute_sweep_points,
     )
+    from repro.experiments.resultcache import ResultCache, resolve_cache_dir
+    from repro.experiments.supervisor import ExperimentSupervisor
     from repro.faults import Watchdog
 
-    journal_dir = resolve_journal_dir(args.journal_dir)
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    control = ServiceControl()
-    service = SweepService(
-        journal_dir,
-        cache=cache,
-        policy=ServicePolicy(hang_timeout_s=args.hang_timeout),
-        control=control,
+    names = [t.strip() for t in args.targets.split(",") if t.strip()]
+    if names == ["all"]:
+        names = list(_SWEEP_TARGETS)
+    unknown = [t for t in names if t not in _SWEEP_TARGETS]
+    if unknown:
+        parser.error(
+            f"unknown sweep targets: {', '.join(unknown)} "
+            f"(choose from {', '.join(_SWEEP_TARGETS)}, or 'all')"
+        )
+    runner = ExperimentRunner(
+        scale=args.scale,
         verbose=args.verbose,
+        seed=args.seed,
+        max_events=args.max_events,
     )
+    points = sweep_points_for(names, runner)
+    if not points:
+        parser.error("the selected targets produce no sweep points")
+    cache_dir = resolve_cache_dir(args.cache_dir) or pathlib.Path(SWEEP_CACHE_DIR)
+    cache = ResultCache(cache_dir)
     watchdog_factory = None
     if args.hang_timeout is not None:
         # Smoke-scale apps fire too few events for the default 250k
@@ -999,47 +996,34 @@ def run_sweep_command(args, parser) -> int:
     supervisor = ExperimentSupervisor(
         watchdog_factory=watchdog_factory, verbose=args.verbose
     )
-
+    control = ServiceControl()
     with control.handle_signals():
-        if args.resume:
-            run_id = args.resume
-            try:
-                report = service.resume(
-                    run_id, supervisor=supervisor, jobs=args.jobs
-                )
-            except (FileNotFoundError, ValueError) as exc:
-                parser.error(str(exc))
-        else:
-            names = [t.strip() for t in args.targets.split(",") if t.strip()]
-            if names == ["all"]:
-                names = list(_SWEEP_TARGETS)
-            unknown = [t for t in names if t not in _SWEEP_TARGETS]
-            if unknown:
-                parser.error(
-                    f"unknown sweep targets: {', '.join(unknown)} "
-                    f"(choose from {', '.join(_SWEEP_TARGETS)}, or 'all')"
-                )
-            runner = ExperimentRunner(
-                scale=args.scale,
-                verbose=args.verbose,
-                seed=args.seed,
-                max_events=args.max_events,
-            )
-            points = sweep_points_for(names, runner)
-            if not points:
-                parser.error("the selected targets produce no sweep points")
-            run_id, report = service.start(
-                "sweep:" + ",".join(names), points,
-                supervisor=supervisor, jobs=args.jobs,
-            )
+        report = execute_sweep_points(
+            supervisor, "sweep:" + ",".join(names), points,
+            jobs=args.jobs, cache=cache,
+            policy=ServicePolicy(hang_timeout_s=args.hang_timeout),
+            control=control,
+        )
 
     print(report.format())
-    print(service.cache.stats_line())
-    print(f"run id: {run_id} (journal: {journal_dir})")
+    print(cache.stats_line())
     if report.interrupted:
-        print(f"interrupted — resume with: {resume_command(journal_dir, run_id)}")
+        print(f"interrupted — rerun to finish: {_rerun_command(args, cache_dir)}")
         return 130
     return 0 if report.ok else 1
+
+
+def _rerun_command(args, cache_dir: pathlib.Path) -> str:
+    """The ``sweep`` invocation that finishes an interrupted one: the
+    same points over the same cache."""
+    argv = ["repro-1991", "sweep", "--targets", args.targets,
+            "--scale", args.scale, "--cache-dir", str(cache_dir)]
+    for flag, value in (("--jobs", args.jobs), ("--seed", args.seed or None),
+                        ("--max-events", args.max_events),
+                        ("--hang-timeout", args.hang_timeout)):
+        if value is not None:
+            argv += [flag, str(value)]
+    return shlex.join(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1059,8 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("what", choices=[*_ARTIFACTS, "all", "check", "sweep"],
         help="which artifact to regenerate, 'check' to run the "
              "analysis suite (" + ", ".join(_DEFAULT_CHECKS) + ", plus "
-             + ", ".join(others) + "), or 'sweep' to run a journaled, "
-             "crash-tolerant, resumable sweep of the targets' simulation points")
+             + ", ".join(others) + "), or 'sweep' to simulate the targets' "
+             "points into the result cache over a supervised worker pool "
+             "(rerun it to finish an interrupted sweep)")
     add("--scale", choices=["bench", "default", "paper", "smoke"], default=None,
         help="workload scale (paper = the full data sets; slow; "
              "smoke = the seconds-scale CI data sets; default: default, "
@@ -1074,21 +1059,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed on-disk result cache: repeat runs of an "
              "unchanged (app, scale, config, version) point are replayed "
              "instead of re-simulated (default: $REPRO_CACHE_DIR, else "
-             "disabled)")
+             "disabled; for 'sweep', " + SWEEP_CACHE_DIR + ")")
     add("--app", choices=["MP3D", "LU", "PTHOR", "all"], default="all",
         help="application(s) for the 'check' subcommand")
     add("--targets", default="summary", metavar="T1,T2",
         help="for 'sweep': comma-separated artifact targets whose "
              "simulation points make up the sweep (table2, fig2..fig6, "
              "summary, or 'all'; default: summary)")
-    add("--resume", default=None, metavar="RUN_ID",
-        help="for 'sweep': continue the interrupted run RUN_ID from its "
-             "journal instead of starting a fresh sweep (the exact "
-             "command is printed when a sweep is interrupted)")
-    add("--journal-dir", default=None, metavar="DIR",
-        help="for 'sweep': directory holding run journals and the "
-             "default result cache (default: $REPRO_JOURNAL_DIR, else "
-             ".repro/journal)")
     add("--hang-timeout", type=float, default=None, metavar="S",
         help="for 'sweep': declare the worker pool hung after S seconds "
              "with no completion and no worker heartbeat, then restart "

@@ -18,7 +18,6 @@ from repro.experiments.figures import (
     summary_speedups,
     summary_variants,
 )
-from repro.experiments.journal import RunJournal, new_run_id, resolve_journal_dir
 from repro.experiments.parallel import (
     JobsError,
     execute_sweep_points,
@@ -50,13 +49,6 @@ from repro.experiments.supervisor import (
     SweepEntry,
     SweepReport,
 )
-from repro.experiments.sweepservice import (
-    PoolSupervisor,
-    ServiceControl,
-    ServicePolicy,
-    SweepService,
-    resume_command,
-)
 from repro.experiments.tables import (
     LatencyProbe,
     Table2Row,
@@ -74,29 +66,21 @@ __all__ = [
     "JobsError",
     "LatencyProbe",
     "MULTI_COMPONENTS",
-    "PoolSupervisor",
     "ResultCache",
-    "RunJournal",
     "SCALE_NAMES",
     "SINGLE_COMPONENTS",
     "SMOKE_PROCESSES",
-    "ServiceControl",
-    "ServicePolicy",
     "SweepEntry",
     "SweepPoint",
     "SweepReport",
-    "SweepService",
     "Table2Row",
     "app_config",
     "build_app",
     "canonical_result_bytes",
     "config_fingerprint",
     "execute_sweep_points",
-    "new_run_id",
     "resolve_jobs",
-    "resolve_journal_dir",
     "result_from_bytes",
-    "resume_command",
     "run_fingerprint",
     "run_point",
     "smoke_program",

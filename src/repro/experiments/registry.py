@@ -4,9 +4,9 @@ A :class:`SweepPoint` is one simulated point: app, data-set config,
 prefetching and machine config.  :func:`run_point` is the one place a
 point is simulated, and
 :func:`~repro.experiments.resultcache.run_fingerprint` is the one key
-of every layer that remembers its result: the runner's in-memory memo,
-the on-disk :class:`~repro.experiments.resultcache.ResultCache`
-(``cache_dir=`` / ``REPRO_CACHE_DIR``) and the sweep journal.  The
+of both layers that remember its result: the runner's in-memory memo
+and the on-disk :class:`~repro.experiments.resultcache.ResultCache`
+(``cache_dir=`` / ``REPRO_CACHE_DIR``).  The
 runner can pre-warm its memo over a process pool (``jobs=`` /
 ``REPRO_JOBS``, see :mod:`repro.experiments.parallel`).
 """
@@ -113,7 +113,8 @@ class SweepPoint:
     config: MachineConfig = dataclasses.field(default_factory=dash_scaled_config)
     #: Test-only misbehaviour spec executed *in the worker* before the
     #: simulation runs (``"sigkill"``, ``"hang:<s>"``, ...; see
-    #: :mod:`repro.experiments.chaos`).  ``None`` in production.
+    #: :func:`repro.experiments.parallel.inject_chaos`).  ``None`` in
+    #: production.
     chaos: Optional[str] = dataclasses.field(default=None, compare=False)
 
 

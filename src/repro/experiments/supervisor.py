@@ -43,7 +43,7 @@ class ConfigStatus(enum.Enum):
     #: OOM, hard hang); it is fenced off so the sweep can finish.
     QUARANTINED = "quarantined"
     #: Execution was cut short by the user (SIGINT/SIGTERM or a
-    #: worker-side KeyboardInterrupt) — not a crash, resumable.
+    #: worker-side KeyboardInterrupt) — not a crash; a rerun finishes it.
     INTERRUPTED = "interrupted"
 
 
@@ -66,9 +66,6 @@ class SweepEntry:
     #: ``False``: ran with a cache configured (a miss); ``None``: no
     #: cache was in play for this sweep.
     cache_hit: Optional[bool] = None
-    #: ``True``: restored from a run journal by ``--resume`` instead of
-    #: (re-)executing the point in this invocation.
-    restored: bool = False
     #: The result's canonical payload bytes, when a cache or a worker
     #: process already produced them (``None`` otherwise).
     payload: Optional[bytes] = None
@@ -109,11 +106,6 @@ class SweepReport:
         return self._with_status(ConfigStatus.INTERRUPTED)
 
     @property
-    def restored(self) -> List[SweepEntry]:
-        """Entries restored from a run journal rather than executed."""
-        return [e for e in self.entries if e.restored]
-
-    @property
     def ok(self) -> bool:
         """True when every configuration completed (possibly degraded)."""
         return not (self.failed or self.quarantined or self.interrupted)
@@ -133,7 +125,7 @@ class SweepReport:
         return [e.result for e in self.entries if e.ok]
 
     def stats_line(self) -> str:
-        """One-line status roll-up (the sweep service's progress line)."""
+        """One-line status roll-up."""
         parts = [
             f"{len(self.passed)} passed",
             f"{len(self.degraded)} degraded",
@@ -143,13 +135,10 @@ class SweepReport:
             parts.append(f"{len(self.quarantined)} quarantined")
         if self.interrupted:
             parts.append(f"{len(self.interrupted)} interrupted")
-        line = (
+        return (
             f"sweep {self.name!r}: " + ", ".join(parts)
             + f" of {len(self.entries)} configurations"
         )
-        if self.restored:
-            line += f" ({len(self.restored)} restored from journal)"
-        return line
 
     def format(self) -> str:
         header = self.stats_line()
@@ -166,9 +155,7 @@ class SweepReport:
                 f"{'s' if entry.attempts != 1 else ''}, "
                 f"{entry.wall_seconds:.2f}s)"
             )
-            if entry.restored:
-                line += " [restored]"
-            elif entry.cache_hit:
+            if entry.cache_hit:
                 line += " [cached]"
             if entry.error:
                 first = entry.error.splitlines()[0]

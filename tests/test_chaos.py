@@ -1,20 +1,21 @@
-"""Chaos tests: the sweep service under killed, hung, and interrupted
-workers.
+"""The pool driver under killed, hung and interrupted workers.
 
 The acceptance test mirrors a real operational incident end to end: a
-journaled sweep whose pool workers get SIGKILLed mid-run is interrupted,
-its journal tail is corrupted the way a crash would, and ``resume``
-must finish the sweep with payload digests **bit-identical** to the
-committed goldens (``tests/goldens/*.json``) — the same digests an
-uninterrupted serial run produces — while the point that keeps killing
-its workers is quarantined instead of aborting the sweep.
+sweep whose pool workers get SIGKILLed mid-run is interrupted, then
+rerun over the same result cache.  The rerun must replay exactly the
+points the first run finished, simulate the rest, and finish with
+payload digests **bit-identical** to the committed goldens
+(``tests/goldens/*.json``) — the same digests an uninterrupted serial
+run produces — while the point that keeps killing its workers is
+quarantined instead of aborting the sweep.
 
 Everything here is deterministic: chaos is injected per point (not by
 timing), interruption uses :class:`ServiceControl`'s ``stop_after``
-test hook (the exact code path a SIGINT takes), and "did the resumed
-run measure the same thing" is a hash comparison, not a heuristic.
+test hook (the exact code path a SIGINT takes), and "did the rerun
+measure the same thing" is a hash comparison, not a heuristic.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -22,18 +23,16 @@ from pathlib import Path
 import pytest
 
 from repro.config import dash_scaled_config
-from repro.experiments import SMOKE_PROCESSES, app_config
-from repro.experiments.journal import RunJournal
-from repro.experiments.parallel import SweepPoint
-from repro.experiments import resultcache
-from repro.experiments.resultcache import canonical_result_bytes, run_fingerprint
-from repro.experiments.supervisor import ConfigStatus
-from repro.experiments.sweepservice import (
+from repro.experiments import SMOKE_PROCESSES, app_config, run_point
+from repro.experiments.parallel import (
     PoolSupervisor,
     ServiceControl,
     ServicePolicy,
-    SweepService,
+    SweepPoint,
+    execute_sweep_points,
 )
+from repro.experiments.resultcache import ResultCache, canonical_result_bytes
+from repro.experiments.supervisor import ConfigStatus, ExperimentSupervisor
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_APPS = ("MP3D", "LU", "PTHOR")
@@ -59,11 +58,20 @@ def _golden_digest(app: str) -> str:
 
 
 def _digests(report):
+    """Digest of each finished point's payload bytes, as the cache holds
+    them (hits) or the worker shipped them (misses)."""
     return {
-        e.name: hashlib.sha256(canonical_result_bytes(e.result)).hexdigest()
+        e.name: hashlib.sha256(e.payload).hexdigest()
         for e in report.entries
-        if e.ok and e.result is not None
+        if e.ok and e.payload is not None
     }
+
+
+def _sweep(points, jobs=2, policy=FAST, control=None, cache=None):
+    return execute_sweep_points(
+        ExperimentSupervisor(), "chaos", points, jobs=jobs, cache=cache,
+        policy=policy, control=control,
+    )
 
 
 def _small(seed: int, **chaos):
@@ -78,18 +86,21 @@ def _small(seed: int, **chaos):
 
 
 class TestAcceptance:
-    def test_interrupted_corrupted_resumed_sweep_matches_goldens(self, tmp_path):
-        """The headline guarantee: SIGKILL chaos + interruption +
-        journal-tail corruption + resume == the uninterrupted serial
-        run, bit for bit, with the poison point quarantined."""
+    def test_killed_interrupted_sweep_finishes_on_rerun_over_the_cache(
+        self, tmp_path
+    ):
+        """The headline guarantee: SIGKILL chaos + interruption + a
+        rerun over the same cache == the uninterrupted serial run, bit
+        for bit, with the poison point quarantined."""
+        kill_once = SweepPoint(
+            name="LU/kill-once",
+            app="LU",
+            dataset=app_config("LU", "smoke"),
+            config=dash_scaled_config(num_processors=2, seed=21),
+            chaos=f"sigkill-once:{tmp_path / 'strike.marker'}",
+        )
         points = _golden_points() + [
-            SweepPoint(
-                name="LU/kill-once",
-                app="LU",
-                dataset=app_config("LU", "smoke"),
-                config=dash_scaled_config(num_processors=2, seed=21),
-                chaos=f"sigkill-once:{tmp_path / 'strike.marker'}",
-            ),
+            kill_once,
             SweepPoint(
                 name="LU/poison",
                 app="LU",
@@ -98,44 +109,38 @@ class TestAcceptance:
                 chaos="sigkill",
             ),
         ]
-        journal_dir = tmp_path / "journal"
+        cache = ResultCache(tmp_path / "cache")
 
-        # Phase 1: run with workers being SIGKILLed, interrupted after
-        # two completions (stop_after is the SIGINT code path).
-        service = SweepService(
-            journal_dir, policy=FAST, control=ServiceControl(stop_after=2)
-        )
-        run_id, first = service.start("acceptance", points, jobs=2)
+        # Run 1: workers being SIGKILLed, interrupted after two
+        # completions (stop_after is the SIGINT code path).
+        first = _sweep(points, control=ServiceControl(stop_after=2), cache=cache)
         assert first.interrupted, first.format()
         assert not first.failed, first.format()
+        assert first.entries[-1].status in (
+            ConfigStatus.QUARANTINED, ConfigStatus.INTERRUPTED,
+        ), first.format()
+        finished = sum(1 for e in first.entries if e.ok)
 
-        # Phase 2: corrupt the journal tail like a crash mid-append.
-        journal_path = journal_dir / f"{run_id}.jsonl"
-        with open(journal_path, "ab") as fh:
-            fh.write(b'{"record": {"type": "point", "index": 1, "status"')
-        assert RunJournal.load(journal_path).dropped_lines == 1
-
-        # Phase 3: resume to completion.
-        resumed = SweepService(
-            journal_dir, policy=FAST, control=ServiceControl()
-        ).resume(run_id, jobs=2)
-
-        assert len(resumed.entries) == len(points), resumed.format()
-        assert {e.name for e in resumed.quarantined} == {"LU/poison"}, (
-            resumed.format()
+        # Run 2: the same sweep over the same cache, nothing else.
+        rerun = _sweep(points, cache=ResultCache(tmp_path / "cache"))
+        assert len(rerun.entries) == len(points), rerun.format()
+        assert rerun.cache_hits == finished, rerun.format()
+        assert {e.name for e in rerun.quarantined} == {"LU/poison"}, (
+            rerun.format()
         )
-        assert not resumed.failed, resumed.format()
-        assert not resumed.interrupted, resumed.format()
-        assert resumed.restored, "resume should reuse journaled outcomes"
+        assert not rerun.failed, rerun.format()
+        assert not rerun.interrupted, rerun.format()
 
-        digests = _digests(resumed)
+        digests = _digests(rerun)
         for app in GOLDEN_APPS:
             assert digests[app] == _golden_digest(app), (
-                f"{app}: resumed payload digest diverged from "
+                f"{app}: rerun payload digest diverged from "
                 f"tests/goldens/{app.lower()}.json"
             )
-        # The kill-once point completed too (its worker died exactly once).
-        assert "LU/kill-once" in digests
+        serial = canonical_result_bytes(
+            run_point(dataclasses.replace(kill_once, chaos=None))
+        )
+        assert digests["LU/kill-once"] == hashlib.sha256(serial).hexdigest()
 
 
 class TestSupervision:
@@ -147,18 +152,16 @@ class TestSupervision:
             _small(2, chaos=f"sigkill-once:{tmp_path / 'once.marker'}"),
             _small(3),
         ]
-        service = SweepService(tmp_path / "journal", policy=FAST)
-        _, report = service.start("recovery", points, jobs=2)
+        report = _sweep(points)
         assert report.ok, report.format()
         degraded = {e.name for e in report.degraded}
         assert degraded, "pool restart should mark recovered points degraded"
         for entry in report.degraded:
             assert "restart" in entry.error or entry.attempts > 1
 
-    def test_poison_point_is_quarantined_and_innocents_finish(self, tmp_path):
+    def test_poison_point_is_quarantined_and_innocents_finish(self):
         points = [_small(1), _small(2, chaos="sigkill"), _small(3)]
-        service = SweepService(tmp_path / "journal", policy=FAST)
-        _, report = service.start("poison", points, jobs=2)
+        report = _sweep(points)
         quarantined = {e.name for e in report.quarantined}
         assert quarantined == {points[1].name}, report.format()
         assert not report.failed, report.format()
@@ -167,7 +170,7 @@ class TestSupervision:
         assert "poison point" in entry.error
         assert entry.attempts >= FAST.poison_threshold
 
-    def test_hung_worker_is_detected_via_heartbeats(self, tmp_path):
+    def test_hung_worker_is_detected_via_heartbeats(self):
         """A worker that sleeps without heartbeating is declared hung
         (no completion + stale heartbeat files), its pool is killed and
         restarted, and the hanging point is quarantined."""
@@ -175,109 +178,25 @@ class TestSupervision:
         policy = ServicePolicy(
             poison_threshold=2, poll_interval_s=0.05, hang_timeout_s=0.75
         )
-        service = SweepService(tmp_path / "journal", policy=policy)
-        _, report = service.start("hang", points, jobs=2)
+        report = _sweep(points, policy=policy)
         assert {e.name for e in report.quarantined} == {points[1].name}, (
             report.format()
         )
         assert "hang" in report.quarantined[0].error
         assert not report.failed, report.format()
 
-    def test_restart_budget_backstops_a_crash_loop(self, tmp_path):
+    def test_restart_budget_backstops_a_crash_loop(self):
         """With a restart budget too small to isolate the killer, the
         sweep still terminates: remaining points fail loudly instead of
         looping forever."""
         points = [_small(1, chaos="sigkill"), _small(2, chaos="sigkill")]
         policy = ServicePolicy(poison_threshold=99, max_pool_restarts=1,
                                poll_interval_s=0.05)
-        service = SweepService(tmp_path / "journal", policy=policy)
-        _, report = service.start("budget", points, jobs=2)
+        report = _sweep(points, policy=policy)
         assert len(report.entries) == 2
         assert len(report.failed) == 2, report.format()
         for entry in report.failed:
             assert "budget exhausted" in entry.error
-
-    def test_incidents_are_journaled(self, tmp_path):
-        journal_dir = tmp_path / "journal"
-        points = [
-            _small(1),
-            _small(2, chaos=f"sigkill-once:{tmp_path / 'm.marker'}"),
-        ]
-        service = SweepService(journal_dir, policy=FAST)
-        run_id, report = service.start("incidents", points, jobs=2)
-        assert report.ok, report.format()
-        state = RunJournal.load(journal_dir / f"{run_id}.jsonl")
-        assert any(i["kind"] == "worker-crash" for i in state.incidents)
-
-
-class TestResumeEdges:
-    def test_resume_of_a_complete_run_is_pure_restore(self, tmp_path):
-        points = [_small(1), _small(2)]
-        service = SweepService(tmp_path / "journal", policy=FAST)
-        run_id, first = service.start("done", points, jobs=1)
-        assert first.ok
-        again = SweepService(tmp_path / "journal", policy=FAST).resume(
-            run_id, jobs=1
-        )
-        assert again.ok
-        assert len(again.restored) == len(points)
-        assert _digests(again) == _digests(first)
-
-    def test_lost_cache_payload_forces_a_rerun(self, tmp_path):
-        """A journaled pass whose cached payload vanished (or rotted)
-        must re-run, not restore a result we cannot verify."""
-        points = [_small(1)]
-        service = SweepService(tmp_path / "journal", policy=FAST)
-        run_id, first = service.start("rot", points, jobs=1)
-        assert first.ok
-        for entry in (tmp_path / "journal" / "cache").glob("*.json"):
-            entry.unlink()
-        again = SweepService(tmp_path / "journal", policy=FAST).resume(
-            run_id, jobs=1
-        )
-        assert again.ok
-        assert not again.restored  # verified re-execution, not blind trust
-        assert _digests(again) == _digests(first)
-
-    def test_source_change_reruns_journaled_points(self, tmp_path, monkeypatch):
-        """A point journaled under other source is not restored, even
-        though its payload still verifies under the journaled key."""
-        points = [_small(1)]
-        service = SweepService(tmp_path / "journal", policy=FAST)
-        run_id, first = service.start("edited", points, jobs=1)
-        assert first.ok
-        monkeypatch.setattr(resultcache, "_SOURCE_DIGEST", "0" * 64)
-        again = SweepService(tmp_path / "journal", policy=FAST).resume(
-            run_id, jobs=1
-        )
-        assert again.ok
-        assert not again.restored
-        assert again.cache_misses == 1
-        assert _digests(again) == _digests(first)
-        state = RunJournal.load(tmp_path / "journal" / f"{run_id}.jsonl")
-        assert state.points[0]["key"] == run_fingerprint(points[0])
-
-    def test_quarantine_is_sticky_across_resume(self, tmp_path):
-        points = [_small(1), _small(2, chaos="sigkill")]
-        service = SweepService(tmp_path / "journal", policy=FAST)
-        run_id, first = service.start("sticky", points, jobs=2)
-        assert first.quarantined
-        again = SweepService(tmp_path / "journal", policy=FAST).resume(
-            run_id, jobs=1
-        )
-        assert {e.name for e in again.quarantined} == {points[1].name}
-        assert again.quarantined[0].restored  # not re-executed
-
-    def test_resume_without_meta_record_is_rejected(self, tmp_path):
-        journal_dir = tmp_path / "journal"
-        journal_dir.mkdir(parents=True)
-        (journal_dir / "feedface0000.jsonl").write_bytes(b"garbage\n")
-        with pytest.raises(ValueError, match="no readable meta"):
-            SweepService(journal_dir).resume("feedface0000")
-
-    def test_resume_unknown_run_id_is_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="no journal for run"):
-            SweepService(tmp_path / "journal").resume("deadbeef0000")
 
 
 class TestServiceControl:
@@ -302,14 +221,11 @@ class TestServiceControl:
         # Handlers restored on exit.
         assert signal_mod.getsignal(signal_mod.SIGINT) is not handler
 
-    def test_interrupted_worker_outcome_reaches_the_report(self, tmp_path):
+    def test_interrupted_worker_outcome_reaches_the_report(self):
         """A worker-side KeyboardInterrupt (chaos 'interrupt') surfaces
         as an interrupted entry — distinct from fail — through the
-        whole pool + journal stack."""
-        service = SweepService(tmp_path / "journal", policy=FAST)
-        _, pooled = service.start(
-            "kbd", [_small(1, chaos="interrupt"), _small(2)], jobs=2
-        )
+        whole pool stack."""
+        pooled = _sweep([_small(1, chaos="interrupt"), _small(2)])
         names = {e.name: e.status for e in pooled.entries}
         assert names["LU/interrupt-1"] is ConfigStatus.INTERRUPTED
         assert names["LU/clean-2"] in (

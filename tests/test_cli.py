@@ -1,5 +1,6 @@
 """Tests for the command-line interface (cheap targets only)."""
 
+import functools
 import pathlib
 import re
 import shlex
@@ -25,6 +26,45 @@ def test_unknown_target_rejected():
 def test_help_lists_targets():
     with pytest.raises(SystemExit):
         main(["--help"])
+
+
+def test_interrupted_sweep_finishes_when_its_printed_command_reruns(
+    tmp_path, monkeypatch, capsys
+):
+    """Stopped after two entries (``stop_after`` is the code path a
+    SIGINT takes), ``sweep`` prints the command that finishes it."""
+    from repro.experiments import parallel
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    cache = tmp_path / "D"
+    monkeypatch.setattr(
+        parallel, "ServiceControl",
+        functools.partial(parallel.ServiceControl, stop_after=2),
+    )
+    argv = ["sweep", "--targets", "fig2", "--scale", "smoke",
+            "--cache-dir", str(cache)]
+    assert main(argv) == 130
+    out = capsys.readouterr().out
+    rerun = shlex.split(out.split("interrupted — rerun to finish: ")[1])
+    assert rerun == ["repro-1991", *argv]
+
+    monkeypatch.undo()
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert main(rerun[1:]) == 0
+    assert f"result cache {cache}: 2 hits, 4 misses, 4 stored\n" in (
+        capsys.readouterr().out
+    )
+
+
+def test_sweep_stores_under_the_default_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert main(["sweep", "--targets", "fig2", "--scale", "smoke"]) == 0
+    assert "result cache .repro/cache: 0 hits, 6 misses, 6 stored\n" in (
+        capsys.readouterr().out
+    )
+    assert len(list((tmp_path / ".repro" / "cache").glob("*.json"))) == 6
 
 
 def test_fault_matrix_smoke_single_app(capsys):
@@ -477,8 +517,6 @@ available checks (run order):
     default: no; flags: --trace-check, --trace-mutate
     layout      static memory-layout lint of the bundled apps
     default: no; flags: --layout-lint
-    chaos       crash-tolerance drill: SIGKILL pool workers mid-sweep, corrupt the journal tail, resume, verify bit-identity
-    default: no; flags: --chaos
     claims      the paper's shape claims (Tables 1-2, Figures 2-6, Section 7, ablations) at bench scale
     default: no; flags: --checks claims
 checks marked * run by default; --all runs every check; --checks a,b or a dedicated flag runs just those
@@ -493,7 +531,7 @@ def test_list_checks_output_is_pinned(capsys):
 _EVERY_CHECK = (
     "lint", "races", "litmus", "invariants", "faults", "model", "lockorder",
     "srclint", "protolint", "protomatrix", "protodiff", "latbound", "trace",
-    "layout", "chaos", "claims",
+    "layout", "claims",
 )
 
 #: Every ``repro-1991 check`` flag combination in .github/workflows/ci.yml
@@ -502,7 +540,6 @@ _DOCUMENTED_INVOCATIONS = [
     ("", ("lint", "races", "litmus", "invariants")),
     ("--faults smoke", ("faults",)),
     ("--faults smoke --seed 7", ("faults",)),
-    ("--chaos", ("chaos",)),
     ("--lint-src", ("srclint",)),
     ("--lock-order --strict", ("lockorder",)),
     ("--trace-check", ("trace",)),

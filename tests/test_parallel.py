@@ -324,22 +324,18 @@ class TestWorkerOutcomes:
         assert outcome.payload is None
         assert "cancelled mid-point" in outcome.error
 
-    def test_system_exit_is_a_distinct_outcome(self):
-        from repro.experiments.parallel import _execute_point_in_worker
+    def test_system_exit_is_a_distinct_outcome(self, monkeypatch):
+        from repro.experiments import parallel
 
         point = SweepPoint(
             name="boom", app="no-such-app", dataset=app_config("LU", "smoke"),
             chaos="exit",
         )
-
-        import repro.experiments.chaos as chaos_mod
-
-        original = chaos_mod.inject_chaos
-        chaos_mod.inject_chaos = lambda spec: (_ for _ in ()).throw(SystemExit(3))
-        try:
-            outcome = _execute_point_in_worker(self._task(point))
-        finally:
-            chaos_mod.inject_chaos = original
+        monkeypatch.setattr(
+            parallel, "inject_chaos",
+            lambda spec: (_ for _ in ()).throw(SystemExit(3)),
+        )
+        outcome = parallel._execute_point_in_worker(self._task(point))
         assert outcome.status == ConfigStatus.INTERRUPTED.value
         assert outcome.error.startswith("SystemExit")
 

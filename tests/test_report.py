@@ -206,9 +206,9 @@ class TestSweepReportFormat:
         assert report.cache_hits == 0 and report.cache_misses == 0
 
     def test_stats_line_hides_rare_statuses_when_absent(self):
-        """The one-line roll-up only mentions quarantined/interrupted/
-        restored when they occur — a clean sweep keeps the header the
-        tier-1 suite has always asserted on."""
+        """The one-line roll-up only mentions quarantined/interrupted
+        when they occur — a clean sweep keeps the header the tier-1
+        suite has always asserted on."""
         report = SweepReport(
             name="demo",
             entries=[_entry("a", ConfigStatus.PASSED)],
@@ -217,7 +217,6 @@ class TestSweepReportFormat:
         assert line == "sweep 'demo': 1 passed, 0 degraded, 0 failed of 1 configurations"
         assert "quarantined" not in line
         assert "interrupted" not in line
-        assert "restored" not in line
 
     def test_stats_line_counts_mixed_statuses(self):
         entries = [
@@ -227,7 +226,6 @@ class TestSweepReportFormat:
             _entry("d", ConfigStatus.FAILED, error="boom"),
             _entry("e", ConfigStatus.DEGRADED, attempts=2),
         ]
-        entries[0].restored = True
         report = SweepReport(name="mixed", entries=entries)
         line = report.stats_line()
         assert "1 passed" in line
@@ -236,22 +234,9 @@ class TestSweepReportFormat:
         assert "1 quarantined" in line
         assert "1 interrupted" in line
         assert "of 5 configurations" in line
-        assert "(1 restored from journal)" in line
         assert not report.ok
         assert [e.name for e in report.quarantined] == ["b"]
         assert [e.name for e in report.interrupted] == ["c"]
-        assert [e.name for e in report.restored] == ["a"]
-
-    def test_format_marks_restored_entries(self):
-        entries = [
-            _entry("a", ConfigStatus.PASSED, cache_hit=True, attempts=0),
-            _entry("b", ConfigStatus.PASSED, cache_hit=False),
-        ]
-        entries[0].restored = True
-        report = SweepReport(name="demo", entries=entries)
-        lines = report.format().splitlines()
-        assert lines[1].endswith("[restored]")  # restored wins over [cached]
-        assert "[restored]" not in lines[2]
 
     def test_quarantined_and_interrupted_are_not_ok(self):
         assert not _entry("q", ConfigStatus.QUARANTINED).ok
