@@ -18,9 +18,9 @@ closed-form :class:`LatencyEnvelope` ``[min_cycles, max_cycles]`` per
   its spec's ``latency_annotations`` (the analyzer is parametric over
   any registered :class:`~repro.coherence.specs.ProtocolSpec`;
   ``directory-msi`` is the default),
-  rebuild the charge path the imperative layer executes (as
-  :class:`ChargeStep` sequences over the interconnect's
-  :class:`~repro.interconnect.ChargeKind` resources), and compose
+  read each class's charge path from the plans the runtime executes
+  (:mod:`repro.interconnect.plans`, bound to the class's topology as
+  :class:`ChargeStep` sequences), and compose
   ``min = base`` (queuing delays are nonnegative, so an unloaded
   machine is the exact floor) with
   ``max = base + sum(per-step contention ceilings)``;
@@ -40,9 +40,12 @@ closed-form :class:`LatencyEnvelope` ``[min_cycles, max_cycles]`` per
 
 Soundness caveats (also in DESIGN.md §13):
 
-* The **min** bound is exact: every ``charge_*`` method returns a
-  nonnegative queuing delay, so the uncontended Table 1 base is both
-  reachable (first access of a quiet run) and a true floor.
+* The **min** bound is the uncontended Table 1 base:
+  ``Interconnect.charge_path`` returns a nonnegative queuing delay, so
+  the base is a true floor, reached by the first access of a quiet
+  run on every path that visits no station twice (a remote fill's
+  data reply waits out its own request header on the requester's
+  bus).
 * The **max** bound is a loose closed-form ceiling, not a tight one:
   each charge step waits at most ``(in-flight transactions − 1) ×
   (max charges a competitor puts on that station) × (max occupancy)``
@@ -78,12 +81,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import Consistency, MachineConfig, dash_scaled_config
 from repro.coherence.table import Action, ProtoEvent, TransitionTable
-from repro.interconnect import (
-    ChargeKind,
-    max_occupancy,
-    occupancy_of,
-    stations_per_charge,
-)
+from repro.interconnect import ChargeKind, max_occupancy, stations_per_charge
+from repro.interconnect import plans
+from repro.interconnect.plans import Plan
 from repro.processor.accounting import BUCKET_FOR_PROTO_EVENT, Bucket
 
 #: Seeded defects for the ``--lat-mutate`` demonstration.
@@ -128,8 +128,9 @@ class TxnClass(enum.Enum):
 class ChargeStep:
     """One resource charge along a transaction's path.
 
-    ``where`` is a resolved node role (``req`` / ``home`` / ``owner``)
-    for point resources, or ``"a->b"`` for a network traversal.
+    One step of a runtime plan, with ``where`` resolved: a node role
+    (``req`` / ``home`` / ``owner`` / ``sharer``) for point resources,
+    or ``"a->b"`` for a network traversal.
     ``action`` ties the step to the table action it prices (``None``
     for the non-table sync/uncached paths).  ``hidden`` marks charges
     whose latency the transaction does not wait for (sharing
@@ -335,38 +336,52 @@ _ZERO_COST_RULES = ("evict-clean-other-sharers", "evict-clean-last")
 
 def _resolve(where: str, topology: str) -> str:
     """Collapse node roles per topology: a ``local`` transaction's home
-    is the requester; a ``dirty-home`` transaction's owner is the home
-    (the ``home == requester, remote owner`` variant charges the same
-    step multiset, so one resolution prices both)."""
+    is the requester; a ``dirty-home`` transaction's owner (and the
+    stop it goes through) is the home (the ``home == requester, remote
+    owner`` variant charges the same step multiset, so one resolution
+    prices both)."""
     if topology == "local" and where == "home":
         return "req"
-    if topology == "dirty-home" and where == "owner":
+    if topology == "dirty-home" and where in ("owner", "via"):
         return "home"
     return where
 
 
-def _link(src: str, dst: str, data: bool, action: Optional[Action],
-          topology: str, hidden: bool = False) -> Optional[ChargeStep]:
-    src = _resolve(src, topology)
-    dst = _resolve(dst, topology)
-    if src == dst:
-        return None  # degenerate traversal after role collapse
-    return ChargeStep(ChargeKind.LINK, f"{src}->{dst}", data, action, hidden)
+def _bind(
+    plan: Plan, topology: str, action: Optional[Action],
+    hidden: bool = False, owner: str = "owner",
+) -> List[ChargeStep]:
+    """The analyzer's copy of a runtime plan: its steps in order, legs
+    concatenated, roles resolved per ``topology``.  ``owner`` renames
+    the owner slot (an invalidation's sharer)."""
+    def role(name: str) -> str:
+        return _resolve(owner if name == "owner" else name, topology)
+
+    steps = []
+    for leg in plan:
+        for kind, where, data in leg:
+            if kind is ChargeKind.LINK:
+                src, dst = where.split("->")
+                where = f"{role(src)}->{role(dst)}"
+            else:
+                where = role(where)
+            steps.append(ChargeStep(kind, where, data, action, hidden))
+    return steps
 
 
-def _point(kind: ChargeKind, where: str, data: bool,
-           action: Optional[Action], topology: str,
-           hidden: bool = False) -> ChargeStep:
-    return ChargeStep(kind, _resolve(where, topology), data, action, hidden)
+#: Owner-fetch plan per topology (``FETCH_OWNER_REMOTE`` otherwise).
+_FETCH_PLANS = {
+    "local": plans.FETCH_OWNER_LOCAL,
+    "dirty-home": plans.FETCH_OWNER_VIA,
+}
 
 
 def _build_steps(
     table: TransitionTable, spec: _ClassSpec, mutation: Optional[str]
 ) -> Tuple[ChargeStep, ...]:
-    """The charge path of one class, mirroring the imperative sequences
-    in :mod:`repro.coherence.protocol` step for step."""
+    """The charge path of one class: the runtime plans its rules'
+    actions select for its topology."""
     topo = spec.topology
-    steps: List[Optional[ChargeStep]] = []
     if not spec.rules:  # primary hit: no memory-system traffic
         return ()
     # One class may price several rules (e.g. a write miss to an unowned
@@ -384,104 +399,49 @@ def _build_steps(
     if Action.WRITEBACK_MEMORY in acts:
         # Dirty eviction: fire-and-forget on the background chain, all
         # bandwidth, zero demand latency.
-        steps = [
-            _point(ChargeKind.BUS, "req", True,
-                   Action.WRITEBACK_MEMORY, topo, hidden=True),
-            _link("req", "home", True, Action.WRITEBACK_MEMORY, topo,
-                  hidden=True),
-            _point(ChargeKind.MEMORY, "home", True,
-                   Action.WRITEBACK_MEMORY, topo, hidden=True),
-        ]
-        return tuple(s for s in steps if s is not None)
+        return tuple(_bind(plans.WRITEBACK, topo, Action.WRITEBACK_MEMORY,
+                           hidden=True))
 
     if Action.FETCH_FROM_OWNER in acts:
         # Dirty line: the request reaches the home directory, is
         # forwarded to the owner, and the owner supplies the data.
-        steps = [
-            _point(ChargeKind.BUS, "req", False, Action.FETCH_FROM_OWNER,
-                   topo),
-            _link("req", "home", False, Action.FETCH_FROM_OWNER, topo),
-            _point(ChargeKind.DIRECTORY, "home", False,
-                   Action.FETCH_FROM_OWNER, topo),
-            _link("home", "owner", False, Action.FETCH_FROM_OWNER, topo),
-            _point(ChargeKind.BUS, "owner", True, Action.FETCH_FROM_OWNER,
-                   topo),
-            _link("owner", "req", True, Action.FETCH_FROM_OWNER, topo),
-        ]
+        plan = _FETCH_PLANS.get(topo, plans.FETCH_OWNER_REMOTE)
         if mutation == "uncharged-hop" and topo == "dirty-remote":
-            steps = [
-                s for s in steps
-                if not (s is not None and s.kind is ChargeKind.LINK
-                        and s.where == "home->owner")
-            ]
+            plan = tuple(
+                tuple(step for step in leg if step[1] != "home->owner")
+                for leg in plan
+            )
+        steps = _bind(plan, topo, Action.FETCH_FROM_OWNER)
         if is_read and Action.SHARING_WRITEBACK in acts:
             # Home memory refresh: bandwidth charged, latency hidden
-            # behind the forwarded reply (the owner->home data message
-            # collapses away when the owner *is* the home).
-            steps.append(_link("owner", "home", True,
-                               Action.SHARING_WRITEBACK, topo, hidden=True))
-            steps.append(_point(ChargeKind.MEMORY, "home", True,
-                                Action.SHARING_WRITEBACK, topo, hidden=True))
-    elif is_read:
-        # READ_MEMORY fill.
-        if topo == "local":
-            steps = [
-                _point(ChargeKind.BUS, "req", True, Action.READ_MEMORY, topo),
-                _point(ChargeKind.MEMORY, "home", False, Action.READ_MEMORY,
-                       topo),
-            ]
-        else:
-            steps = [
-                _point(ChargeKind.BUS, "req", False, Action.READ_MEMORY,
-                       topo),
-                _link("req", "home", False, Action.READ_MEMORY, topo),
-                _point(ChargeKind.DIRECTORY, "home", False,
-                       Action.READ_MEMORY, topo),
-                _point(ChargeKind.MEMORY, "home", False, Action.READ_MEMORY,
-                       topo),
-                _link("home", "req", True, Action.READ_MEMORY, topo),
-                _point(ChargeKind.BUS, "req", True, Action.READ_MEMORY,
-                       topo),
-            ]
+            # behind the forwarded reply.
+            refresh = (plans.SHARING_WRITEBACK_AT_HOME
+                       if topo == "dirty-home" else plans.SHARING_WRITEBACK)
+            steps += _bind(refresh, topo, Action.SHARING_WRITEBACK,
+                           hidden=True)
     else:
-        # Write-ownership acquisition from memory (miss or upgrade).
+        # READ_MEMORY: a fill, or a write-ownership acquisition (miss or
+        # upgrade), from home memory.
         if topo == "local":
-            steps = [
-                _point(ChargeKind.BUS, "req", True, Action.READ_MEMORY, topo),
-                _point(ChargeKind.DIRECTORY, "home", False,
-                       Action.READ_MEMORY, topo),
-                _point(ChargeKind.MEMORY, "home", False, Action.READ_MEMORY,
-                       topo),
-            ]
+            plan = plans.FILL_LOCAL if is_read else plans.OWN_LOCAL
         else:
-            steps = [
-                _point(ChargeKind.BUS, "req", False, Action.READ_MEMORY,
-                       topo),
-                _link("req", "home", False, Action.READ_MEMORY, topo),
-                _point(ChargeKind.DIRECTORY, "home", False,
-                       Action.READ_MEMORY, topo),
-                _point(ChargeKind.MEMORY, "home", False, Action.READ_MEMORY,
-                       topo),
-                _link("home", "req", True, Action.READ_MEMORY, topo),
-                _point(ChargeKind.BUS, "req", True, Action.READ_MEMORY,
-                       topo),
-            ]
+            plan = plans.FILL_HOME if is_read else plans.OWN_HOME
         if mutation == "double-charged-directory-occupancy" and (
             spec.cls is TxnClass.WRITE_MISS_HOME
         ):
-            steps.append(_point(ChargeKind.DIRECTORY, "home", False,
-                                Action.READ_MEMORY, topo))
+            (leg,) = plan
+            again = next(s for s in leg if s[0] is ChargeKind.DIRECTORY)
+            plan = (leg + (again,),)
+        steps = _bind(plan, topo, Action.READ_MEMORY)
     if Action.INVALIDATE_SHARERS in acts:
         # Point-to-point invalidation fan-out: the requester retires
         # at ownership; the acknowledgement paths are charged but
         # never waited on (ack_cycles bounds the trailing window).
         # Applies to the fetch path too — MOESI's SHARED_DIRTY write
         # misses invalidate the extra sharers alongside the owner.
-        steps.append(_link("home", "sharer", False,
-                           Action.INVALIDATE_SHARERS, topo, hidden=True))
-        steps.append(_link("sharer", "req", False,
-                           Action.INVALIDATE_SHARERS, topo, hidden=True))
-    return tuple(s for s in steps if s is not None)
+        steps += _bind(plans.INVALIDATION, topo, Action.INVALIDATE_SHARERS,
+                       hidden=True, owner="sharer")
+    return tuple(steps)
 
 
 def _max_station_charges(kind: ChargeKind, config: MachineConfig) -> int:
@@ -530,42 +490,19 @@ def _write_chain_background(model: Consistency) -> bool:
     return model is not Consistency.SC
 
 
-#: Non-table paths: (class, base expression, steps, flavor).  Bases are
-#: computed from the LatencyTable in _derive_one.
-_SYNC_UNCACHED_STEPS = {
-    TxnClass.UNCACHED_READ_LOCAL: (
-        ("bus", "req", True), ("memory", "req", False),
-    ),
-    TxnClass.UNCACHED_READ_REMOTE: (
-        ("bus", "req", False), ("link", "req->home", False),
-        ("memory", "home", False), ("link", "home->req", True),
-    ),
-    TxnClass.UNCACHED_WRITE_LOCAL: (
-        ("bus", "req", True), ("memory", "req", False),
-    ),
-    TxnClass.UNCACHED_WRITE_REMOTE: (
-        ("bus", "req", True), ("link", "req->home", True),
-        ("memory", "home", False),
-    ),
-    TxnClass.SYNC_RMW_LOCAL: (
-        ("bus", "req", False), ("memory", "req", False),
-    ),
-    TxnClass.SYNC_RMW_HOME: (
-        ("bus", "req", False), ("link", "req->home", False),
-        ("memory", "home", False), ("link", "home->req", False),
-    ),
-    TxnClass.SYNC_RELEASE_LOCAL: (("bus", "req", False),),
-    TxnClass.SYNC_RELEASE_HOME: (
-        ("bus", "req", False), ("link", "req->home", False),
-    ),
+#: Non-table paths: the runtime plan each class prices and the topology
+#: its roles resolve under.  Bases are computed from the LatencyTable in
+#: ``_base_for``.
+_SYNC_UNCACHED_PLANS = {
+    TxnClass.UNCACHED_READ_LOCAL: (plans.UNCACHED_LOCAL, "local"),
+    TxnClass.UNCACHED_READ_REMOTE: (plans.UNCACHED_READ_REMOTE, "home"),
+    TxnClass.UNCACHED_WRITE_LOCAL: (plans.UNCACHED_LOCAL, "local"),
+    TxnClass.UNCACHED_WRITE_REMOTE: (plans.UNCACHED_WRITE_REMOTE, "home"),
+    TxnClass.SYNC_RMW_LOCAL: (plans.SYNC_RMW_LOCAL, "local"),
+    TxnClass.SYNC_RMW_HOME: (plans.SYNC_RMW_HOME, "home"),
+    TxnClass.SYNC_RELEASE_LOCAL: (plans.SYNC_RELEASE_LOCAL, "local"),
+    TxnClass.SYNC_RELEASE_HOME: (plans.SYNC_RELEASE_HOME, "home"),
 }
-
-
-def _plain_steps(cls: TxnClass) -> Tuple[ChargeStep, ...]:
-    return tuple(
-        ChargeStep(ChargeKind(kind), where, data)
-        for kind, where, data in _SYNC_UNCACHED_STEPS[cls]
-    )
 
 
 def _base_for(cls: TxnClass, config: MachineConfig) -> int:
@@ -675,8 +612,8 @@ def derive_envelopes(
 
     for cs in rule_specs:
         steps_by_class[cs.cls] = _build_steps(table, cs, mutation)
-    for cls in _SYNC_UNCACHED_STEPS:
-        steps_by_class[cls] = _plain_steps(cls)
+    for cls, (plan, topo) in _SYNC_UNCACHED_PLANS.items():
+        steps_by_class[cls] = tuple(_bind(plan, topo, None))
     steps_by_class[TxnClass.PREFETCH_SHARED] = ()
     steps_by_class[TxnClass.PREFETCH_EXCLUSIVE] = ()
     for cls in TxnClass:  # classes the spec never reaches stay empty
@@ -708,7 +645,7 @@ def derive_envelopes(
             envelopes[(model, cs.cls)] = LatencyEnvelope(
                 cs.cls, model, base, base + ceiling, ack, tuple(terms)
             )
-        for cls in _SYNC_UNCACHED_STEPS:
+        for cls in _SYNC_UNCACHED_PLANS:
             base = _base_for(cls, config)
             background = cls in (
                 TxnClass.UNCACHED_WRITE_LOCAL, TxnClass.UNCACHED_WRITE_REMOTE,
@@ -972,32 +909,11 @@ def _check_continuity(
     """Every demand path must trace a connected message route: a point
     charge at a node the message has not reached means an uncharged
     network traversal."""
-    for cs in table.rule_specs:
-        steps = [s for s in table.steps[cs.cls] if not s.hidden]
-        location = "req"
-        for step in steps:
-            if step.kind is ChargeKind.LINK:
-                src, dst = step.where.split("->")
-                if src != location:
-                    findings.append(LatFinding(
-                        "hop-continuity",
-                        f"class {cs.cls.value}: traversal {step.where} "
-                        f"departs from {src} but the message is at "
-                        f"{location}",
-                        _path_of(tuple(steps)),
-                    ))
-                location = dst
-            elif step.where != location:
-                findings.append(LatFinding(
-                    "hop-continuity",
-                    f"class {cs.cls.value}: {step.describe()} is "
-                    f"charged at {step.where} but the message is at "
-                    f"{location} — an uncharged hop",
-                    _path_of(tuple(steps)),
-                ))
+    classes = [cs.cls for cs in table.rule_specs]
     # Sync/uncached paths use the same walk.
-    for cls in sorted(_SYNC_UNCACHED_STEPS, key=lambda c: c.value):
-        steps = list(table.steps[cls])
+    classes += sorted(_SYNC_UNCACHED_PLANS, key=lambda c: c.value)
+    for cls in classes:
+        steps = tuple(s for s in table.steps[cls] if not s.hidden)
         location = "req"
         for step in steps:
             if step.kind is ChargeKind.LINK:
@@ -1008,15 +924,16 @@ def _check_continuity(
                         f"class {cls.value}: traversal {step.where} "
                         f"departs from {src} but the message is at "
                         f"{location}",
-                        _path_of(tuple(steps)),
+                        _path_of(steps),
                     ))
                 location = dst
             elif step.where != location:
                 findings.append(LatFinding(
                     "hop-continuity",
-                    f"class {cls.value}: {step.describe()} charged at "
-                    f"{step.where}, message at {location}",
-                    _path_of(tuple(steps)),
+                    f"class {cls.value}: {step.describe()} is "
+                    f"charged at {step.where} but the message is at "
+                    f"{location} — an uncharged hop",
+                    _path_of(steps),
                 ))
 
 

@@ -43,6 +43,23 @@ from repro.coherence.specs import get_spec, spec_names
 from repro.coherence.table import ProtoEvent, situation
 from repro.config import MachineConfig
 from repro.interconnect import Interconnect
+from repro.interconnect.plans import (
+    FETCH_OWNER_LOCAL,
+    FETCH_OWNER_REMOTE,
+    FETCH_OWNER_VIA,
+    FILL_HOME,
+    FILL_LOCAL,
+    INVALIDATION,
+    OWN_HOME,
+    OWN_LOCAL,
+    SHARING_WRITEBACK,
+    SHARING_WRITEBACK_AT_HOME,
+    UNCACHED_LOCAL,
+    UNCACHED_READ_REMOTE,
+    UNCACHED_WRITE_REMOTE,
+    WRITEBACK,
+    WRITEBACK_LOCAL,
+)
 from repro.memlayout import SharedMemoryAllocator
 from repro.sim.engine import SimulationError
 
@@ -337,7 +354,10 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             # (fire-and-forget: the write-back buffer hides its latency
             # from the evicting access, but the bandwidth is charged),
             # then release the home entry.
-            self.net.charge_writeback(node, home, time)
+            self.net.charge_path(
+                WRITEBACK if home != node else WRITEBACK_LOCAL,
+                node, home, 0, 0, time, True,
+            )
             self.stats.eviction_writebacks += 1
             if entry.state == _DIR_DIRTY and entry.owner == node:
                 entry.state = _DIR_UNOWNED
@@ -464,17 +484,23 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             if home == node:
                 # Local home, dirty at a remote owner: two traversals.
                 base = lat.read_fill_home
-                delay = net.charge_fetch_owner_local(node, owner, time)
+                delay = net.charge_path(
+                    FETCH_OWNER_LOCAL, node, home, owner, 0, time
+                )
                 access_class = AccessClass.HOME
             elif owner == home:
                 # Dirty copy sits in the home node's own cache.
                 base = lat.read_fill_home
-                delay = net.charge_fetch_owner_via(node, home, home, owner, time)
+                delay = net.charge_path(
+                    FETCH_OWNER_VIA, node, home, owner, home, time
+                )
                 access_class = AccessClass.HOME
             else:
                 # Three-party transaction: local -> home -> owner -> local.
                 base = lat.read_fill_remote
-                delay = net.charge_fetch_owner_remote(node, home, owner, time)
+                delay = net.charge_path(
+                    FETCH_OWNER_REMOTE, node, home, owner, 0, time
+                )
                 access_class = AccessClass.REMOTE
             # DOWNGRADE_OWNER: the owner's copy (M, or E under MESI)
             # demotes to the spec's downgrade state in place, keeping
@@ -489,9 +515,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             elif self._sec_deep:
                 if oinfo[5].probe(line) in self._owner_state_ints:
                     oinfo[5].set_state(line, self._downgrade_int)
-            if owner != home:
-                net.charge_hop(owner, home, time + delay, data=True)
-            net.charge_memory(home, time + delay)
+            net.charge_path(
+                SHARING_WRITEBACK if owner != home
+                else SHARING_WRITEBACK_AT_HOME,
+                node, home, owner, 0, time + delay,
+            )
             self.stats.sharing_writebacks += 1
             # ADD_SHARER: old owner and requester now share the line.
             entry.state = row.next_dir
@@ -501,11 +529,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             # READ_MEMORY: home memory holds the valid copy.
             if home == node:
                 base = lat.read_fill_local
-                delay = net.charge_fill_local(node, time)
+                delay = net.charge_path(FILL_LOCAL, node, home, 0, 0, time)
                 access_class = AccessClass.LOCAL
             else:
                 base = lat.read_fill_home
-                delay = net.charge_fill_home(node, home, time)
+                delay = net.charge_path(FILL_HOME, node, home, 0, 0, time)
                 access_class = AccessClass.HOME
             # ADD_SHARER: the entry becomes (or stays) SHARED — or,
             # when the fill is exclusive (MESI's read miss to an
@@ -628,15 +656,17 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             self.stats.ownership_transfers += 1
             if owner == home or home == node:
                 base = lat.write_owned_home
+                # A local home binds ``via`` to the owner: see
+                # FETCH_OWNER_VIA's note on the charge order.
                 via = home if home != node else owner
-                delay = net.charge_fetch_owner_via(
-                    node, via, home, owner, time, background=background
+                delay = net.charge_path(
+                    FETCH_OWNER_VIA, node, home, owner, via, time, background
                 )
                 access_class = AccessClass.HOME
             else:
                 base = lat.write_owned_remote
-                delay = net.charge_fetch_owner_remote(
-                    node, home, owner, time, background=background
+                delay = net.charge_path(
+                    FETCH_OWNER_REMOTE, node, home, owner, 0, time, background
                 )
                 access_class = AccessClass.REMOTE
             # INVALIDATE_OWNER: the transfer invalidates the previous
@@ -650,12 +680,14 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
             sharer_mask = entry.mask & ~(1 << node)
             if home == node:
                 base = lat.write_owned_local
-                delay = net.charge_write_local(node, time, background=background)
+                delay = net.charge_path(
+                    OWN_LOCAL, node, home, 0, 0, time, background
+                )
                 access_class = AccessClass.LOCAL
             else:
                 base = lat.write_owned_home
-                delay = net.charge_fill_home(
-                    node, home, time, background=background
+                delay = net.charge_path(
+                    OWN_HOME, node, home, 0, 0, time, background
                 )
                 access_class = AccessClass.HOME
             # Point-to-point invalidations to every other sharer, in
@@ -667,7 +699,10 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
                 sharer = low.bit_length() - 1
                 sharer_mask ^= low
                 self._invalidate_copies(sharer, line, sidx, pindex)
-                net.charge_invalidation(home, sharer, node, time + delay, background)
+                net.charge_path(
+                    INVALIDATION, node, home, sharer, 0, time + delay,
+                    background,
+                )
                 self.stats.invalidations_sent += 1
                 ack_time = (
                     lat.invalidation_ack_local
@@ -738,15 +773,13 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         home = self.home_of(line)
         if home == node:
             base = lat.read_fill_local - lat.uncached_discount
-            delay = self.net.charge_bus(node, time, data=True)
-            delay += self.net.charge_memory(home, time + delay)
+            delay = self.net.charge_path(UNCACHED_LOCAL, node, home, 0, 0, time)
             access_class = AccessClass.UNCACHED_LOCAL
         else:
             base = lat.read_fill_home - lat.uncached_discount
-            delay = self.net.charge_bus(node, time, data=False)
-            delay += self.net.charge_hop(node, home, time + delay, data=False)
-            delay += self.net.charge_memory(home, time + delay)
-            delay += self.net.charge_hop(home, node, time + delay, data=True)
+            delay = self.net.charge_path(
+                UNCACHED_READ_REMOTE, node, home, 0, 0, time
+            )
             access_class = AccessClass.UNCACHED_REMOTE
         arrival = time + base + delay
         self.stats.count_read(access_class)
@@ -760,14 +793,15 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         home = self.home_of(line)
         if home == node:
             base = lat.write_owned_local - lat.uncached_discount
-            delay = self.net.charge_bus(node, time, data=True, background=background)
-            delay += self.net.charge_memory(home, time + delay, background=background)
+            delay = self.net.charge_path(
+                UNCACHED_LOCAL, node, home, 0, 0, time, background
+            )
             access_class = AccessClass.UNCACHED_LOCAL
         else:
             base = lat.write_owned_home - lat.uncached_discount
-            delay = self.net.charge_bus(node, time, data=True, background=background)
-            delay += self.net.charge_hop(node, home, time + delay, data=True, background=background)
-            delay += self.net.charge_memory(home, time + delay, background=background)
+            delay = self.net.charge_path(
+                UNCACHED_WRITE_REMOTE, node, home, 0, 0, time, background
+            )
             access_class = AccessClass.UNCACHED_REMOTE
         retire = time + base + delay
         self.stats.count_write(access_class)

@@ -243,13 +243,6 @@ def _execute_point_in_worker(task: WorkerTask) -> _PointOutcome:
     )
 
 
-def _watchdog_wall_limit(supervisor: ExperimentSupervisor) -> Optional[float]:
-    """Extract the wall-clock budget the supervisor's watchdog factory
-    would grant, so worker processes can arm an equivalent watchdog
-    (the factory itself is usually a closure and cannot be pickled)."""
-    return _watchdog_params(supervisor)[0]
-
-
 def _watchdog_params(
     supervisor: ExperimentSupervisor,
 ) -> Tuple[Optional[float], int]:

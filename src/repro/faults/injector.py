@@ -42,6 +42,14 @@ from typing import Dict, Optional
 
 from repro.coherence import AccessOutcome, CoherenceProtocol
 from repro.faults.plan import FaultPlan
+from repro.interconnect.plans import (
+    DROP_LOCAL,
+    DROP_REMOTE,
+    DUPLICATE_LOCAL,
+    DUPLICATE_REMOTE,
+    NACK_LOCAL,
+    NACK_REMOTE,
+)
 from repro.sim.engine import SimulationError
 
 
@@ -160,16 +168,18 @@ class FaultInjector:
                 stats.nacks_injected += 1
                 self.machine.directories[home].note_nack(line)
                 cost = plan.nack_round_trip_cycles
-                cost += self.net.charge_nack(node, home, time + penalty)
+                cost += self.net.charge_path(
+                    NACK_REMOTE if home != node else NACK_LOCAL,
+                    node, home, 0, 0, time + penalty,
+                )
             elif roll < plan.nack_rate + plan.drop_rate:
                 # Request lost in the network; detected by timeout.  The
                 # dead header still consumed bandwidth on the way out.
                 stats.drops_injected += 1
-                self.net.charge_bus(node, time + penalty, data=False, background=True)
-                if home != node:
-                    self.net.charge_hop(
-                        node, home, time + penalty, data=False, background=True
-                    )
+                self.net.charge_path(
+                    DROP_REMOTE if home != node else DROP_LOCAL,
+                    node, home, 0, 0, time + penalty, True,
+                )
                 cost = plan.drop_timeout_cycles
             else:
                 break
@@ -203,7 +213,10 @@ class FaultInjector:
             complete += held
         if rng.random() < plan.duplicate_rate:
             stats.duplicates_injected += 1
-            self.net.charge_duplicate(home, node, retire, data=True)
+            self.net.charge_path(
+                DUPLICATE_REMOTE if home != node else DUPLICATE_LOCAL,
+                node, home, 0, 0, retire, True,
+            )
         if (retire, complete) == (outcome.retire, outcome.complete):
             return outcome
         return AccessOutcome(retire, complete, outcome.access_class)

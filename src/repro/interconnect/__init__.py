@@ -1,20 +1,19 @@
 """Node bus and network link contention model."""
 
-from repro.interconnect.network import (
+from repro.interconnect.network import Interconnect, NodeLinks
+from repro.interconnect.plans import (
+    PLANS,
     ChargeKind,
-    Interconnect,
-    NodeLinks,
-    max_charges_per_transaction,
     max_occupancy,
     occupancy_of,
     stations_per_charge,
 )
 
 __all__ = [
+    "PLANS",
     "ChargeKind",
     "Interconnect",
     "NodeLinks",
-    "max_charges_per_transaction",
     "max_occupancy",
     "occupancy_of",
     "stations_per_charge",

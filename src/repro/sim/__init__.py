@@ -6,13 +6,12 @@ from repro.sim.engine import (
     SimulationError,
     TIME_INFINITY,
 )
-from repro.sim.resource import QueuedResource, ResourceGroup
+from repro.sim.resource import QueuedResource
 
 __all__ = [
     "DeadlockError",
     "EventEngine",
     "QueuedResource",
-    "ResourceGroup",
     "SimulationError",
     "TIME_INFINITY",
 ]

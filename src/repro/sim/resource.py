@@ -12,8 +12,6 @@ matching the behavioural level of the paper's simulator.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 
 class QueuedResource:
     """A single-server FIFO resource with earliest-free-time queuing."""
@@ -46,10 +44,6 @@ class QueuedResource:
         self._transactions += 1
         return finish
 
-    def delay(self, time: int, occupancy: int) -> int:
-        """Like :meth:`acquire` but returns only the queuing delay."""
-        return self.acquire(time, occupancy) - occupancy - time
-
     @property
     def next_free(self) -> int:
         """Earliest time a new transaction could begin service."""
@@ -70,32 +64,3 @@ class QueuedResource:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy_total / elapsed)
-
-
-class ResourceGroup:
-    """A named collection of :class:`QueuedResource` for reporting."""
-
-    __slots__ = ("_resources",)
-
-    def __init__(self) -> None:
-        self._resources: List[QueuedResource] = []
-
-    def new(self, name: str) -> QueuedResource:
-        resource = QueuedResource(name)
-        self._resources.append(resource)
-        return resource
-
-    def __iter__(self):
-        return iter(self._resources)
-
-    def __len__(self) -> int:
-        return len(self._resources)
-
-    def busiest(self, elapsed: int) -> Optional[Tuple[str, float]]:
-        """Return ``(name, utilization)`` of the most loaded resource."""
-        best = None
-        for resource in self._resources:
-            util = resource.utilization(elapsed)
-            if best is None or util > best[1]:
-                best = (resource.name, util)
-        return best

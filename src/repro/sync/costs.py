@@ -18,6 +18,13 @@ from __future__ import annotations
 
 from repro.config import MachineConfig
 from repro.interconnect import Interconnect
+from repro.interconnect.plans import (
+    SYNC_NOTIFY,
+    SYNC_RELEASE_HOME,
+    SYNC_RELEASE_LOCAL,
+    SYNC_RMW_HOME,
+    SYNC_RMW_LOCAL,
+)
 from repro.memlayout import SharedMemoryAllocator
 
 
@@ -53,29 +60,20 @@ class SyncCosts:
         home = self.home_of(addr)
         lat = self.config.latency
         if home == node:
-            base = lat.read_fill_local
-            delay = self.net.charge_bus(node, time, data=False)
-            delay += self.net.charge_memory(home, time + delay)
+            base, plan = lat.read_fill_local, SYNC_RMW_LOCAL
         else:
-            base = lat.read_fill_home
-            delay = self.net.charge_bus(node, time, data=False)
-            delay += self.net.charge_hop(node, home, time + delay, data=False)
-            delay += self.net.charge_memory(home, time + delay)
-            delay += self.net.charge_hop(home, node, time + delay, data=False)
-        return base + delay
+            base, plan = lat.read_fill_home, SYNC_RMW_HOME
+        return base + self.net.charge_path(plan, node, home, 0, 0, time)
 
     def release_cost(self, node: int, addr: int, time: int) -> int:
         """Release write from ``node`` to the primitive's home."""
         home = self.home_of(addr)
         lat = self.config.latency
         if home == node:
-            base = lat.write_owned_local
-            delay = self.net.charge_bus(node, time, data=False)
+            base, plan = lat.write_owned_local, SYNC_RELEASE_LOCAL
         else:
-            base = lat.write_owned_home
-            delay = self.net.charge_bus(node, time, data=False)
-            delay += self.net.charge_hop(node, home, time + delay, data=False)
-        return base + delay
+            base, plan = lat.write_owned_home, SYNC_RELEASE_HOME
+        return base + self.net.charge_path(plan, node, home, 0, 0, time)
 
     def notify_cost(self, home_addr: int, waiter_node: int, time: int) -> int:
         """Cost of informing a blocked waiter that it may proceed."""
@@ -83,5 +81,5 @@ class SyncCosts:
         lat = self.config.latency
         if home == waiter_node:
             return lat.read_fill_local
-        delay = self.net.charge_hop(home, waiter_node, time, data=False)
+        delay = self.net.charge_path(SYNC_NOTIFY, waiter_node, home, 0, 0, time)
         return lat.read_fill_home - lat.read_fill_local + delay

@@ -117,7 +117,30 @@ class TestDerivation:
             derive_envelopes(mutation="no-such-defect")
 
 
+#: ``derive_envelopes(spec=...).fingerprint()`` on the default config,
+#: per registered spec.  A change to a declared charge plan
+#: (``repro.interconnect.plans``), to how latbound picks plans, or to a
+#: spec's pricing moves these; re-record them only for an intended
+#: change to the latency model.
+RECORDED_FINGERPRINTS = {
+    "directory-msi":
+        "b17d56d8f72411cdf81499017203b001658f4194de82823445722b122e1db58b",
+    "mesi":
+        "b17d56d8f72411cdf81499017203b001658f4194de82823445722b122e1db58b",
+    "moesi":
+        "fc7e707ebd8234d88d87cffa66b7117721ec4e08a3dbb684b318c9e5f2841614",
+}
+
+
 class TestFingerprint:
+    def test_pinned_for_every_registered_spec(self):
+        from repro.coherence.specs import get_spec, spec_names
+
+        assert {
+            name: derive_envelopes(spec=get_spec(name)).fingerprint()
+            for name in spec_names()
+        } == RECORDED_FINGERPRINTS
+
     def test_stable_across_rederivation(self):
         assert derive_envelopes().fingerprint() == \
             derive_envelopes().fingerprint()

@@ -256,17 +256,6 @@ def test_sweep_points_deduplicate_across_targets():
     assert len(points) == 12
 
 
-def test_watchdog_limit_crosses_the_pool_boundary():
-    from repro.experiments.parallel import _watchdog_wall_limit
-    from repro.faults import Watchdog
-
-    supervisor = ExperimentSupervisor(
-        watchdog_factory=lambda: Watchdog(wall_clock_limit_s=42.0)
-    )
-    assert _watchdog_wall_limit(supervisor) == pytest.approx(42.0)
-    assert _watchdog_wall_limit(ExperimentSupervisor()) is None
-
-
 def test_watchdog_params_cross_the_pool_boundary():
     from repro.experiments.parallel import _watchdog_params
     from repro.faults import Watchdog

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import QueuedResource, ResourceGroup
+from repro.sim import QueuedResource
 
 
 def test_idle_resource_serves_immediately():
@@ -21,12 +21,6 @@ def test_gap_between_transactions_is_idle():
     resource = QueuedResource("bus")
     resource.acquire(0, 5)
     assert resource.acquire(50, 5) == 55
-
-
-def test_delay_reports_queuing_only():
-    resource = QueuedResource("bus")
-    resource.acquire(0, 10)
-    assert resource.delay(0, 5) == 10
 
 
 def test_negative_occupancy_rejected():
@@ -49,16 +43,6 @@ def test_busy_total_and_transactions():
     resource.acquire(0, 4)
     assert resource.busy_total == 7
     assert resource.transactions == 2
-
-
-def test_group_busiest():
-    group = ResourceGroup()
-    a = group.new("a")
-    b = group.new("b")
-    a.acquire(0, 10)
-    b.acquire(0, 90)
-    assert group.busiest(100) == ("b", 0.9)
-    assert len(group) == 2
 
 
 @given(
