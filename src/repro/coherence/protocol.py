@@ -311,12 +311,9 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         if kind == "write":
             return self.compiled.write_hit[caches.secondary.probe(line)] is None
         if kind == "prefetch":
+            # Sent unless ``prefetch`` discards it (no traffic).
             state = caches.secondary.probe(line)
-            if self.compiled.write_hit[state] is not None:
-                return False  # discarded, no traffic
-            if state != LineState.INVALID and not exclusive:
-                return False  # discarded, no traffic
-            return True
+            return not state or (exclusive and self.compiled.write_hit[state] is None)
         if kind in ("read_uncached", "write_uncached"):
             # Uncached accesses always reach memory; only remote homes
             # put a message on the network.
@@ -739,25 +736,29 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — Machine.interpose ins
         Returns None when the secondary cache already satisfies the
         prefetch (it is discarded); otherwise behaves like a read fill or
         ownership acquisition and fills *both* cache levels on return.
+        A discard moves no line and bumps no counter.
         """
-        line = self.line_of(addr)
-        state = self.caches[node].secondary.probe(line)
-        if self.compiled.write_hit[state] is not None or (
-            state != LineState.INVALID and not exclusive
-        ):
+        line = addr - addr % self._line_bytes
+        word = line // self._line_bytes
+        sindex = word % self._sec_nsets
+        info = self._node_arrays[node]
+        state = info[4][sindex] if info[3][sindex] == line else 0
+        if not state and self._sec_deep:
+            state = info[5].probe(line)  # deeper planes, LRU untouched
+        # Any copy satisfies a shared prefetch; an exclusive one needs a
+        # state the table calls a write hit (M, or E).
+        if state and (not exclusive or self.compiled.write_hit[state] is not None):
             return None
         self.stats.prefetches_issued += 1
         if exclusive:
-            if state == LineState.SHARED:
+            if state:  # a present copy that is not owned: an upgrade
                 self.stats.prefetch_upgrades += 1
             outcome = self._acquire_ownership(node, line, time, had_shared=state)
         else:
             outcome = self._read_fill(node, line, time)
         self.stats.count_prefetch(outcome.access_class)
         # Prefetch responses are placed in both caches (Section 5.1).
-        self._fill_primary(
-            node, line, (line // self._line_bytes) % self._pri_nsets
-        )
+        self._fill_primary(node, line, word % self._pri_nsets)
         return outcome
 
     # -- uncached accesses ---------------------------------------------------

@@ -116,12 +116,6 @@ class Watchdog:
     def detach(self, engine: EventEngine) -> None:
         engine.set_heartbeat(None)
 
-    @property
-    def elapsed_s(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return self.clock() - self._started_at
-
     def _tick(self, engine: EventEngine) -> None:
         if self._started_at is None:
             self._started_at = self.clock()

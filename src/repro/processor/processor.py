@@ -22,10 +22,15 @@ cases are written flat: the clock and current run length live in locals
 a packed per-slot list (:data:`~repro.processor.accounting.BUCKET_SLOT`),
 the thread generator is resumed with a bare ``next()``, and the
 read/write/busy/prefetch opcodes and their short-stall handling are
-inline.  The inline primary-hit and SC owned-write probes are decided
-once per run, in :meth:`Processor._prime`, from the entry points
-observers have wrapped by then; ``Machine.run`` rejects a run whose
-wrappers changed afterwards.
+inline.  Two inline probes serve the commonest accesses without a call:
+a primary read hit, and under SC a secondary write hit in a state the
+protocol's compiled table calls owned (M, or MESI's E).  A probe only
+finds the access's ready time; each of READ and WRITE then runs one
+tail, whether the probe or the memory interface answered: the busy
+tick, then the stall, the no-switch wait or the block.  The probes are
+decided once per run, in :meth:`Processor._prime`, from the entry
+points observers have wrapped by then; ``Machine.run`` rejects a run
+whose wrappers changed afterwards.
 :attr:`Processor.breakdown` materializes the packed counters back into a
 :class:`~repro.processor.accounting.TimeBreakdown`, so every external
 observer sees the same accounting as before.
@@ -248,11 +253,12 @@ class Processor:
         ``Machine.interpose`` refuses to install once the run has
         started, so the flag cannot change under the probes.  A dead
         probe leaves ``None`` tags, so the loop tests one local per
-        access.
+        access; the geometry scalars are real either way, because the
+        read path computes its line and index before that test.
         """
         memiface = self.memiface
-        probe = (None, None, None, None, 0, 0, 0, None, None)
-        wprobe = (None, None, None, None, None, 0, 0)
+        probe = (None, None, None, None, 0, None, None)
+        wprobe = (None, None, None, None, None, None, 0, 0)
         if memiface._fused:
             arrays = memiface._arrays
             probe = (
@@ -260,34 +266,24 @@ class Processor:
                 arrays[1],
                 arrays[2],
                 memiface._reads,
-                memiface._line_bytes,
-                memiface._pri_nsets,
                 memiface._lat_rph,
                 memiface._misses,
                 memiface._wb_lines,
             )
-            m_hit = memiface.protocol.compiled.write_hit[2]  # DIRTY
-            if (
-                memiface.policy.write_stalls_processor
-                and m_hit is not None
-                and m_hit.next_cache == 2
-                and not memiface._pri_deep
-            ):
-                # SC write probe: a DIRTY secondary line is an owned
-                # write hit that never leaves the node, so it can be
+            if memiface.policy.write_stalls_processor and not memiface._pri_deep:
+                # SC write probe: a secondary line in a state the
+                # compiled table calls a write hit (M, or MESI's E) is
+                # an owned write that never leaves the node, so it is
                 # served inline exactly like memiface.write's probe.
                 # Only built under SC (RC writes go through the write
-                # buffer's occupancy bookkeeping unconditionally) and
-                # only when the active spec's M write hit stays M (the
-                # probe's fixed ``state == 2`` test serves exactly that
-                # rule; MESI's E hit falls through to the memiface
-                # path).  An associative primary skips the probe: its
-                # refresh would have to move a deeper-plane copy to
-                # plane 0.
+                # buffer's occupancy bookkeeping unconditionally).  An
+                # associative primary skips the probe: its refresh
+                # would have to move a deeper-plane copy to plane 0.
                 wprobe = (
                     arrays[3],
                     arrays[4],
                     arrays[5],
+                    memiface._write_hit,
                     memiface._writes,
                     memiface.protocol.stats,
                     memiface._sec_nsets,
@@ -305,6 +301,8 @@ class Processor:
             self.engine.schedule,
             # Every processor's continuation is ``_loop`` bound to it.
             self._loop_cb.__func__,
+            memiface._line_bytes,
+            memiface._pri_nsets,
         ) + probe + wprobe
         return self._hot
 
@@ -345,16 +343,13 @@ class Processor:
                 pf_issue,
                 schedule,
                 loop_func,
-                # Inline primary-hit probe (``ptags`` None when off): the
-                # packed-cache read hit runs right here, same gates as
-                # the fused probe in ``memiface.read`` (decided in
-                # _prime).
+                line_bytes,
+                pri_nsets,
+                # Inline primary-hit probe (``ptags`` None when off).
                 ptags,
                 pstates,
                 pstats,
                 reads,
-                line_bytes,
-                pri_nsets,
                 lat_rph,
                 misses,
                 wb_lines,
@@ -362,6 +357,7 @@ class Processor:
                 stags,
                 sstates,
                 sstats,
+                write_hit,
                 writes,
                 pstats_all,
                 sec_nsets,
@@ -412,55 +408,33 @@ class Processor:
                 if code == _OP_READ:
                     self.shared_reads += 1
                     addr = op[1]
-                    if ptags is not None:
-                        # A tag match is a primary hit, served with the
-                        # identical counter bumps and latency as the fused
-                        # probe — provided *this line* has no in-flight
-                        # miss to combine with and no buffered store to
-                        # forward from (other lines' entries are
-                        # irrelevant to a hit).  Like ``memiface.read``,
-                        # the probe tests maturity itself, so a matured
-                        # entry not yet collected changes nothing.
-                        line = addr - addr % line_bytes
-                        index = (line // line_bytes) % pri_nsets
-                        if (
-                            ptags[index] == line
-                            and pstates[index]
-                            and (line not in misses or misses[line].complete_time <= time)
-                            and wb_lines.get(line, 0) <= time
-                        ):
-                            pstats.hits += 1
-                            reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
-                            ready = time + lat_rph
-                            cycles[_SLOT_BUSY] += 1
-                            time += 1
-                            run += 1
-                            if ready > time:
-                                stall = ready - time
-                                if stall >= threshold:
-                                    run_lengths.append(run)
-                                    run = 0
-                                if not multi:
-                                    cycles[_SLOT_READ_STALL] += stall
-                                    time = ready
-                                elif stall < threshold:
-                                    cycles[_SLOT_NO_SWITCH] += stall
-                                    time = ready
-                                else:
-                                    self.time = time
-                                    self._current_run = run
-                                    ctx.block_until(ready, _READ_STALL, time)
-                                    memiface.note_fill_arrival(ready)
-                            continue
-                    if trace is not None:
-                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                    result = memiface.read(addr, time)
-                    if result[2]:
-                        self.prefetch_partial_hits += 1
+                    line = addr - addr % line_bytes
+                    index = (line // line_bytes) % pri_nsets
+                    if (
+                        ptags is not None
+                        and ptags[index] == line
+                        and pstates[index]
+                        and (line not in misses or misses[line].complete_time <= time)
+                        and wb_lines.get(line, 0) <= time
+                    ):
+                        # A primary hit on a line with no in-flight miss to
+                        # combine with and no buffered store to forward
+                        # from: ``memiface.read``'s counter bumps and
+                        # latency.  Like it, the probe tests maturity
+                        # itself, so an uncollected matured entry is absent.
+                        pstats.hits += 1
+                        reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
+                        ready = time + lat_rph
+                    else:
+                        if trace is not None:
+                            trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                        result = memiface.read(addr, time)
+                        if result[2]:
+                            self.prefetch_partial_hits += 1
+                        ready = result[0]
                     cycles[_SLOT_BUSY] += 1
                     time += 1
                     run += 1
-                    ready = result[0]
                     if ready > time:
                         stall = ready - time
                         if stall >= threshold:
@@ -489,50 +463,34 @@ class Processor:
                 elif code == _OP_WRITE:
                     self.shared_writes += 1
                     addr = op[1]
+                    hit = None
                     if stags is not None:
-                        # Inline SC owned-write hit: a DIRTY secondary line
-                        # never leaves the node, so the write retires with
-                        # the identical counter bumps and latency as
-                        # memiface.write's probe.  ``memiface.write``
-                        # consults no pending state on this path, so its
-                        # answer needs no sweep first.
                         line = addr - addr % line_bytes
-                        sindex = (line // line_bytes) % sec_nsets
-                        if stags[sindex] == line and sstates[sindex] == 2:
-                            sstats.hits += 1
-                            pstats_all.writes_total += 1
-                            pstats_all.writes_line_present += 1
-                            pindex = (line // line_bytes) % pri_nsets
-                            if ptags[pindex] == line and pstates[pindex]:
-                                pstates[pindex] = 1  # refresh write-through copy
-                            writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-                            ready = time + lat_wos
-                            cycles[_SLOT_BUSY] += 1
-                            time += 1
-                            run += 1
-                            if ready > time:
-                                stall = ready - time
-                                if stall >= threshold:
-                                    run_lengths.append(run)
-                                    run = 0
-                                if not multi:
-                                    cycles[_SLOT_WRITE_STALL] += stall
-                                    time = ready
-                                elif stall < threshold:
-                                    cycles[_SLOT_NO_SWITCH] += stall
-                                    time = ready
-                                else:
-                                    self.time = time
-                                    self._current_run = run
-                                    ctx.block_until(ready, _WRITE_STALL, time)
-                            continue
-                    if trace is not None:
-                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                    result = memiface.write(addr, time)
+                        word = line // line_bytes
+                        sindex = word % sec_nsets
+                        if stags[sindex] == line:
+                            hit = write_hit[sstates[sindex]]
+                    if hit is not None:
+                        # Owned write hit (M, or MESI's E, which the rule
+                        # upgrades silently): it never leaves the node, so
+                        # it retires with ``memiface.write``'s counter
+                        # bumps and latency, and consults no pending state.
+                        sstates[sindex] = hit.next_cache
+                        sstats.hits += 1
+                        pstats_all.writes_total += 1
+                        pstats_all.writes_line_present += 1
+                        pindex = word % pri_nsets
+                        if ptags[pindex] == line and pstates[pindex]:
+                            pstates[pindex] = 1  # refresh write-through copy
+                        writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
+                        ready = time + lat_wos
+                    else:
+                        if trace is not None:
+                            trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                        ready = memiface.write(addr, time)[0]
                     cycles[_SLOT_BUSY] += 1
                     time += 1
                     run += 1
-                    ready = result[0]
                     if ready > time:
                         stall = ready - time
                         if stall >= threshold:

@@ -89,9 +89,6 @@ class BarrierManager:
                     grant, (lambda cb, g: lambda: cb(g))(waiter_callback, grant)
                 )
 
-    def waiting_count(self, addr: int) -> int:
-        return len(self._state(addr).arrivals)
-
     def pending(self):
         """Deadlock diagnostics: ``(addr, arrived nodes, participants)``
         for every barrier episode that has not released yet."""

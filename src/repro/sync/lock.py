@@ -109,9 +109,6 @@ class LockManager:
     def is_held(self, addr: int) -> bool:
         return self._state(addr).held
 
-    def queue_length(self, addr: int) -> int:
-        return len(self._state(addr).waiters)
-
     def pending(self):
         """Deadlock diagnostics: ``(addr, holder, waiter nodes)`` for
         every lock that is held or has queued waiters."""

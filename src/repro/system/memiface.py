@@ -172,20 +172,20 @@ class NodeMemoryInterface:
         self._pf_depth = config.prefetch_buffer_depth
         self._pf_gap = config.contention.bus_occupancy_header
 
-        # Fused probes (see read/write/prefetch): the protocol's packed
-        # hit and discard checks run inline here — identical counters
-        # and latencies, minus the protocol's call frames — and their
-        # misses go straight to the protocol's post-probe helpers
-        # (``_read_fill``, ``_write_probed``).  Like the protocol, they
-        # read only its compiled table, whose compile step has checked
-        # that every hit rule fills from the cache.  ``_fused`` gates
-        # them all, and the processor's inline probes with them: the
-        # machine clears it on every node when an observer installs
-        # through ``Machine.interpose`` or a memory-event trace is
-        # installed, so every observer sees the protocol's own entry
-        # points.  The
-        # aliased containers (``_node_arrays``, the stats dicts) are
-        # mutated in place and never rebound.
+        # Fused probes (see read/write): the protocol's packed hit
+        # checks run inline here — identical counters and latencies,
+        # minus the protocol's call frames — and their misses go
+        # straight to the protocol's post-probe helpers (``_read_fill``,
+        # ``_write_probed``).  Like the protocol, they read only its
+        # compiled table, whose compile step has checked that every hit
+        # rule fills from the cache.  ``_fused`` gates them all, and the
+        # processor's inline probes with them: the machine clears it on
+        # every node when an observer installs through
+        # ``Machine.interpose`` or a memory-event trace is installed, so
+        # every observer sees the protocol's own entry points.  A
+        # prefetch always calls ``protocol.prefetch``, the one copy of
+        # the discard test.  The aliased containers (``_node_arrays``,
+        # the stats dicts) are mutated in place and never rebound.
         self._fused = True
         self._arrays = protocol._node_arrays[node]
         self._pri_nsets = protocol._pri_nsets
@@ -504,21 +504,7 @@ class NodeMemoryInterface:
             # Held back by the bus: occupies a slot until it issues.
             pf.append(issue)
 
-        proto = self.protocol
-        if self._fused:
-            # Fused discard — protocol.prefetch's own test on the packed
-            # secondary state: a line present in a write-hit state, or
-            # present at all for a shared prefetch, is already
-            # satisfied.  A discard touches no protocol counter; a line
-            # in a deeper plane is left to ``protocol.prefetch``'s own
-            # test.  See the gate comment in __init__.
-            sindex = (line // self._line_bytes) % self._sec_nsets
-            info = self._arrays
-            state = info[4][sindex] if info[3][sindex] == line else 0
-            if state and (not exclusive or self._write_hit[state] is not None):
-                self.prefetches_discarded += 1
-                return _MK_PREFETCH((full_stall, True))
-        outcome = proto.prefetch(self.node, addr, exclusive, issue)
+        outcome = self.protocol.prefetch(self.node, addr, exclusive, issue)
         if outcome is None:
             self.prefetches_discarded += 1
             return _MK_PREFETCH((full_stall, True))

@@ -121,11 +121,6 @@ class SimulationResult:
         no fault layer was installed)."""
         return self.faults.retries if self.faults is not None else 0
 
-    @property
-    def fault_added_cycles(self) -> int:
-        """Latency added by the fault layer (retries plus delays)."""
-        return self.faults.added_cycles if self.faults is not None else 0
-
     def speedup_over(self, baseline: "SimulationResult") -> float:
         """Baseline execution time divided by this run's (>1 is faster)."""
         if self.execution_time == 0:

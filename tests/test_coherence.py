@@ -389,6 +389,88 @@ class TestPrefetch:
         assert protocol.stats.prefetch_fills_by_class
 
 
+class TestPackedPrefetchDiscard:
+    """``prefetch``'s discard test on the packed arrays of an
+    associative machine (2-way primary, 4-way secondary): plane 0 is
+    read from the arrays, deeper planes through ``probe``."""
+
+    def _setup(self, protocol_name, make_state, deeper):
+        protocol, regions = make_protocol(
+            protocol=protocol_name,
+            secondary_ways=4,
+            primary_cache=CacheGeometry(size_bytes=2048, ways=2),
+        )
+        config = protocol.config
+        addr = regions[0].addr(0)
+        line = protocol.line_of(addr)
+        make_state(protocol, addr)
+        if deeper:
+            # A second line of the same secondary set pushes ``line``
+            # down to plane 1.
+            stride = config.secondary_cache.num_sets * config.line_bytes
+            protocol.read(0, addr + stride, 200)
+        tags, states = protocol.caches[0].secondary.packed_arrays()
+        sindex = (line // config.line_bytes) % config.secondary_cache.num_sets
+        plane = 1 if deeper else 0
+        assert tags[sindex + plane * config.secondary_cache.num_sets] == line
+        return protocol, addr, line
+
+    @staticmethod
+    def _observed(protocol):
+        caches = protocol.caches[0]
+        return (
+            list(protocol.stats.counter_items()),
+            [
+                (level.hits, level.misses, *map(list, level.packed_arrays()))
+                for level in (caches.primary, caches.secondary)
+            ],
+        )
+
+    @staticmethod
+    def _shared(protocol, addr):
+        protocol.read(0, addr, 0)  # MSI: a lone reader holds SHARED
+
+    @staticmethod
+    def _modified(protocol, addr):
+        protocol.write(0, addr, 0)
+
+    @staticmethod
+    def _exclusive(protocol, addr):
+        protocol.read(0, addr, 0)  # MESI: a lone reader holds E
+
+    @pytest.mark.parametrize("deeper", [False, True], ids=["plane0", "plane1"])
+    def test_shared_prefetch_to_a_present_line_is_discarded(self, deeper):
+        protocol, addr, line = self._setup("directory-msi", self._shared, deeper)
+        before = self._observed(protocol)
+        assert protocol.prefetch(0, addr, exclusive=False, time=300) is None
+        # No counter moved and no line changed plane.
+        assert self._observed(protocol) == before
+
+    @pytest.mark.parametrize("deeper", [False, True], ids=["plane0", "plane1"])
+    def test_exclusive_prefetch_to_shared_is_an_upgrade(self, deeper):
+        protocol, addr, line = self._setup("directory-msi", self._shared, deeper)
+        assert protocol.prefetch(0, addr, exclusive=True, time=300) is not None
+        assert protocol.stats.prefetches_issued == 1
+        assert protocol.stats.prefetch_upgrades == 1
+        assert protocol.caches[0].secondary.probe(line) == LineState.DIRTY
+
+    @pytest.mark.parametrize("deeper", [False, True], ids=["plane0", "plane1"])
+    @pytest.mark.parametrize(
+        "protocol_name,state",
+        [("directory-msi", LineState.DIRTY), ("mesi", LineState.EXCLUSIVE)],
+        ids=["M", "E"],
+    )
+    def test_exclusive_prefetch_to_an_owned_line_is_discarded(
+        self, protocol_name, state, deeper
+    ):
+        make_state = self._modified if state == LineState.DIRTY else self._exclusive
+        protocol, addr, line = self._setup(protocol_name, make_state, deeper)
+        assert protocol.caches[0].secondary.probe(line) == state
+        before = self._observed(protocol)
+        assert protocol.prefetch(0, addr, exclusive=True, time=300) is None
+        assert self._observed(protocol) == before
+
+
 class TestUncached:
     def test_uncached_read_latencies(self):
         protocol, regions = make_protocol()

@@ -1,16 +1,18 @@
 """Fused fast paths against the classic protocol path.
 
-The memory interface and the processor loop serve read hits, owned
-write hits and prefetch discards inline, probing the packed cache
-arrays.  Installing a pass-through wrapper on
-``protocol.read``/``write``/``prefetch`` through ``Machine.interpose``
-closes every one of those gates (the same mechanism the sanitizer, the
-litmus recorder and the fault injector rely on) and routes each access
-through the protocol's own entry points, so each configuration here
-runs twice — fused and classic (gates closed) — and must produce
-identical canonical results and identical protocol counters.  The
-associative legs cover the probes' fallback from plane 0 to the deeper
-planes.
+The memory interface and the processor loop serve read hits and owned
+write hits inline, probing the packed cache arrays.  Installing a
+pass-through wrapper on ``protocol.read``/``write``/``prefetch`` through
+``Machine.interpose`` closes every one of those gates (the same
+mechanism the sanitizer, the litmus recorder and the fault injector
+rely on) and routes each access through the protocol's own entry
+points, so each configuration here runs twice — fused and classic
+(gates closed) — and must produce identical canonical results and
+identical protocol counters.  The associative legs cover the probes'
+fallback from plane 0 to the deeper planes.  Every prefetch reaches
+``protocol.prefetch``, the one copy of the discard test, on both legs;
+``tests/test_coherence.py`` (``TestPackedPrefetchDiscard``) tests that
+test itself.
 """
 
 import itertools

@@ -410,6 +410,61 @@ class TestProbeGates:
             machine.run()
         assert machine.engine.events_processed == 0
 
+    def test_sc_probe_serves_a_mesi_exclusive_write_hit(self, monkeypatch):
+        """Under MESI a lone reader fills E, and its write is an owned
+        hit the compiled table upgrades silently to M: the SC write
+        probe serves it without entering ``memiface.write``."""
+        from repro.caches import LineState
+        from repro.experiments.resultcache import canonical_result_bytes
+        from repro.system.memiface import NodeMemoryInterface
+
+        calls = []
+        original = NodeMemoryInterface.write
+
+        def counted(self, addr, now):
+            calls.append(addr)
+            return original(self, addr, now)
+
+        # On the class, before the machine is built, so the gates stay
+        # open: Machine.interpose would close them.
+        monkeypatch.setattr(NodeMemoryInterface, "write", counted)
+
+        def body(world, env):
+            addr = world.addr(0)
+            if env.process_id == 0:
+                yield (O.READ, addr)  # unshared: fills E
+                yield (O.WRITE, addr)
+            else:
+                yield (O.BUSY, 1)
+
+        def run(interposed):
+            calls.clear()
+            machine = Machine(dash_scaled_config(
+                num_processors=2, consistency=Consistency.SC, protocol="mesi",
+            ))
+            if interposed:
+                machine.interpose(
+                    machine.protocol, "write", lambda orig: lambda *a, **k: orig(*a, **k)
+                )
+            program = Program(
+                "mesi-e-write",
+                lambda allocator, n: allocator.alloc_local("line", 4096, 0),
+                body,
+            )
+            machine.load(program)
+            result = machine.run()
+            line = machine.protocol.line_of(program.world.addr(0))
+            state = machine.protocol.caches[0].secondary.probe(line)
+            return canonical_result_bytes(result), state, list(calls)
+
+        inline, inline_state, inline_calls = run(interposed=False)
+        assert inline_calls == []
+        assert inline_state == LineState.DIRTY
+        classic, classic_state, classic_calls = run(interposed=True)
+        assert len(classic_calls) == 1  # the gate really was closed
+        assert classic_state == LineState.DIRTY
+        assert inline == classic
+
 
 class TestInPlaceSwitch:
     """A yielding processor whose next event is another processor's
